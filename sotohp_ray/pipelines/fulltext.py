@@ -549,7 +549,7 @@ def bm25_explain(
             continue
         docs, qis, cs = s.search_contribs(q)
         # qi -> analyzed term, same first-appearance order the
-        # searcher computes (_owned_query_terms)
+        # searcher computes (query._first_appearance)
         seen = list(dict.fromkeys(s.tok.tokens_of(q)))
         keep = np.isin(docs, np.fromiter(orig_of, dtype=np.int64))
         for de, ti, c in zip(docs[keep], qis[keep], cs[keep]):

@@ -1,14 +1,19 @@
 """Query serving: top-k BM25 over the compressed index.
 
-Two scoring paths over the SAME postings:
+Two scoring paths over the SAME postings, both selected by one
+kernel (``Searcher._interval_postings``):
 - ``exact``: decode every query term's full postings, accumulate
   float64 scores (term-at-a-time), top-k with (score desc, doc_id asc)
   tie-break. The verification baseline.
-- ``wand``: block-max WAND (Ding & Suel, SIGIR 2011 — public
-  literature): document-at-a-time pivoting on per-term score upper
-  bounds, refined by per-block maxima; skips whole blocks without
-  decoding. MUST return rank-identical results to ``exact`` — WAND
-  changes the work done, never the answer.
+- ``wand``: block-max pruning (Ding & Suel, SIGIR 2011 — public
+  literature) at doc-interval granularity: the doc-id space is cut at
+  the query terms' block boundaries, each interval's score bound is
+  the sum of the covering blocks' maxima, and only intervals whose
+  bound reaches a seeded threshold theta are decoded and scored, with
+  the same term-at-a-time accumulation. MUST return rank-identical
+  results to ``exact`` — pruning changes the work done, never the
+  answer. The fan-out survivor scan runs the same kernel per shard
+  group.
 
 Float determinism (FIXTURES.md F4): per-doc score = sum of per-term
 contributions accumulated in FIRST-APPEARANCE query-term order in
@@ -38,87 +43,54 @@ from sotohp_ray.functions import codec as pcodec
 from sotohp_ray.functions.tokenizer import CodeTokenizer
 
 
-class _TermCursor:
-    """Lazy block-decoding cursor over one term's postings."""
+# search_wand answers through search_exact when the query's terms hold
+# at most this many postings in total (one vectorized TAAT pass costs
+# less than cutting and bounding intervals first) ...
+_WAND_MIN_POSTINGS = 1 << 16
+# ... or when its rarest term is in more than this fraction of the live
+# docs: nearly every interval then carries every term's block maximum,
+# so theta can prune almost nothing
+_WAND_MAX_DF_FRAC = 0.5
+# search_wand seeds theta from the highest-bound intervals covering this
+# many doc ids per requested hit: covering only k ids finds weak seeds
+# (on a 24k-doc index, ~13k docs still clear theta and get ranked),
+# 16 * k ranks ~1.4k at a few hundred seed docs
+_WAND_SEED_IDS_PER_HIT = 16
 
-    __slots__ = (
-        "blob", "block_last", "gap_offs", "tf_offs", "tf_base",
-        "block_counts", "df", "codec", "cur_block", "docs", "tfs",
-        "pos", "cur_doc", "exhausted",
-    )
 
-    def __init__(self, row: dict, codec: str):
-        self.blob = row["blob"]
-        self.block_last = row["block_last"]
-        self.gap_offs = row.get("block_gap_offs")
-        self.tf_offs = row.get("block_tf_offs")
-        self.tf_base = row.get("tf_base")
-        self.df = int(row["df"])
-        nblocks = self.block_last.size
-        bs = row["block_size"]
-        self.block_counts = np.full(nblocks, bs, dtype=np.int64)
-        self.block_counts[-1] = self.df - bs * (nblocks - 1)
-        self.codec = codec
-        self.cur_block = -1
-        self.docs = None
-        self.tfs = None
-        self.pos = 0
-        self.cur_doc = -1
-        self.exhausted = False
-        if row.get("docs") is not None:  # inline df==1 record
-            self.docs = row["docs"]
-            self.tfs = row["tfs"]
-            self.cur_block = 0
-            self.cur_doc = int(self.docs[0])
-        else:
-            self._load_block(0)
+def _first_appearance(toks: list[str]) -> list[tuple[str, float]]:
+    """[(term, qtf)] over the distinct tokens in first-appearance
+    order. A term's index in this list is its ``qi``: every scoring
+    path (single, shard group, fan-out merge, oracle) adds per-term
+    contributions in qi order, which keeps their float64 sums
+    bit-identical (FIXTURES.md F4)."""
+    qtf = Counter(toks)
+    return [(t, float(qtf[t])) for t in dict.fromkeys(toks)]
 
-    def _load_block(self, k: int):
-        if k >= self.block_last.size:
-            self.exhausted = True
-            self.cur_doc = np.iinfo(np.int64).max
-            return
-        self.docs, self.tfs = pcodec.decode_one_block(
-            self.blob, k, self.block_counts, self.gap_offs, self.tf_offs,
-            self.tf_base, self.block_last, codec=self.codec,
-        )
-        self.cur_block = k
-        self.pos = 0
-        self.cur_doc = int(self.docs[0])
 
-    def next(self):
-        self.pos += 1
-        if self.pos < self.docs.size:
-            self.cur_doc = int(self.docs[self.pos])
-        else:
-            self._load_block(self.cur_block + 1)
+def _rank(
+    ids: np.ndarray, scores: np.ndarray, k: int
+) -> list[tuple[int, float]]:
+    """Top-k (id, score) pairs ordered by (score desc, id asc) — the
+    ranking contract of every scored retrieval path."""
+    top = np.lexsort((ids, -scores))[:k]
+    return [(int(ids[i]), float(scores[i])) for i in top]
 
-    def seek(self, target: int):
-        """Advance to the first doc >= target (block-skipping)."""
-        if self.exhausted or self.cur_doc >= target:
-            return
-        if int(self.block_last[self.cur_block]) < target:
-            k = int(np.searchsorted(self.block_last, target, side="left"))
-            if k >= self.block_last.size:
-                self.exhausted = True
-                self.cur_doc = np.iinfo(np.int64).max
-                return
-            self._load_block(k)
-        p = int(np.searchsorted(self.docs, target, side="left"))
-        if p >= self.docs.size:
-            self._load_block(self.cur_block + 1)
-        else:
-            self.pos = p
-            self.cur_doc = int(self.docs[p])
 
-    def block_max_at(self, block_max: np.ndarray) -> float:
-        return float(block_max[self.cur_block])
-
-    def block_last_doc(self) -> int:
-        return int(self.block_last[self.cur_block])
-
-    def tf(self) -> float:
-        return float(self.tfs[self.pos])
+def _slice_runs(
+    d: np.ndarray, f: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The postings of sorted ``d`` (with their ``f``) whose doc lies in
+    one of the sorted, disjoint, inclusive doc ranges [lo[i], hi[i]]:
+    two searchsorteds per range, then one gather — cost scales with the
+    ranges and the postings kept, not a per-posting range lookup."""
+    s = np.searchsorted(d, lo.astype(d.dtype))
+    n = np.searchsorted(d, hi.astype(d.dtype), side="right") - s
+    total = int(n.sum())
+    if total == d.size:
+        return d, f
+    idx = np.arange(total) + np.repeat(s - (np.cumsum(n) - n), n)
+    return d[idx], f[idx]
 
 
 def one_edit_mask(cand: list[str], q: str) -> np.ndarray:
@@ -285,7 +257,68 @@ def _boolean_combine(sets: list, mode: str) -> np.ndarray:
     return out
 
 
-class Searcher:
+def _min_should_match(got, m: int, k: int) -> list[tuple[int, float, int]]:
+    """Top-k (doc, round(score, 4), n_matched) over ``_merge_contribs``
+    output, restricted to docs matching at least ``m`` distinct terms
+    and ranked by (round(score,4) DESC, doc_id ASC)."""
+    if got is None:
+        return []
+    udocs, sums, nmatch = got
+    keep = nmatch >= m
+    udocs, r, nmatch = udocs[keep], np.round(sums[keep], 4), nmatch[keep]
+    top = np.lexsort((udocs, -r))[:k]
+    return [(int(udocs[i]), float(r[i]), int(nmatch[i])) for i in top]
+
+
+class _LiveFilter:
+    """Tombstone filtering and the contribution merge, shared by
+    ``Searcher`` and ``FanoutSearcher``. Tombstones are logical deletes
+    not yet compacted: excluded from every result, while surviving
+    docs score with pre-delete stats until compact_index runs (the
+    Lucene deleted-docs contract). They are held as a SORTED id array,
+    not a doc-id-space-sized bool mask: the mask costs 1 B/doc per
+    searcher (1 GB per actor at 10^9 docs) while the set is
+    deletion-sized; membership is a searchsorted."""
+
+    _tomb: np.ndarray | None
+
+    def _load_tombstones(self, index_dir: str) -> None:
+        from sotohp_ray.pipelines.delete import load_tombstones
+
+        tomb = load_tombstones(index_dir)
+        self._tomb = (
+            np.unique(tomb.astype(np.int64)) if tomb.size else None
+        )
+
+    def _live_mask(self, ids: np.ndarray) -> np.ndarray:
+        """Bool mask: which of ``ids`` are NOT tombstoned."""
+        t = self._tomb
+        if t is None or ids.size == 0:
+            return np.ones(ids.size, dtype=bool)
+        ids = ids.astype(np.int64, copy=False)
+        pos = np.searchsorted(t, ids)
+        dead = np.zeros(ids.size, dtype=bool)
+        inb = pos < t.size
+        dead[inb] = t[pos[inb]] == ids[inb]
+        return ~dead
+
+    def _merge_contribs(
+        self, docs: np.ndarray, qis: np.ndarray, cs: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``_layered_sums`` of (doc, qi, contrib) rows, restricted to
+        live docs with a positive sum; None when none is left — the
+        one merge behind sparse exact, paged, min-should-match and
+        distributed-WAND retrieval."""
+        if docs.size == 0:
+            return None
+        udocs, sums, nterms = _layered_sums(docs, qis, cs)
+        keep = self._live_mask(udocs) & (sums > 0.0)
+        if not keep.any():
+            return None
+        return udocs[keep], sums[keep], nterms[keep]
+
+
+class Searcher(_LiveFilter):
     """Loads the dictionary + doc lengths once (init-once worker state).
 
     Two scopes:
@@ -330,19 +363,7 @@ class Searcher:
         # renumber), so arrays are sized by the original id space
         self.space = int(self.stats.get("doc_id_space", self.stats["n_docs"]))
         self.avgdl = float(self.stats["avgdl"])
-        # tombstones: logical deletes not yet compacted — excluded from
-        # every result; surviving docs score with pre-delete stats
-        # until compact_index runs (the Lucene deleted-docs contract)
-        from sotohp_ray.pipelines.delete import load_tombstones
-
-        tomb = load_tombstones(index_dir)
-        # stored as a SORTED id array, not a doc-id-space-sized bool
-        # mask: the mask costs 1 B/doc per searcher (1 GB per actor at
-        # 10^9 docs) while the set is deletion-sized; membership is a
-        # searchsorted (_live_mask/_is_live_doc)
-        self._tomb = (
-            np.unique(tomb.astype(np.int64)) if tomb.size else None
-        )
+        self._load_tombstones(index_dir)
 
         # columnar dictionary: term -> row index; blobs/block metadata
         # are materialized lazily per queried term (and cached).
@@ -494,27 +515,6 @@ class Searcher:
     def _idf(self, df: int) -> float:
         return math.log(1.0 + (self.n_docs - df + 0.5) / (df + 0.5))
 
-    def _live_mask(self, ids: np.ndarray) -> np.ndarray:
-        """Bool mask: which of ``ids`` are NOT tombstoned —
-        searchsorted membership against the deletion-sized sorted id
-        array (never a dense space-sized mask)."""
-        t = self._tomb
-        if t is None or ids.size == 0:
-            return np.ones(ids.size, dtype=bool)
-        ids = ids.astype(np.int64, copy=False)
-        pos = np.searchsorted(t, ids)
-        dead = np.zeros(ids.size, dtype=bool)
-        inb = pos < t.size
-        dead[inb] = t[pos[inb]] == ids[inb]
-        return ~dead
-
-    def _is_live_doc(self, d: int) -> bool:
-        t = self._tomb
-        if t is None:
-            return True
-        i = int(np.searchsorted(t, d))
-        return i >= t.size or int(t[i]) != d
-
     def _record(self, term: str) -> dict:
         """Lazy per-term record (cached): inline posting for the
         blobless tail (df==1 AND tf==1 — a df==1 term whose single doc
@@ -568,13 +568,10 @@ class Searcher:
 
     def _query_terms(self, query: str) -> list[tuple[str, float]]:
         """-> [(term, qtf)] in first-appearance order, present terms only."""
-        toks = self.tok.tokens_of(query)
-        qtf = Counter(toks)
-        seen: list[str] = []
-        for t in toks:
-            if t not in seen:
-                seen.append(t)
-        return [(t, float(qtf[t])) for t in seen if t in self._row]
+        return [
+            (t, w) for t, w in _first_appearance(self.tok.tokens_of(query))
+            if t in self._row
+        ]
 
     def _decode_full(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         hit = self._dec_cache.get(term)
@@ -671,8 +668,7 @@ class Searcher:
                 qw, int(self._dfs[self._row[term]]), tf,
                 self.doc_len[match_docs],
             )
-        order = np.lexsort((match_docs, -scores))[:k]
-        return [(int(match_docs[i]), float(scores[i])) for i in order]
+        return _rank(match_docs, scores, k)
 
     def search_span_near(
         self, term_a: str, term_b: str, window: int = 3, k: int = 10
@@ -706,8 +702,7 @@ class Searcher:
                 qw, int(self._dfs[self._row[term]]),
                 tfs[i2].astype(np.float64), self.doc_len[match_docs],
             )
-        order = np.lexsort((match_docs, -scores))[:k]
-        return [(int(match_docs[i]), float(scores[i])) for i in order]
+        return _rank(match_docs, scores, k)
 
     def prefix_terms(
         self, prefix: str, max_expansions: int = 50
@@ -769,8 +764,7 @@ class Searcher:
                 qw, int(self._dfs[self._row[term]]),
                 tfs[idx].astype(np.float64), self.doc_len[match_docs],
             )
-        order = np.lexsort((match_docs, -scores))[:k]
-        return [(int(match_docs[i]), float(scores[i])) for i in order]
+        return _rank(match_docs, scores, k)
 
     def search_proximity(
         self, term_a: str, term_b: str, window: int = 3, k: int = 10
@@ -801,8 +795,7 @@ class Searcher:
                 qw, int(self._dfs[self._row[term]]),
                 tfs[i2].astype(np.float64), self.doc_len[match_docs],
             )
-        order = np.lexsort((match_docs, -scores))[:k]
-        return [(int(match_docs[i]), float(scores[i])) for i in order]
+        return _rank(match_docs, scores, k)
 
     def _contrib(self, qw: float, df: int, tf, dl):
         k1, b = self.config.bm25.k1, self.config.bm25.b
@@ -854,21 +847,56 @@ class Searcher:
         list — the entry point for callers whose terms didn't come
         from a query string (e.g. more-like-this keyword sets, which
         must not round-trip through the tokenizer)."""
-        qterms = [(t, w) for t, w in qterms if t in self._row]
-        if not qterms:
+        postings = self._interval_postings(qterms)
+        if not postings:
             return None
+        return self._dense_scores(postings, mask)
+
+    def _dense_scores(
+        self, postings: list, mask: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Term-at-a-time accumulation of ``_interval_postings`` rows
+        into a score array over the doc-id space, one term after the
+        other in qi order (tombstoned and ``mask``-excluded docs
+        zeroed)."""
         scores = np.zeros(self.space, dtype=np.float64)
-        for term, qw in qterms:
-            d, f = self._decode_full(term)
-            dli = self.doc_len[d]
+        for _, term, qw, d, f in postings:
             scores[d] += self._contrib(
-                qw, int(self._dfs[self._row[term]]), f.astype(np.float64), dli
+                qw, int(self._dfs[self._row[term]]), f.astype(np.float64),
+                self.doc_len[d],
             )
         if self._tomb is not None:
             scores[self._tomb] = 0.0
         if mask is not None:
             scores[~mask] = 0.0
         return scores
+
+    def _top_k(
+        self, postings: list, k: int, mask: np.ndarray | None = None,
+        theta: float = 0.0,
+    ) -> list[tuple[int, float]]:
+        """Top-k live docs by the BM25 sums of ``_interval_postings``
+        rows, ranking only positive sums >= ``theta`` (a caller passes
+        a theta that at least k docs reach). The full searcher
+        accumulates into a dense array; a shard group must never
+        allocate a doc-id-SPACE-sized one (8 B/doc = ~8 GB per actor at
+        10^9 docs), so it sums sparse contributions with the fan-out
+        merge kernel instead. Both add in qi order, so the scores are
+        bit-identical."""
+        if not postings:
+            return []
+        if self.shard_range is not None:
+            got = self._merge_contribs(*self._contribs(postings))
+            if got is None:
+                return []
+            udocs, sums, _ = got
+            keep = sums >= theta
+            if mask is not None:
+                keep &= mask[udocs]
+            return _rank(udocs[keep], sums[keep], k)
+        scores = self._dense_scores(postings, mask)
+        nz = np.flatnonzero(scores >= theta if theta > 0.0 else scores > 0.0)
+        return _rank(nz, scores[nz], k)
 
     def search_exact(
         self, query: str, k: int = 10, mask: np.ndarray | None = None
@@ -878,36 +906,9 @@ class Searcher:
         changing any statistic — Lucene filter-query semantics: idf,
         avgdl and doc lengths stay corpus-level, the filter only
         masks which docs may appear in results."""
-        if self.shard_range is not None:
-            # shard-scoped SPARSE path: a group server must never
-            # allocate a doc-id-SPACE-sized dense score array
-            # (8 B/doc = ~8 GB per actor at 10^9 docs); the layered
-            # qi-ordered sums are the fan-out merge kernel, so scores
-            # stay bit-identical, memory sized by matching postings
-            docs, qis, cs = self.search_contribs(query)
-            if docs.size == 0:
-                return []
-            udocs, sums = _layered_sums(docs, qis, cs)
-            live = self._live_mask(udocs)
-            udocs, sums = udocs[live], sums[live]
-            if mask is not None:
-                keep = mask[udocs]
-                udocs, sums = udocs[keep], sums[keep]
-            pos = sums > 0.0
-            udocs, sums = udocs[pos], sums[pos]
-            if udocs.size == 0:
-                return []
-            top = np.lexsort((udocs, -sums))[:k]
-            return [(int(udocs[i]), float(sums[i])) for i in top]
-        scores = self._taat_scores(query, mask)
-        if scores is None:
-            return []
-        nz = np.flatnonzero(scores > 0.0)
-        if nz.size == 0:
-            return []
-        order = np.lexsort((nz, -scores[nz]))
-        top = nz[order[:k]]
-        return [(int(d), float(scores[d])) for d in top]
+        return self._top_k(
+            self._interval_postings(self._query_terms(query)), k, mask
+        )
 
     def search_min_should_match(
         self, query: str, m: int, k: int = 10,
@@ -917,27 +918,13 @@ class Searcher:
         (a pure OR rewards one hot term; AND is brittle; m-of-n is the
         standard middle). Returns (doc_id, score, n_matched). Built on
         ``search_contribs`` — its rows are exactly the (distinct term,
-        doc) match pairs, so per-doc row multiplicity IS the distinct
-        matched-term count; one bincount gives both the mask and the
-        per-doc score sums (matching-postings-sized, never doc-space
-        loops). Ranking contract: (round(score,4) DESC, doc_id ASC)."""
-        docs, _qis, cs = self.search_contribs(query)
-        if docs.size == 0:
-            return []
-        udocs, inv = np.unique(docs, return_inverse=True)
-        nmatch = np.bincount(inv)
-        sums = np.bincount(inv, weights=cs)
-        keep = nmatch >= m
-        if self._tomb is not None:
-            keep &= self._live_mask(udocs)
-        udocs, sums, nmatch = udocs[keep], sums[keep], nmatch[keep]
-        if udocs.size == 0:
-            return []
-        r = np.round(sums, 4)
-        top = np.lexsort((udocs, -r))[:k]
-        return [
-            (int(udocs[i]), float(r[i]), int(nmatch[i])) for i in top
-        ]
+        doc) match pairs, so the merge's per-doc row count IS the
+        distinct matched-term count (matching-postings-sized, never
+        doc-space loops). Ranking contract: (round(score,4) DESC,
+        doc_id ASC)."""
+        return _min_should_match(
+            self._merge_contribs(*self.search_contribs(query)), m, k
+        )
 
     def search_after(
         self, query: str, k: int = 10,
@@ -970,11 +957,31 @@ class Searcher:
         if after is not None:
             s_a, t_a = after
             sel = (r < s_a) | ((r == s_a) & (tb > t_a))
-            nz, r, tb = nz[sel], r[sel], tb[sel]
-            if nz.size == 0:
-                return []
-        order = np.lexsort((tb, -r))[:k]
-        return [(int(tb[i]), float(r[i])) for i in order]
+            tb, r = tb[sel], r[sel]
+        return _rank(tb, r, k)
+
+    def _contribs(
+        self, postings: list
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(doc_ids:int64[], qi:int64[], contrib:float64[]) rows of
+        ``_interval_postings`` output, qi-major."""
+        if not postings:
+            z = np.zeros(0, dtype=np.int64)
+            return z, z, np.zeros(0, dtype=np.float64)
+        d_parts, q_parts, c_parts = [], [], []
+        for qi, term, qw, d, f in postings:
+            di = d.astype(np.int64)
+            d_parts.append(di)
+            q_parts.append(np.full(di.size, qi, dtype=np.int64))
+            c_parts.append(self._contrib(
+                qw, int(self._dfs[self._row[term]]),
+                f.astype(np.float64), self.doc_len[di],
+            ))
+        return (
+            np.concatenate(d_parts),
+            np.concatenate(q_parts),
+            np.concatenate(c_parts),
+        )
 
     def contribs_terms(self, qterms: list[tuple[str, float]]):
         """``search_contribs`` for an EXPLICIT [(analyzed term,
@@ -983,27 +990,7 @@ class Searcher:
         fixed by the caller so every shard group labels contributions
         identically; only terms this dictionary owns (and that fall in
         this searcher's shard range) emit rows."""
-        d_parts, q_parts, c_parts = [], [], []
-        for qi, (term, qw) in enumerate(qterms):
-            if term not in self._row:
-                continue
-            d, f = self._decode_full(term)
-            di = d.astype(np.int64)
-            contrib = self._contrib(
-                float(qw), int(self._dfs[self._row[term]]),
-                f.astype(np.float64), self.doc_len[di],
-            )
-            d_parts.append(di)
-            q_parts.append(np.full(di.size, qi, dtype=np.int64))
-            c_parts.append(contrib)
-        if not d_parts:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0, dtype=np.float64)
-        return (
-            np.concatenate(d_parts),
-            np.concatenate(q_parts),
-            np.concatenate(c_parts),
-        )
+        return self._contribs(self._interval_postings(qterms))
 
     def search_contribs(self, query: str):
         """Per-term BM25 contributions for the query terms THIS
@@ -1014,27 +1001,11 @@ class Searcher:
         and summed left-to-right reproduce ``search_exact``'s float64
         accumulation order bit-for-bit). Tombstone filtering happens at
         the merge — the fan-out layer holds the (small) tombstone set."""
-        d_parts, q_parts, c_parts = [], [], []
-        for qi, term, qw in self._owned_query_terms(query):
-            d, f = self._decode_full(term)
-            di = d.astype(np.int64)
-            contrib = self._contrib(
-                qw, int(self._dfs[self._row[term]]),
-                f.astype(np.float64), self.doc_len[di],
-            )
-            d_parts.append(di)
-            q_parts.append(np.full(di.size, qi, dtype=np.int64))
-            c_parts.append(contrib)
-        if not d_parts:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0, dtype=np.float64)
-        return (
-            np.concatenate(d_parts),
-            np.concatenate(q_parts),
-            np.concatenate(c_parts),
+        return self.contribs_terms(
+            _first_appearance(self.tok.tokens_of(query))
         )
 
-    # ---- distributed (fan-out) WAND support ------------------------
+    # ---- block-max pruning -----------------------------------------
 
     def query_ub(self, query: str) -> float:
         """Sum of qw * max_score over the query terms THIS searcher's
@@ -1045,32 +1016,12 @@ class Searcher:
             for t, qw in self._query_terms(query)
         ))
 
-    def _owned_query_terms(self, query: str) -> list[tuple[int, str, float]]:
-        """[(qi, term, qw)] restricted to terms this dictionary owns,
-        with ``qi`` = the term's first-appearance index over the WHOLE
-        analyzed query — computed identically by every shard group, so
-        merged contributions sorted by (doc, qi) reproduce the single
-        searcher's accumulation order (the fan-out bit-identity key)."""
-        toks = self.tok.tokens_of(query)
-        qtf = Counter(toks)
-        seen: list[str] = []
-        for t in toks:
-            if t not in seen:
-                seen.append(t)
-        return [
-            (qi, t, float(qtf[t]))
-            for qi, t in enumerate(seen)
-            if t in self._row
-        ]
-
     def _decode_blocks(
         self, r: dict, bidx: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray]:
         """(docs, tfs) concatenated over the given block indices of one
         term record — the selective-decode primitive: cost scales with
         the blocks touched, not the term's df."""
-        if r.get("docs") is not None:
-            return r["docs"], r["tfs"]
         nblocks = r["block_last"].size
         counts = np.full(nblocks, r["block_size"], dtype=np.int64)
         counts[-1] = r["df"] - r["block_size"] * (nblocks - 1)
@@ -1083,283 +1034,152 @@ class Searcher:
             )
             d_parts.append(d)
             f_parts.append(f)
-        if not d_parts:
-            z = np.zeros(0, dtype=np.uint64)
-            return z, z
         return np.concatenate(d_parts), np.concatenate(f_parts)
 
-    def contribs_for_docs(self, query: str, docs: np.ndarray):
-        """``search_contribs`` restricted to a SORTED candidate doc-id
-        array, decoding only the posting blocks that can contain a
-        candidate (block-aligned selective decode) — the fan-out WAND
-        rescore step, whose cost scales with the candidate set, not
-        with the query terms' df."""
-        cand = np.asarray(docs, dtype=np.int64)
-        d_parts, q_parts, c_parts = [], [], []
-        if cand.size:
-            for qi, term, qw in self._owned_query_terms(query):
-                r = self._record(term)
-                full = self._dec_cache.get(term)
-                if full is not None:
-                    d, f = full
-                else:
-                    bidx = np.unique(np.searchsorted(
-                        r["block_last"], cand, side="left"
-                    ))
-                    bidx = bidx[bidx < r["block_last"].size]
-                    d, f = self._decode_blocks(r, bidx)
-                di = d.astype(np.int64)
-                m = np.zeros(di.size, dtype=bool)
-                if di.size:
-                    p = np.searchsorted(cand, di)
-                    inb = p < cand.size
-                    m[inb] = cand[p[inb]] == di[inb]
-                if not m.any():
-                    continue
-                di, fi = di[m], f[m]
-                contrib = self._contrib(
-                    qw, int(r["df"]), fi.astype(np.float64),
-                    self.doc_len[di],
-                )
-                d_parts.append(di)
-                q_parts.append(np.full(di.size, qi, dtype=np.int64))
-                c_parts.append(contrib)
-        if not d_parts:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0, dtype=np.float64)
-        return (
-            np.concatenate(d_parts),
-            np.concatenate(q_parts),
-            np.concatenate(c_parts),
-        )
+    def _block_intervals(
+        self, qterms: list[tuple[str, float]]
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(hi, bound) for the present terms of ``qterms``: the doc-id
+        space cut at the union of their ``block_last`` boundaries —
+        interval j holds the doc ids (hi[j-1], hi[j]], the first one
+        from 0 — and bound[j], the sum of qw * block_max over the one
+        block of each term that spans interval j. No doc in interval j
+        can score above bound[j]: this is Ding & Suel's block-max bound
+        (SIGIR 2011), applied to doc ranges instead of single docs.
+        block_max is rounded UP to float32 at merge time, and adding
+        in qi order keeps float rounding monotone."""
+        rows = [
+            (qw, self._record(t)) for t, qw in qterms if t in self._row
+        ]
+        hi = np.unique(np.concatenate([r["block_last"] for _, r in rows]))
+        bound = np.zeros(hi.size, dtype=np.float64)
+        for qw, r in rows:
+            b = np.searchsorted(r["block_last"], hi)
+            inb = b < r["block_last"].size
+            bound[inb] += (
+                float(qw) * r["block_max"][b[inb]].astype(np.float64)
+            )
+        return hi, bound
+
+    def _interval_postings(
+        self, qterms: list[tuple[str, float]], theta: float = 0.0,
+        iv: tuple[np.ndarray, np.ndarray] | None = None,
+    ) -> list[tuple[int, str, float, np.ndarray, np.ndarray]]:
+        """[(qi, term, qw, docs, tfs)] — the postings every BM25 path
+        scores, for the present terms of ``qterms`` (qi = the term's
+        index in ``qterms``), restricted to the ``_block_intervals``
+        (``iv``, computed when not given) whose bound is >= ``theta``.
+
+        A doc in a kept interval keeps the postings of every term, so
+        its sum is exact; a doc in a dropped interval scores below
+        theta. Ties stay: the comparison is deflated by 1e-9 so float
+        rounding can only keep more. theta <= 0 prunes nothing and
+        skips the interval work. Per term: a cached term is sliced; a
+        term whose every block is kept is decoded through
+        ``_decode_full`` (which fills the cache); otherwise only the
+        kept blocks are decoded."""
+        rows = [
+            (qi, t, float(qw))
+            for qi, (t, qw) in enumerate(qterms) if t in self._row
+        ]
+        if theta <= 0.0:
+            return [
+                (qi, t, qw, *self._decode_full(t)) for qi, t, qw in rows
+            ]
+        if not rows:
+            return []
+        hi, bound = self._block_intervals(qterms) if iv is None else iv
+        keep = bound >= theta * (1.0 - 1e-9)
+        # kept doc ranges: runs of consecutive kept intervals
+        edge = np.diff(np.concatenate(([0], keep.astype(np.int8), [0])))
+        first = np.flatnonzero(edge == 1)
+        last = np.flatnonzero(edge == -1) - 1
+        run_lo = np.where(first > 0, hi[first - 1] + 1, 0)
+        run_hi = hi[last]
+        kept_hi = hi[keep]
+        out = []
+        for qi, t, qw in rows:
+            r = self._record(t)
+            b = np.unique(np.searchsorted(r["block_last"], kept_hi))
+            b = b[b < r["block_last"].size]
+            if b.size == 0:
+                continue
+            if b.size == r["block_last"].size or t in self._dec_cache:
+                d, f = self._decode_full(t)
+            else:
+                d, f = self._decode_blocks(r, b)
+            d, f = _slice_runs(d, f, run_lo, run_hi)
+            if d.size:
+                out.append((qi, t, qw, d, f))
+        return out
 
     def survivor_contribs(self, query: str, theta_g: float):
-        """Exact contributions restricted to docs that could still
-        reach the fan-out coordinator's threshold. ``theta_g`` is the
-        group-effective threshold theta - R_g, where R_g upper-bounds
-        every OTHER group's terms. Any doc with true score >= theta has
-        local score s_g >= theta_g, hence at least ONE owned term
-        contributing >= theta_g / n_owned; a block whose qw*block_max
-        falls below that cut cannot contain the witness posting and is
-        skipped (Ding & Suel block-max pruning, applied shard-side).
-        The enumerated set is a SUPERSET of every global survivor with
-        postings here; the coordinator restores exactness by summing
-        per-group exact contributions over the union."""
-        owned = self._owned_query_terms(query)
-        if not owned:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0, dtype=np.float64)
-        if theta_g <= 0.0:
-            # other groups' mass alone can reach theta: no local
-            # pruning is sound — return the full contributions
-            return self.search_contribs(query)
-        # witness cut, deflated so boundary-equal survivors stay in
-        cut = (theta_g / len(owned)) * (1.0 - 1e-9)
-        cand_parts = []
-        for qi, term, qw in owned:
-            r = self._record(term)
-            if r.get("docs") is not None:
-                if qw * float(r["max_score"]) >= cut:
-                    cand_parts.append(r["docs"].astype(np.int64))
-                continue
-            bidx = np.flatnonzero(
-                qw * r["block_max"].astype(np.float64) >= cut
-            )
-            if bidx.size:
-                cached = self._dec_cache.get(term)
-                if cached is not None:
-                    # postings already decoded (hot term): slice the
-                    # qualifying blocks out of the cached array —
-                    # blocks are fixed-width runs of the full decode
-                    d_all = cached[0]
-                    bs = int(r["block_size"])
-                    d = np.concatenate([
-                        d_all[b * bs: (b + 1) * bs] for b in bidx
-                    ])
-                else:
-                    d, _ = self._decode_blocks(r, bidx)
-                cand_parts.append(d.astype(np.int64))
-        if not cand_parts:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0, dtype=np.float64)
-        cand = np.unique(np.concatenate(cand_parts))
-        return self.contribs_for_docs(query, cand)
-
-    # ---- block-max WAND --------------------------------------------
+        """``search_contribs`` restricted to the intervals whose bound
+        over THIS group's terms reaches the fan-out coordinator's
+        group-effective threshold ``theta_g`` = theta - R_g, where R_g
+        upper-bounds every OTHER group's terms. A doc with true score
+        >= theta has local score >= theta_g, so its interval is kept
+        and its local contributions are all returned; theta_g <= 0
+        (other groups' mass alone can reach theta) prunes nothing."""
+        return self._contribs(self._interval_postings(
+            _first_appearance(self.tok.tokens_of(query)), theta_g
+        ))
 
     def search_wand(
-        self, query: str, k: int = 10, max_iters: int = 256,
-        taat_postings_threshold: int = 1 << 16,
+        self, query: str, k: int = 10
     ) -> list[tuple[int, float]]:
-        """Adaptive block-max WAND: document-at-a-time pivoting with
-        block-max skipping; if the per-doc loop exceeds ``max_iters``
-        iterations (pruning ineffective — flat score distributions make
-        every block-max ≈ theta), falls back to vectorized TAAT over
-        the remaining doc range [pivot, inf).
+        """Block-max top-k: BM25 top-k bit-identical to
+        ``search_exact``, scoring only the doc intervals whose
+        ``_block_intervals`` bound can reach the k-th score.
 
-        Two upfront shortcuts keep the Python pivot loop off queries it
-        cannot win (results are identical either way — only work
-        changes):
-        - total postings below ``taat_postings_threshold``: one
-          vectorized TAAT pass costs less than any pivoting;
-        - no prunable mass: if every term's posting list covers a large
-          doc fraction, theta can never exceed the cheapest prefix sum,
-          so WAND degenerates to evaluate-everything with per-doc
-          Python overhead.
-
-        The fallback is EXACT by the WAND invariant: every doc below
-        the current pivot is either in the heap or provably unable to
-        beat theta, and the remaining range is scored with the same
-        per-term accumulation order as ``search_exact`` — results stay
-        bit-identical.
+        Two upfront shortcuts answer through ``search_exact``, because
+        pruning cannot pay for itself there: the terms hold at most
+        ``_WAND_MIN_POSTINGS`` postings, or the rarest term is in more
+        than ``_WAND_MAX_DF_FRAC`` of the live docs. Otherwise
+        ``_interval_top_k`` answers.
         """
-        import heapq
-
         qterms = self._query_terms(query)
         if not qterms:
             return []
-        total_postings = sum(
-            int(self._dfs[self._row[t]]) for t, _ in qterms
-        )
-        min_df = min(int(self._dfs[self._row[t]]) for t, _ in qterms)
+        dfs = [int(self._dfs[self._row[t]]) for t, _ in qterms]
         if (
-            total_postings <= taat_postings_threshold
-            or min_df * 2 > self.n_docs
+            sum(dfs) <= _WAND_MIN_POSTINGS
+            or min(dfs) > _WAND_MAX_DF_FRAC * self.n_docs
         ):
             return self.search_exact(query, k)
-        cursors = []
-        for qi, (term, qw) in enumerate(qterms):
-            r = self._record(term)
-            cur = _TermCursor(r, self.config.codec)
-            ub = qw * r["max_score"]
-            cursors.append(
-                {"c": cur, "qw": qw, "ub": ub, "df": r["df"],
-                 "bmax": r["block_max"], "qi": qi}
-            )
-        MAXD = np.iinfo(np.int64).max
-        # heap of (score, -doc_id): smallest = weakest result
-        heap: list[tuple[float, int]] = []
+        return self._interval_top_k(qterms, k)
 
-        def theta() -> float:
-            return heap[0][0] if len(heap) >= k else 0.0
-
-        iters = 0
-        while True:
-            live = [x for x in cursors if not x["c"].exhausted]
-            if not live:
-                break
-            live.sort(key=lambda x: x["c"].cur_doc)
-            th = theta()
-            acc = 0.0
-            pivot = -1
-            for i, x in enumerate(live):
-                acc += x["ub"]
-                if acc > th:
-                    pivot = i
-                    break
-            if pivot < 0:
-                break  # even all upper bounds together can't beat theta
-            pivot_doc = live[pivot]["c"].cur_doc
-            if pivot_doc == MAXD:
-                break
-            iters += 1
-            if iters > max_iters:
-                if self.shard_range is not None:
-                    # the dense [pivot, space) fallback array is
-                    # space-sized; group servers take the sparse
-                    # exact path instead (identical results)
-                    return self.search_exact(query, k)
-                return self._wand_fallback(qterms, k, heap, pivot_doc)
-            # block-max refinement (Ding & Suel BMW): align each prefix
-            # cursor to the block that would contain pivot_doc; sum
-            # those blocks' maxima and record their boundaries.
-            bm_sum = 0.0
-            boundary = MAXD
-            for x in live[: pivot + 1]:
-                c = x["c"]
-                kb = int(
-                    np.searchsorted(c.block_last, pivot_doc, side="left")
-                )
-                if kb < c.block_last.size:
-                    bm_sum += x["qw"] * float(x["bmax"][kb])
-                    boundary = min(boundary, int(c.block_last[kb]))
-            if bm_sum <= th:
-                # no doc in [pivot_doc, d) can beat theta; d is capped
-                # at the next (non-prefix) cursor's current doc so docs
-                # in the skipped range are covered by prefix terms only
-                d = boundary + 1
-                if pivot + 1 < len(live):
-                    d = min(d, live[pivot + 1]["c"].cur_doc)
-                if d > pivot_doc:
-                    for x in live[: pivot + 1]:
-                        x["c"].seek(d)
-                    continue
-                # d == pivot_doc (next cursor shares the pivot doc):
-                # fall through to evaluation/advance — always correct
-            if live[0]["c"].cur_doc == pivot_doc:
-                # fully evaluate pivot_doc; deterministic sum order by qi
-                scorers = [
-                    x for x in live if x["c"].cur_doc == pivot_doc
-                ]
-                scorers.sort(key=lambda x: x["qi"])
-                dl = self.doc_len[pivot_doc]
-                s = 0.0
-                if self._is_live_doc(pivot_doc):
-                    for x in scorers:
-                        s += self._contrib(x["qw"], x["df"], x["c"].tf(), dl)
-                if s > 0.0:
-                    if len(heap) < k:
-                        heapq.heappush(heap, (s, -pivot_doc))
-                    elif s > heap[0][0] or (
-                        s == heap[0][0] and -pivot_doc > heap[0][1]
-                    ):
-                        heapq.heapreplace(heap, (s, -pivot_doc))
-                for x in scorers:
-                    x["c"].next()
-            else:
-                # advance pre-pivot cursors up to pivot_doc
-                for x in live[:pivot]:
-                    if x["c"].cur_doc < pivot_doc:
-                        x["c"].seek(pivot_doc)
-        out = sorted(heap, key=lambda t: (-t[0], -t[1]))
-        return [(-d, s) for s, d in out]
-
-    def _wand_fallback(
-        self,
-        qterms: list[tuple[str, float]],
-        k: int,
-        heap: list[tuple[float, int]],
-        pivot_doc: int,
+    def _interval_top_k(
+        self, qterms: list[tuple[str, float]], k: int
     ) -> list[tuple[int, float]]:
-        """Vectorized TAAT over doc range [pivot_doc, n_docs), merged
-        with the WAND heap (docs < pivot_doc)."""
-        base = pivot_doc
-        width = self.space - base
-        if width <= 0:
-            out = sorted(heap, key=lambda t: (-t[0], -t[1]))
-            return [(-d, s) for s, d in out]
-        scores = np.zeros(width, dtype=np.float64)
-        for term, qw in qterms:
-            d, f = self._decode_full(term)
-            m = d >= base
-            d = d[m].astype(np.int64) - base
-            if d.size == 0:
-                continue
-            fl = f[m].astype(np.float64)
-            scores[d] += self._contrib(
-                qw, int(self._dfs[self._row[term]]), fl, self.doc_len[d + base]
-            )
-        if self._tomb is not None:
-            sel = self._tomb[self._tomb >= base] - base
-            scores[sel] = 0.0
-        nz = np.flatnonzero(scores > 0.0)
-        cand = [(float(scores[i]), int(i + base)) for i in
-                nz[np.lexsort((nz, -scores[nz]))[:k]]]
-        allc = [(s, d) for s, d in cand] + [(s, -d) for s, d in heap]
-        # heap entries stored as (score, -doc); normalize and rank
-        norm = [(s, d if d >= 0 else -d) for s, d in allc]
-        norm.sort(key=lambda t: (-t[0], t[1]))
-        return [(d, s) for s, d in norm[:k]]
+        """``search_wand``'s pruned path over present [(term, qw)]:
+
+        1. seed theta with the exact, live-only k-th score over the
+           highest-bound intervals that together cover at least
+           ``_WAND_SEED_IDS_PER_HIT`` * k doc ids (0 when they hold
+           fewer than k positive scores) — the seeded threshold of SAP
+           (ICDE 2018);
+        2. keep every interval whose bound is >= theta (ties stay);
+        3. score the kept intervals with ``search_exact``'s per-term
+           accumulation and rank the docs scoring >= theta. Every doc
+           scoring >= theta sits in a kept interval with all of its
+           postings, and the seed docs put k of them there, so the
+           top-k and its scores are exact.
+        """
+        iv = hi, bound = self._block_intervals(qterms)
+        order = np.argsort(-bound, kind="stable")
+        covered = np.cumsum(np.diff(hi, prepend=-1)[order])
+        j = min(
+            int(np.searchsorted(covered, k * _WAND_SEED_IDS_PER_HIT)),
+            order.size - 1,
+        )
+        seed = self._top_k(
+            self._interval_postings(qterms, float(bound[order[j]]), iv), k
+        )
+        theta = seed[-1][1] if len(seed) == k > 0 else 0.0
+        return self._top_k(
+            self._interval_postings(qterms, theta, iv), k, theta=theta
+        )
 
     def search_boolean(
         self, query: str, mode: str = "and", exclude: str | None = None
@@ -1374,11 +1194,7 @@ class Searcher:
         df, not the corpus."""
         if mode not in ("and", "or"):
             raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-        toks = self.tok.tokens_of(query)
-        seen: list[str] = []
-        for t in toks:
-            if t not in seen:
-                seen.append(t)
+        seen = list(dict.fromkeys(self.tok.tokens_of(query)))
         present = [t for t in seen if t in self._row]
         if mode == "and" and len(present) != len(seen):
             return np.zeros(0, dtype=np.int64)  # a term matches nothing
@@ -1584,14 +1400,15 @@ class Searcher:
 
 def _layered_sums(
     docs: np.ndarray, qis: np.ndarray, cs: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-doc contribution sums in query-term (qi) order, with
     strictly SEQUENTIAL left-to-right adds (layered adds across
     segments, one layer per query-term slot): reduceat /
     add.reduce use unrolled/pairwise accumulation, which differs
     from the single searcher's ((c0+c1)+c2) binary-add order in
-    the last ulp — and bit-identity is the contract. Shared by the
-    fan-out merge and the shard-scoped sparse exact path."""
+    the last ulp — and bit-identity is the contract. Returns (docs,
+    sums, rows per doc) — the row count is the number of distinct
+    terms a doc matched."""
     order = np.lexsort((qis, docs))
     d, c = docs[order], cs[order]
     starts = np.concatenate(([0], np.flatnonzero(np.diff(d)) + 1))
@@ -1600,7 +1417,7 @@ def _layered_sums(
     for kk in range(1, int(seg_lens.max())):
         m = seg_lens > kk
         sums[m] += c[starts[m] + kk]
-    return d[starts], sums
+    return d[starts], sums, seg_lens
 
 
 class _GroupServer:
@@ -1630,9 +1447,6 @@ class _GroupServer:
             np.array([d for d, _ in hits], dtype=np.int64),
             np.array([s for _, s in hits], dtype=np.float64),
         )
-
-    def contribs_for_docs(self, query: str, docs):
-        return self.searcher.contribs_for_docs(query, docs)
 
     def survivor_contribs(self, query: str, theta_g: float):
         return self.searcher.survivor_contribs(query, theta_g)
@@ -1736,7 +1550,7 @@ def group_bounds(num_term_shards: int, n_groups: int) -> list[tuple[int, int]]:
     ]
 
 
-class FanoutSearcher:
+class FanoutSearcher(_LiveFilter):
     """Sharded serving: queries fan out to one actor per dictionary
     shard group (each holding ONLY its shards — per-actor memory
     scales with the group, the ES-style sharded-index analog of
@@ -1749,9 +1563,10 @@ class FanoutSearcher:
     query-term index) and summed left-to-right per doc — the same
     float64 accumulation order as the single searcher's term-at-a-time
     loop. Top-k serving can also prune: ``search_wand`` runs the
-    threshold-exchange protocol (bootstrap seed -> exact theta ->
-    per-group block-max survivor scan), so hot-query cost no longer
-    grows with df the way exact TAAT does."""
+    threshold-exchange protocol (group-local block-max seeds -> a
+    lower-bound theta -> per-group interval pruning with
+    ``Searcher.survivor_contribs``, the single searcher's kernel), so
+    hot-query cost no longer grows with df the way exact TAAT does."""
 
     def __init__(self, index_dir: str, n_groups: int = 4, actors=None):
         import ray
@@ -1766,16 +1581,7 @@ class FanoutSearcher:
         )
         S = self.config.num_term_shards
         self.bounds = group_bounds(S, n_groups)
-        from sotohp_ray.pipelines.delete import load_tombstones
-
-        # tombstones as a SORTED id array, not a space-sized bool mask:
-        # every serving-pool actor holds one coordinator, so a dense
-        # mask would cost 1 B/doc PER ACTOR at 10^9 docs; the set is
-        # deletion-sized and membership is a searchsorted
-        tomb = load_tombstones(index_dir)
-        self._tomb = (
-            np.unique(tomb.astype(np.int64)) if tomb.size else None
-        )
+        self._load_tombstones(index_dir)
         if actors is None:
             # num_cpus=0: group servers are IO/lookup-bound between
             # short decode bursts; reserving whole CPUs for them can
@@ -1788,70 +1594,43 @@ class FanoutSearcher:
             ]
         self.actors = actors
 
-    def _groups_for(self, query: str) -> list[int]:
+    def _group_of_token(self, tok: str) -> int:
+        """The shard group owning an analyzed token's hash shard — the
+        one shard -> group routing rule."""
         from sotohp_ray.functions.hashing import term_shard_of
 
-        S = self.config.num_term_shards
-        hit = set()
-        for t in set(self.tok.tokens_of(query)):
-            s = term_shard_of(t, S)
-            for gi, (lo, hi) in enumerate(self.bounds):
-                if lo <= s < hi:
-                    hit.add(gi)
-                    break
-        return sorted(hit)
+        s = term_shard_of(tok, self.config.num_term_shards)
+        for gi, (lo, hi) in enumerate(self.bounds):
+            if lo <= s < hi:
+                return gi
+        raise AssertionError("shard outside every group range")
 
-    def _fanout_sums(
-        self, query: str
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Per-doc BM25 sums gathered across the shard groups —
-        layered in query-term order to reproduce the single searcher's
-        float accumulation exactly, tombstone- and positive-filtered.
-        ONE definition shared by exact top-k and cursor-paged
-        retrieval: the bit-identity contract with the single Searcher
-        must not live in two copies. Returns None when nothing
-        matches."""
+    def _groups_for(self, tokens) -> list[int]:
+        """Sorted ids of the groups owning any of ``tokens``."""
+        return sorted({self._group_of_token(t) for t in tokens})
+
+    def _contrib_parts(self, query: str) -> list:
+        """Per-group ``search_contribs`` triples for ``query``, from the
+        groups owning at least one of its analyzed terms."""
         import ray
 
-        gids = self._groups_for(query)
-        if not gids:
-            return None
-        parts = ray.get(
+        gids = self._groups_for(self.tok.tokens_of(query))
+        return ray.get(
             [self.actors[g].contribs.remote(query) for g in gids]
         )
-        return self._merge_contrib_parts(parts)
 
     def _merge_contrib_parts(
         self, parts
-    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Layered qi-ordered sums over per-group contribution triples,
-        tombstone- and positive-filtered — the single merge kernel
-        behind exact, paged and distributed-WAND retrieval."""
-        docs = np.concatenate([p[0] for p in parts])
-        qis = np.concatenate([p[1] for p in parts])
-        cs = np.concatenate([p[2] for p in parts])
-        if docs.size == 0:
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """``_merge_contribs`` over per-group contribution triples:
+        layered qi-ordered sums reproduce the single searcher's float
+        accumulation exactly, so the bit-identity contract with the
+        single Searcher lives in one place."""
+        if not parts:
             return None
-        udocs, sums = self._layered_sums(docs, qis, cs)
-        live = self._live_of(udocs)
-        udocs, sums = udocs[live], sums[live]
-        pos = sums > 0.0
-        udocs, sums = udocs[pos], sums[pos]
-        if udocs.size == 0:
-            return None
-        return udocs, sums
-
-    def _live_of(self, ids: np.ndarray) -> np.ndarray:
-        """Bool mask: which of ``ids`` are NOT tombstoned — membership
-        against the deletion-sized sorted id array (never a dense
-        space-sized mask; see __init__)."""
-        if self._tomb is None or ids.size == 0:
-            return np.ones(ids.size, dtype=bool)
-        p = np.searchsorted(self._tomb, ids)
-        dead = np.zeros(ids.size, dtype=bool)
-        inb = p < self._tomb.size
-        dead[inb] = self._tomb[p[inb]] == ids[inb]
-        return ~dead
+        return self._merge_contribs(
+            *(np.concatenate(col) for col in zip(*parts))
+        )
 
     def search_wand(self, query: str, k: int = 10):
         """Distributed block-max WAND over the TERM-partitioned fan-out
@@ -1869,8 +1648,10 @@ class FanoutSearcher:
            truly score >= theta, so the final k-th score does too);
         3. theta broadcasts back as per-group effective thresholds
            theta - R_g (R_g = the other groups' upper-bound mass);
-           each group enumerates exact contributions only for docs
-           that could still beat theta, block-max-skipping the rest;
+           each group returns exact contributions only for the doc
+           intervals whose bound over its terms reaches theta - R_g
+           (``Searcher.survivor_contribs``, the single searcher's
+           interval kernel);
         4. the union merges through the same layered qi-ordered sums
            as search_exact — scores stay bit-identical to the single
            searcher (pytest-enforced).
@@ -1886,7 +1667,7 @@ class FanoutSearcher:
         exactly-scored docs sit at or above it."""
         import ray
 
-        gids = self._groups_for(query)
+        gids = self._groups_for(self.tok.tokens_of(query))
         if not gids:
             return []
         boots = ray.get([
@@ -1906,9 +1687,7 @@ class FanoutSearcher:
         got = self._merge_contrib_parts(parts)
         if got is None:
             return []
-        udocs, sums = got
-        top = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in top]
+        return _rank(got[0], got[1], k)
 
     def _group_thresholds(self, boots, k: int):
         """Per-group effective thresholds from the bootstrap replies.
@@ -1937,8 +1716,7 @@ class FanoutSearcher:
             ud, inv = np.unique(alldocs, return_inverse=True)
             lower = np.zeros(ud.size, dtype=np.float64)
             np.add.at(lower, inv, allsc)
-            live = self._live_of(ud)
-            lower = lower[live]
+            lower = lower[self._live_mask(ud)]
             if lower.size >= k:
                 theta = float(np.sort(lower)[::-1][k - 1])
         if theta <= 0.0:
@@ -1965,7 +1743,9 @@ class FanoutSearcher:
 
         n = len(queries)
         results: list[list] = [[] for _ in range(n)]
-        gids_per = [self._groups_for(q) for q in queries]
+        gids_per = [
+            self._groups_for(self.tok.tokens_of(q)) for q in queries
+        ]
         owned: dict[int, list[int]] = {}
         for i, gids in enumerate(gids_per):
             for g in gids:
@@ -2016,22 +1796,15 @@ class FanoutSearcher:
                     parts_of[i].append(next(it))
         for i in pending:
             got = self._merge_contrib_parts(parts_of[i])
-            if got is None:
-                continue
-            udocs, sums = got
-            top = np.lexsort((udocs, -sums))[:k]
-            results[i] = [
-                (int(udocs[j]), float(sums[j])) for j in top
-            ]
+            if got is not None:
+                results[i] = _rank(got[0], got[1], k)
         return results
 
     def search_exact(self, query: str, k: int = 10):
-        got = self._fanout_sums(query)
+        got = self._merge_contrib_parts(self._contrib_parts(query))
         if got is None:
             return []
-        udocs, sums = got
-        top = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in top]
+        return _rank(got[0], got[1], k)
 
     def search_after(
         self, query: str, k: int = 10,
@@ -2044,37 +1817,23 @@ class FanoutSearcher:
         per page; the layered sums reproduce the single searcher's
         float accumulation order, so rounded scores — and therefore
         page boundaries — are bit-identical (pytest-enforced)."""
-        got = self._fanout_sums(query)
+        got = self._merge_contrib_parts(self._contrib_parts(query))
         if got is None:
             return []
-        udocs, sums = got
+        udocs, sums, _ = got
         r = np.round(sums, 4)
         tb = tiebreak[udocs] if tiebreak is not None else udocs
         if after is not None:
             s_a, t_a = after
             sel = (r < s_a) | ((r == s_a) & (tb > t_a))
             r, tb = r[sel], tb[sel]
-            if r.size == 0:
-                return []
-        order = np.lexsort((tb, -r))[:k]
-        return [(int(tb[i]), float(r[i])) for i in order]
-
-    _layered_sums = staticmethod(_layered_sums)
+        return _rank(tb, r, k)
 
     def search(self, query: str, k: int = 10, mode: str = "wand"):
         """Same dispatch surface as the single ``Searcher.search``."""
         if mode == "exact":
             return self.search_exact(query, k)
         return self.search_wand(query, k)
-
-    def _group_of_token(self, tok: str) -> int:
-        from sotohp_ray.functions.hashing import term_shard_of
-
-        s = term_shard_of(tok, self.config.num_term_shards)
-        for gi, (lo, hi) in enumerate(self.bounds):
-            if lo <= s < hi:
-                return gi
-        raise AssertionError("shard outside every group range")
 
     def term_positions(self, term: str):
         """Positional readback through the shard groups: the analyzed
@@ -2219,17 +1978,11 @@ class FanoutSearcher:
         float64 accumulation order of the single searcher's
         phrase/proximity scoring loops. Every match doc contains every
         query term, so the output docs equal ``match_docs``."""
-        import ray
-
-        gids = self._groups_for(query)
-        parts = ray.get(
-            [self.actors[g].contribs.remote(query) for g in gids]
+        docs, qis, cs = (
+            np.concatenate(col) for col in zip(*self._contrib_parts(query))
         )
-        docs = np.concatenate([p[0] for p in parts])
-        qis = np.concatenate([p[1] for p in parts])
-        cs = np.concatenate([p[2] for p in parts])
         keep = np.isin(docs, match_docs, kind="sort")
-        return self._layered_sums(docs[keep], qis[keep], cs[keep])
+        return _layered_sums(docs[keep], qis[keep], cs[keep])[:2]
 
     def search_phrase(self, phrase: str, k: int = 10):
         """Distributed exact phrase search: positions fan out per term
@@ -2242,12 +1995,11 @@ class FanoutSearcher:
         pos = self._positions_fanout(toks)
         match_docs = _phrase_align([pos[t] for t in toks], len(toks))
         if match_docs.size:
-            match_docs = match_docs[self._live_of(match_docs)]
+            match_docs = match_docs[self._live_mask(match_docs)]
         if match_docs.size == 0:
             return []
         udocs, sums = self._score_match_docs(phrase, match_docs)
-        order = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in order]
+        return _rank(udocs, sums, k)
 
     def search_terms_weighted(
         self, qterms: list[tuple[str, float]], k: int = 10,
@@ -2262,72 +2014,24 @@ class FanoutSearcher:
         term accumulation."""
         import ray
 
-        from sotohp_ray.functions.hashing import term_shard_of
-
-        S = self.config.num_term_shards
-        gids = set()
-        for t, _w in qterms:
-            s = term_shard_of(t, S)
-            for gi, (lo, hi) in enumerate(self.bounds):
-                if lo <= s < hi:
-                    gids.add(gi)
-                    break
-        if not gids:
-            return []
-        parts = ray.get([
+        got = self._merge_contrib_parts(ray.get([
             self.actors[g].contribs_terms.remote(qterms)
-            for g in sorted(gids)
-        ])
-        docs = np.concatenate([p[0] for p in parts])
-        if docs.size == 0:
+            for g in self._groups_for(t for t, _ in qterms)
+        ]))
+        if got is None:
             return []
-        qis = np.concatenate([p[1] for p in parts])
-        cs = np.concatenate([p[2] for p in parts])
-        udocs, sums = self._layered_sums(docs, qis, cs)
-        live = self._live_of(udocs)
-        udocs, sums = udocs[live], sums[live]
-        pos = sums > 0.0
-        udocs, sums = udocs[pos], sums[pos]
-        if udocs.size == 0:
-            return []
-        order = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in order]
+        return _rank(got[0], got[1], k)
 
     def search_min_should_match(
         self, query: str, m: int, k: int = 10,
     ) -> list[tuple[int, float, int]]:
         """Distributed minimum_should_match: per-group contributions
-        merged and sorted (qi-major, doc-minor) — EXACTLY the single
-        searcher's search_contribs array order, so the bincount score
-        sums are bit-identical — then the same distinct-match-count
-        mask and (round(score,4) DESC, doc ASC) ranking."""
-        import ray
-
-        gids = self._groups_for(query)
-        if not gids:
-            return []
-        parts = ray.get(
-            [self.actors[g].contribs.remote(query) for g in gids]
+        through the single searcher's merge (layered qi-ordered sums,
+        whose per-doc row count is the distinct-match count) and
+        ranking, so results are bit-identical."""
+        return _min_should_match(
+            self._merge_contrib_parts(self._contrib_parts(query)), m, k
         )
-        docs = np.concatenate([p[0] for p in parts])
-        if docs.size == 0:
-            return []
-        qis = np.concatenate([p[1] for p in parts])
-        cs = np.concatenate([p[2] for p in parts])
-        o = np.lexsort((docs, qis))
-        docs, cs = docs[o], cs[o]
-        udocs, inv = np.unique(docs, return_inverse=True)
-        nmatch = np.bincount(inv)
-        sums = np.bincount(inv, weights=cs)
-        keep = (nmatch >= m) & self._live_of(udocs)
-        udocs, sums, nmatch = udocs[keep], sums[keep], nmatch[keep]
-        if udocs.size == 0:
-            return []
-        r = np.round(sums, 4)
-        top = np.lexsort((udocs, -r))[:k]
-        return [
-            (int(udocs[i]), float(r[i]), int(nmatch[i])) for i in top
-        ]
 
     def search_phrase_prefix(
         self, phrase: str, max_expansions: int = 50, k: int = 10
@@ -2366,12 +2070,11 @@ class FanoutSearcher:
         if not parts:
             return []
         match_docs = np.unique(np.concatenate(parts))
-        match_docs = match_docs[self._live_of(match_docs)]
+        match_docs = match_docs[self._live_mask(match_docs)]
         if match_docs.size == 0:
             return []
         udocs, sums = self._score_match_docs(" ".join(lead), match_docs)
-        order = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in order]
+        return _rank(udocs, sums, k)
 
     def search_span_near(
         self, term_a: str, term_b: str, window: int = 3, k: int = 10
@@ -2387,14 +2090,13 @@ class FanoutSearcher:
             pos[ta[0]], pos[tb[0]], window
         )
         if match_docs.size:
-            match_docs = match_docs[self._live_of(match_docs)]
+            match_docs = match_docs[self._live_mask(match_docs)]
         if match_docs.size == 0:
             return []
         udocs, sums = self._score_match_docs(
             f"{term_a} {term_b}", match_docs
         )
-        order = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in order]
+        return _rank(udocs, sums, k)
 
     def search_proximity(
         self, term_a: str, term_b: str, window: int = 3, k: int = 10
@@ -2409,14 +2111,13 @@ class FanoutSearcher:
         pos = self._positions_fanout([ta[0], tb[0]])
         match_docs = _proximity_match(pos[ta[0]], pos[tb[0]], window)
         if match_docs.size:
-            match_docs = match_docs[self._live_of(match_docs)]
+            match_docs = match_docs[self._live_mask(match_docs)]
         if match_docs.size == 0:
             return []
         udocs, sums = self._score_match_docs(
             f"{term_a} {term_b}", match_docs
         )
-        order = np.lexsort((udocs, -sums))[:k]
-        return [(int(udocs[i]), float(sums[i])) for i in order]
+        return _rank(udocs, sums, k)
 
     def _term_docs_fanout(self, toks: list[str]) -> dict:
         """Posting doc sets per analyzed token, each fetched from the
@@ -2468,7 +2169,7 @@ class FanoutSearcher:
                     out, ex_docs, assume_unique=True, kind="sort"
                 )]
         if out.size:
-            out = out[self._live_of(out)]
+            out = out[self._live_mask(out)]
         return out
 
     def load_stats(self) -> list[dict]:

@@ -66,17 +66,145 @@ def test_k_larger_than_matches(small_index):
     assert len(r) == 1
 
 
-def test_wand_fallback_paths_identical(small_index):
-    """Forcing immediate fallback, pure WAND (no fallback), and exact
-    must all agree — the adaptive cutover changes work, not answers."""
+def _kernel_top_k(s, query, k):
+    """search_wand's pruned path run directly, past its shortcuts (no
+    query on the test corpora is big enough to reach it): (hits, the
+    theta of each ``_interval_postings`` call)."""
+    thetas = []
+    inner = s._interval_postings
+
+    def spy(qterms, theta=0.0, iv=None):
+        thetas.append(theta)
+        return inner(qterms, theta, iv)
+
+    s._interval_postings = spy
+    try:
+        hits = s._interval_top_k(s._query_terms(query), k)
+    finally:
+        del s._interval_postings
+    # the kernel ran: a seed pass with a positive threshold, then the
+    # pruned pass
+    assert len(thetas) == 2 and thetas[0] > 0.0, (query, thetas)
+    return hits, thetas
+
+
+def test_interval_kernel_equals_exact_and_oracle(small_index, small_oracle):
+    """The interval kernel is bit-identical to exact TAAT and
+    rank-identical to the brute-force oracle on every reference
+    query."""
     _, index_dir, _, _ = small_index
     s = Searcher(index_dir)
-    for q in reference_queries(small_index[0])[:25]:
-        exact = s.search_exact(q["q"], q["k"])
-        pure = s.search_wand(q["q"], q["k"], max_iters=10**9)
-        forced = s.search_wand(q["q"], q["k"], max_iters=1)
-        assert pure == exact, q
-        assert forced == exact, q
+    queries = reference_queries(small_index[0])
+    assert len(queries) == 60
+    ran = 0
+    for q in queries:
+        if not s._query_terms(q["q"]):
+            assert s.search_wand(q["q"], q["k"]) == [], q
+            continue
+        hits, _ = _kernel_top_k(s, q["q"], q["k"])
+        assert hits == s.search_exact(q["q"], q["k"]), q
+        _assert_rank_identical(hits, small_oracle.search(q["q"], q["k"]), q)
+        ran += 1
+    assert ran >= 50
+
+
+def test_interval_kernel_ignores_tombstoned_top_docs(
+    small_index, tmp_path_factory
+):
+    """theta must come from LIVE scores only. For some queries, every
+    doc scoring at or above the pristine index's theta is deleted: a
+    seed that counted dead docs would land on that theta again and
+    return nothing."""
+    import shutil
+
+    from sotohp_ray.pipelines.delete import delete_docs
+
+    _, index_dir, _, _ = small_index
+    s0 = Searcher(index_dir)
+    queries = [
+        q for q in reference_queries(small_index[0])
+        if s0.search_exact(q["q"], q["k"])
+    ]
+    theta0, victims = {}, set()
+    for q in queries[:4]:
+        _, thetas = _kernel_top_k(s0, q["q"], q["k"])
+        theta0[q["q"]] = thetas[1]
+        victims |= {
+            d for d, sc in s0.search_exact(q["q"], s0.space)
+            if sc >= thetas[1]
+        }
+    idx2 = str(tmp_path_factory.mktemp("idx_kernel_del"))
+    shutil.rmtree(idx2)
+    shutil.copytree(index_dir, idx2)
+    delete_docs(idx2, engine_doc_ids=sorted(victims))
+    s = Searcher(idx2)
+    for q in queries:
+        hits, thetas = _kernel_top_k(s, q["q"], q["k"])
+        assert hits == s.search_exact(q["q"], q["k"]), q
+        assert not victims & {d for d, _ in hits}, q
+        if q["q"] in theta0:
+            assert hits and thetas[1] < theta0[q["q"]], q
+
+
+def test_interval_kernel_shard_scope(small_index):
+    """A shard-scoped Searcher runs the kernel on sparse layered sums —
+    never a doc-id-space-sized array — and matches the full searcher
+    (all shards) or its own exact path (half the shards) bit for
+    bit."""
+    _, index_dir, _, _ = small_index
+    full = Searcher(index_dir)
+    S = full.config.num_term_shards
+
+    def no_dense(*a, **kw):
+        raise AssertionError("dense score array in a shard group")
+
+    for lo, hi in ((0, S), (0, S // 2)):
+        g = Searcher(index_dir, shard_range=(lo, hi))
+        g._dense_scores = no_dense
+        ref = full if hi == S else g
+        for q in reference_queries(small_index[0]):
+            if not g._query_terms(q["q"]):
+                continue
+            hits, _ = _kernel_top_k(g, q["q"], q["k"])
+            assert hits == ref.search_exact(q["q"], q["k"]), (lo, hi, q)
+
+
+def test_interval_kernel_prunes_planted_skew(ray_session, tmp_path_factory):
+    """A planted skewed corpus (every top doc in one doc-id range) with
+    8-posting blocks: the kernel must drop at least one interval and
+    still return the exact and oracle answer."""
+    import numpy as np
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    n = 400
+    texts = []
+    for i in range(n):
+        hot = 6 if 300 <= i < 312 else 1
+        warm = 4 if 300 <= i < 312 else int(i % 3 == 0)
+        texts.append(" ".join(
+            ["hotterm"] * hot + ["warmterm"] * warm + ["padword"] * 4
+        ))
+    d = tmp_path_factory.mktemp("corpus_skew")
+    pq.write_table(pa.table({
+        "repo": pa.array(["r"] * n),
+        "path": pa.array([f"f{i:04d}.py" for i in range(n)]),
+        "commit": pa.array(["0"] * n),
+        "lang": pa.array(["py"] * n),
+        "content": pa.array(texts),
+    }), str(d / "part-00000.parquet"))
+    idx = str(tmp_path_factory.mktemp("idx_skew"))
+    build_index(str(d), idx, config=IndexConfig(block_size=8))
+    s = Searcher(idx)
+    oracle = BruteForceBM25(str(d))
+    for query, k in (("hotterm warmterm", 10), ("warmterm hotterm", 5)):
+        hits, thetas = _kernel_top_k(s, query, k)
+        _, bound = s._block_intervals(s._query_terms(query))
+        assert (bound < thetas[1] * (1.0 - 1e-9)).any(), query
+        assert hits == s.search_exact(query, k)
+        _assert_rank_identical(hits, oracle.search(query, k), query)
+        assert {d_ for d_, _ in hits} <= set(range(300, 312))
+    assert np.all(s._record("hotterm")["block_max"] > 0)
 
 
 def test_pfor_codec_same_results(ray_session, tiny_corpus, tmp_path_factory):
@@ -454,53 +582,75 @@ def test_fanout_wand_respects_tombstones(small_index, tmp_path_factory):
         assert all(d != victim for d, _ in got)
 
 
-def test_contribs_for_docs_matches_full_decode(small_index):
-    """The selective block decode (contribs_for_docs) must return
-    exactly the full-decode contributions masked to the candidate set,
-    for every reference query — including candidates absent from the
-    postings and empty candidate sets — and survivor_contribs at a
-    positive threshold must fully cover every doc whose local score
-    clears it."""
+def test_interval_postings_selects_kept_intervals(small_index):
+    """``_interval_postings`` at a threshold returns exactly the full
+    contributions of the docs in intervals whose bound reaches it —
+    cached or uncached, blob or inline df=1 terms — nothing above every
+    bound, everything at theta <= 0; ``survivor_contribs`` is the same
+    selection, covering every doc whose local score clears theta."""
     import numpy as np
 
-    _, index_dir, _, _ = small_index
-    s = Searcher(index_dir)
-    rng = np.random.RandomState(11)
-    for q in reference_queries(small_index[0])[::5]:
-        docs, qis, cs = s.search_contribs(q["q"])
-        if docs.size == 0:
-            assert s.contribs_for_docs(
-                q["q"], np.array([0, 5], dtype=np.int64)
-            )[0].size == 0
-            continue
-        uniq = np.unique(docs)
-        cand = np.unique(np.concatenate([
-            rng.choice(uniq, size=min(20, uniq.size), replace=False),
-            np.array([s.space + 7], dtype=np.int64),  # absent id
-        ]))
-        d2, q2, c2 = s.contribs_for_docs(q["q"], cand)
-        m = np.isin(docs, cand)
-        want = np.lexsort((qis[m], docs[m]))
-        got = np.lexsort((q2, d2))
-        np.testing.assert_array_equal(d2[got], docs[m][want], err_msg=q)
-        np.testing.assert_array_equal(q2[got], qis[m][want], err_msg=q)
-        np.testing.assert_array_equal(c2[got], cs[m][want], err_msg=q)
-        # survivor superset: pick theta_g at the median local score
-        from sotohp_ray.pipelines.query import _layered_sums
+    from sotohp_ray.pipelines.query import _first_appearance, _layered_sums
 
-        ud, sm = _layered_sums(docs, qis, cs)
-        theta_g = float(np.median(sm))
-        d3, q3, c3 = s.survivor_contribs(q["q"], theta_g)
-        ud3, sm3 = (
-            _layered_sums(d3, q3, c3) if d3.size else
-            (np.zeros(0, np.int64), np.zeros(0))
-        )
-        need = ud[sm >= theta_g]
-        present = np.isin(need, ud3)
-        assert present.all(), q
-        # and their reconstructed sums are bit-identical
-        sel = np.searchsorted(ud3, need)
-        np.testing.assert_array_equal(sm3[sel], sm[sm >= theta_g])
+    _, index_dir, _, _ = small_index
+    cached = Searcher(index_dir)
+    assert cached._record("uniq0x0tok")["docs"] is not None  # inline
+    queries = [q["q"] for q in reference_queries(small_index[0])[::5]]
+    hot = max(cached._row, key=lambda t: cached._dfs[cached._row[t]])
+    queries.append(f"uniq0x0tok {hot} zzznotfound")
+    partial = 0
+    for q in queries:
+        qterms = _first_appearance(cached.tok.tokens_of(q))
+        docs, qis, cs = cached.search_contribs(q)
+        if docs.size == 0:
+            assert cached._interval_postings(qterms, 1.0) == [], q
+            continue
+        for t, _ in qterms:
+            if t in cached._row:
+                cached._decode_full(t)
+        full = cached._interval_postings(qterms, 0.0)
+        for (_, t, _, d, f), (t2, _) in zip(
+            full, [x for x in qterms if x[0] in cached._row]
+        ):
+            assert t == t2
+            np.testing.assert_array_equal(d, cached._decode_full(t)[0])
+        hi, bound = cached._block_intervals(qterms)
+        ud, sm, _ = _layered_sums(docs, qis, cs)
+        for theta in (float(np.median(sm)), float(np.median(bound)),
+                      float(bound.min()), float(bound.max()) * 2):
+            keep_iv = bound >= theta * (1 - 1e-9)
+            partial += 0 < keep_iv.sum() < keep_iv.size
+            kept = keep_iv[np.searchsorted(hi, docs)]
+            want = (docs[kept], qis[kept], cs[kept])
+            uncached = Searcher(index_dir)
+            for s in (cached, uncached):
+                got = s._contribs(s._interval_postings(qterms, theta))
+                for a, b in zip(got, want):
+                    np.testing.assert_array_equal(a, b, err_msg=q)
+            # a blob term with every block kept is decoded whole, which
+            # fills the cache; a partly kept one decodes only its blocks
+            for _, t, _, _, _ in uncached._interval_postings(qterms, theta):
+                r = uncached._record(t)
+                nb = r["block_last"].size
+                touched = np.unique(
+                    np.searchsorted(r["block_last"], hi[keep_iv])
+                )
+                whole = (touched < nb).sum() == nb
+                assert (t in uncached._dec_cache) == (
+                    whole and r.get("docs") is None
+                ), (q, t)
+            # survivor selection: every doc whose local score clears
+            # theta is fully present, with bit-identical sums
+            d3, q3, c3 = cached.survivor_contribs(q, theta)
+            for a, b in zip((d3, q3, c3), want):
+                np.testing.assert_array_equal(a, b, err_msg=q)
+            need = sm >= theta
+            if need.any():
+                ud3, sm3, _ = _layered_sums(d3, q3, c3)
+                sel = np.searchsorted(ud3, ud[need])
+                np.testing.assert_array_equal(ud3[sel], ud[need])
+                np.testing.assert_array_equal(sm3[sel], sm[need])
+    assert partial >= len(queries) // 2
 
 
 def test_group_server_resident_set_scales_with_group(small_index):
