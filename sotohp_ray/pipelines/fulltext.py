@@ -3800,10 +3800,10 @@ class _ShardSearcher:
         """Production serving path: adaptive block-max WAND, top-k
         only. Query-syntax routing: "quoted" -> phrase; a NEAR/3 b ->
         proximity; else free terms (Lucene-ish surface). Plain term
-        queries are BATCHED through the fan-out's two-RPC-rounds-per-
-        batch protocol (``search_wand_many``) when the backing
-        searcher is sharded — fan-out RPC latency amortizes across
-        the batch instead of repeating per query."""
+        queries are BATCHED through ``search_wand_many``: a sharded
+        searcher answers the batch in two RPC rounds, so fan-out RPC
+        latency amortizes across the batch instead of repeating per
+        query."""
         q_ids, doc_ids, scores = [], [], []
         qis = batch["query_id"].to_pylist()
         qs = batch["query"].to_pylist()
@@ -3826,16 +3826,10 @@ class _ShardSearcher:
                     plain.append(r)
             else:
                 plain.append(r)
-        if plain:
-            many = getattr(self.searcher, "search_wand_many", None)
-            if many is not None:
-                for r, h in zip(
-                    plain, many([qs[r] for r in plain], self.k)
-                ):
-                    hits_of[r] = h
-            else:
-                for r in plain:
-                    hits_of[r] = self.searcher.search_wand(qs[r], self.k)
+        for r, h in zip(plain, self.searcher.search_wand_many(
+            [qs[r] for r in plain], self.k
+        )):
+            hits_of[r] = h
         for qi, hits in zip(qis, hits_of):
             for d, sc in hits:
                 q_ids.append(qi)
@@ -3895,7 +3889,7 @@ def bm25_topk_distributed(
     import ray
     import ray.data
 
-    from sotohp_ray.pipelines.query import _GroupServer, group_bounds
+    from sotohp_ray.pipelines.query import FanoutSearcher
 
     index_dir = documents_index(sf_dir)
     dm = pq.read_table(
@@ -3903,13 +3897,7 @@ def bm25_topk_distributed(
     )
     space = int(np.max(dm["doc_id"].to_numpy(zero_copy_only=False)) + 1)
     mapref = ray.put(_eng2orig(index_dir, space))
-    with open(os.path.join(index_dir, "config.json")) as f:
-        S = IndexConfig.from_json(f.read()).num_term_shards
-    cls = ray.remote(num_cpus=0)(_GroupServer)  # see FanoutSearcher
-    group_actors = [
-        cls.remote(index_dir, lo, hi)
-        for lo, hi in group_bounds(S, n_groups)
-    ]
+    group_actors = FanoutSearcher(index_dir, n_groups).actors
     qds = ray.data.from_items(
         [{"query_id": i, "query": q} for i, q in enumerate(queries)]
     )

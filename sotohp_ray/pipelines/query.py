@@ -15,6 +15,16 @@ kernel (``Searcher._interval_postings``):
   answer. The fan-out survivor scan runs the same kernel per shard
   group.
 
+Every other operator (phrase, proximity, span, boolean, the multi-term
+rewrites, the suggesters, min-should-match) is written ONCE, on
+``_Operators``, against four primitives: the raw positions of analyzed
+tokens, the posting doc sets of tokens, the (doc, qi, contrib) rows of
+weighted terms (optionally at a sorted match-doc set), and one
+dictionary-scan result per shard group. ``Searcher`` answers them
+in-process — the one-group case; ``FanoutSearcher`` routes them to the
+``_GroupServer`` actor (a shard-range ``Searcher``) owning each term,
+or to every actor for dictionary scans.
+
 Float determinism (FIXTURES.md F4): per-doc score = sum of per-term
 contributions accumulated in FIRST-APPEARANCE query-term order in
 float64 in both paths (and in the brute-force oracle), so sums are
@@ -152,10 +162,8 @@ _POS_SHIFT = 32  # (doc << 32 | position) packing used by all kernels
 
 
 def _phrase_align(pos_list, m: int) -> np.ndarray:
-    """Phrase-alignment kernel shared by Searcher and FanoutSearcher
-    (bit-identity between the two paths is pytest-enforced — ONE
-    definition so a fix can't land on only one copy). ``pos_list`` is
-    [(docs, tfs, occ)] per token offset; each term's (doc,
+    """Phrase-alignment kernel of phrase and phrase-prefix search.
+    ``pos_list`` is [(docs, tfs, occ)] per token offset; each term's (doc,
     pos - offset) pairs become one uint64 key and a phrase start is a
     key appearing in EVERY term's set, found with one sort +
     run-length over the concatenated keys. Returns sorted unique
@@ -187,12 +195,11 @@ def _phrase_align(pos_list, m: int) -> np.ndarray:
 
 
 def _proximity_match(pos_a, pos_b, window: int) -> np.ndarray:
-    """Proximity kernel shared by Searcher and FanoutSearcher: docs
-    where the two terms occur within ``window`` positions (either
-    order). Each a-occurrence probes the sorted (doc<<32|pos) key
-    array of b with one searchsorted; its two neighbors are the only
-    possible within-window partners. Returns sorted unique matching
-    doc ids (pre-tombstone)."""
+    """Proximity kernel: docs where the two terms occur within
+    ``window`` positions (either order). Each a-occurrence probes the
+    sorted (doc<<32|pos) key array of b with one searchsorted; its two
+    neighbors are the only possible within-window partners. Returns
+    sorted unique matching doc ids (pre-tombstone)."""
     docs_a, tfs_a, occ_a = pos_a
     docs_b, tfs_b, occ_b = pos_b
     SH = np.uint64(_POS_SHIFT)
@@ -240,46 +247,60 @@ def _span_near_ordered_match(pos_a, pos_b, window: int) -> np.ndarray:
     return np.unique((ka[hit] >> SH).astype(np.int64))
 
 
-def _boolean_combine(sets: list, mode: str) -> np.ndarray:
-    """Boolean set algebra shared by Searcher and FanoutSearcher:
-    ``sets`` holds each present term's sorted doc array. OR is one
-    concat + unique (beats T incremental union re-sorts); AND
-    intersects smallest-first so cost is bounded by the rarest
-    term."""
-    if mode == "or":
-        return np.unique(np.concatenate(sets))
-    sets = sorted(sets, key=len)
-    out = sets[0]
-    for d in sets[1:]:
-        out = out[np.isin(out, d, assume_unique=True, kind="sort")]
-        if out.size == 0:
-            break
-    return out
+# dictionary-scan matchers of the multi-term rewrites, by kind (the
+# fifth kind, "fuzzy", is Searcher._fuzzy_rows)
+_MATCHERS = {
+    "prefix": pc.starts_with,
+    "contains": pc.match_substring,
+    "suffix": pc.ends_with,
+    "regex": pc.match_substring_regex,
+}
 
 
-def _min_should_match(got, m: int, k: int) -> list[tuple[int, float, int]]:
-    """Top-k (doc, round(score, 4), n_matched) over ``_merge_contribs``
-    output, restricted to docs matching at least ``m`` distinct terms
-    and ranked by (round(score,4) DESC, doc_id ASC)."""
-    if got is None:
-        return []
-    udocs, sums, nmatch = got
-    keep = nmatch >= m
-    udocs, r, nmatch = udocs[keep], np.round(sums[keep], 4), nmatch[keep]
-    top = np.lexsort((udocs, -r))[:k]
-    return [(int(udocs[i]), float(r[i]), int(nmatch[i])) for i in top]
+def _top_terms(parts, k: int, by_df: bool = True):
+    """The first k (terms, dfs) over per-group candidate (terms, dfs)
+    lists, by (df desc, term asc), or by term alone when not ``by_df``.
+    Each term lives in exactly one shard group, so the top-k over the
+    groups' own top-ks is exact."""
+    terms = np.array([t for ts, _ in parts for t in ts], dtype=object)
+    if terms.size == 0:
+        return [], np.zeros(0, dtype=np.int64)
+    dfs = np.concatenate([np.asarray(d, dtype=np.int64) for _, d in parts])
+    keys = (terms.astype(str), -dfs) if by_df else (terms.astype(str),)
+    order = np.lexsort(keys)[:k]
+    return terms[order].tolist(), dfs[order]
 
 
-class _LiveFilter:
-    """Tombstone filtering and the contribution merge, shared by
-    ``Searcher`` and ``FanoutSearcher``. Tombstones are logical deletes
-    not yet compacted: excluded from every result, while surviving
-    docs score with pre-delete stats until compact_index runs (the
-    Lucene deleted-docs contract). They are held as a SORTED id array,
-    not a doc-id-space-sized bool mask: the mask costs 1 B/doc per
-    searcher (1 GB per actor at 10^9 docs) while the set is
-    deletion-sized; membership is a searchsorted."""
+def _concat_rows(parts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One (doc, qi, contrib) row triple from per-group triples."""
+    if not parts:
+        z = np.zeros(0, dtype=np.int64)
+        return z, z, np.zeros(0, dtype=np.float64)
+    return tuple(np.concatenate(col) for col in zip(*parts))
 
+
+class _Operators:
+    """The query operators, written once for ``Searcher`` and
+    ``FanoutSearcher``. Both implement four primitives:
+
+    - ``raw_positions(tokens)``: {token: (docs, tfs, occ)} per analyzed
+      token, empty arrays on a vocabulary miss, tombstones NOT applied;
+    - ``term_docs(tokens)``: {token: sorted int64 posting docs} for the
+      analyzed tokens the index holds;
+    - ``contribs(qterms, docs=None)``: (doc, qi, contrib) rows for
+      [(term, qw)], qi = the term's index in ``qterms``, only the rows
+      at the sorted ``docs`` when given;
+    - ``_scans(kind, arg, k=None, by_df=True)``: one
+      ``Searcher.dict_scan`` result per shard group.
+
+    Tombstones are logical deletes not yet compacted: excluded from
+    every result, while surviving docs score with pre-delete stats
+    until compact_index runs (the Lucene deleted-docs contract). They
+    are held as a SORTED id array, not a doc-id-space-sized bool mask:
+    the mask costs 1 B/doc per searcher (1 GB per actor at 10^9 docs)
+    while the set is deletion-sized; membership is a searchsorted."""
+
+    tok: CodeTokenizer
     _tomb: np.ndarray | None
 
     def _load_tombstones(self, index_dir: str) -> None:
@@ -307,8 +328,8 @@ class _LiveFilter:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
         """``_layered_sums`` of (doc, qi, contrib) rows, restricted to
         live docs with a positive sum; None when none is left — the
-        one merge behind sparse exact, paged, min-should-match and
-        distributed-WAND retrieval."""
+        one merge behind sparse exact, paged, min-should-match,
+        match-set and distributed-WAND retrieval."""
         if docs.size == 0:
             return None
         udocs, sums, nterms = _layered_sums(docs, qis, cs)
@@ -317,9 +338,319 @@ class _LiveFilter:
             return None
         return udocs[keep], sums[keep], nterms[keep]
 
+    # ---- scored retrieval ------------------------------------------
 
-class Searcher(_LiveFilter):
-    """Loads the dictionary + doc lengths once (init-once worker state).
+    def search(self, query: str, k: int = 10, mode: str = "wand"):
+        if mode == "exact":
+            return self.search_exact(query, k)
+        return self.search_wand(query, k)
+
+    def search_wand_many(self, queries, k: int = 10):
+        """WAND top-k for each query of a serving batch (the fan-out
+        overrides this with its two-RPC-rounds-per-batch protocol)."""
+        return [self.search_wand(q, k) for q in queries]
+
+    def search_contribs(self, query: str):
+        """``contribs`` for the analyzed query's distinct terms, where
+        ``qi`` is the term's first-appearance index over the WHOLE
+        analyzed query (computed identically by every shard group, so
+        merged contributions sorted by (doc, qi) and summed
+        left-to-right reproduce ``search_exact``'s float64 accumulation
+        order bit-for-bit). Tombstone filtering happens at the
+        merge."""
+        return self.contribs(_first_appearance(self.tok.tokens_of(query)))
+
+    def _score_match_docs(
+        self, query: str, match_docs: np.ndarray, k: int
+    ) -> list[tuple[int, float]]:
+        """BM25 top-k over the analyzed ``query`` terms at the live docs
+        of the sorted ``match_docs`` — the one scoring step of every
+        match-set operator: contributions at the match docs only, then
+        the layered qi-ordered sums of exact search."""
+        if match_docs.size == 0:
+            return []
+        got = self._merge_contribs(*self.contribs(
+            _first_appearance(self.tok.tokens_of(query)), match_docs
+        ))
+        return [] if got is None else _rank(got[0], got[1], k)
+
+    def search_min_should_match(
+        self, query: str, m: int, k: int = 10,
+    ) -> list[tuple[int, float, int]]:
+        """ES ``minimum_should_match`` retrieval: BM25 top-k over the
+        docs matching at least ``m`` DISTINCT analyzed query terms
+        (a pure OR rewards one hot term; AND is brittle; m-of-n is the
+        standard middle). Returns (doc_id, score, n_matched). Built on
+        ``search_contribs`` — its rows are exactly the (distinct term,
+        doc) match pairs, so the merge's per-doc row count IS the
+        distinct matched-term count (matching-postings-sized, never
+        doc-space loops). Ranking contract: (round(score,4) DESC,
+        doc_id ASC)."""
+        got = self._merge_contribs(*self.search_contribs(query))
+        if got is None:
+            return []
+        udocs, sums, nmatch = got
+        keep = nmatch >= m
+        udocs, r, nmatch = udocs[keep], np.round(sums[keep], 4), nmatch[keep]
+        top = np.lexsort((udocs, -r))[:k]
+        return [(int(udocs[i]), float(r[i]), int(nmatch[i])) for i in top]
+
+    # ---- positional ------------------------------------------------
+
+    def term_positions(
+        self, term: str
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Public positional readback for one analyzed term — the
+        term-vector primitive behind highlighting/snippets: (docs, tfs,
+        occ) where ``occ`` holds every occurrence's absolute 0-based
+        token position, posting-ordered (posting i owns
+        ``occ[sum(tfs[:i]):sum(tfs[:i+1])]``). ``term`` must analyze
+        to exactly one token; a vocabulary miss returns empty arrays.
+        Tombstoned docs are excluded (same contract as search)."""
+        toks = self.tok.tokens_of(term)
+        if len(toks) != 1:
+            raise ValueError("term_positions takes a single-token term")
+        docs, tfs, occ = self.raw_positions(toks)[toks[0]]
+        if self._tomb is not None and docs.size:
+            live = self._live_mask(docs)
+            if not live.all():
+                keep_occ = np.repeat(live, tfs.astype(np.int64))
+                docs, tfs, occ = docs[live], tfs[live], occ[keep_occ]
+        return docs, tfs, occ
+
+    def search_phrase(self, phrase: str, k: int = 10) -> list[tuple[int, float]]:
+        """Exact phrase search: documents containing the analyzed
+        phrase tokens at consecutive positions (``_phrase_align``),
+        ranked by BM25 over the phrase terms (same rounding/tie-break
+        contract as exact search)."""
+        toks = self.tok.tokens_of(phrase)
+        if not toks:
+            return []
+        pos = self.raw_positions(toks)
+        return self._score_match_docs(
+            phrase, _phrase_align([pos[t] for t in toks], len(toks)), k
+        )
+
+    def search_phrase_prefix(
+        self, phrase: str, max_expansions: int = 50, k: int = 10
+    ) -> list[tuple[int, float]]:
+        """ES ``match_phrase_prefix`` (search-as-you-type): the
+        analyzed phrase must appear at consecutive positions with its
+        LAST token as a PREFIX of the final term. The prefix expands
+        to the first ``max_expansions`` dictionary terms in term order
+        (prefix_terms), each expansion runs the phrase-align kernel,
+        and the match sets union. Ranking: BM25 over the FIXED leading
+        terms only — expansions gate the match but do not perturb the
+        score, so ranking stays stable keystroke to keystroke (and the
+        oracle shares the exact contract)."""
+        toks = self.tok.tokens_of(phrase)
+        if len(toks) < 2:
+            raise ValueError(
+                "phrase_prefix needs >= 2 analyzed tokens"
+            )
+        lead, pfx = toks[:-1], toks[-1]
+        exps = self.prefix_terms(pfx, max_expansions)
+        if not exps:
+            return []
+        pos = self.raw_positions(lead + exps)
+        lead_pos = [pos[t] for t in lead]
+        match_docs = np.unique(np.concatenate([
+            _phrase_align(lead_pos + [pos[e]], len(toks)) for e in exps
+        ]))
+        return self._score_match_docs(" ".join(lead), match_docs, k)
+
+    def _pair_match(
+        self, kernel, what: str, term_a: str, term_b: str, window: int,
+        k: int,
+    ) -> list[tuple[int, float]]:
+        """Two single-token terms matched by a positional ``kernel``
+        within ``window``, ranked by BM25 over the two terms."""
+        ta = self.tok.tokens_of(term_a)
+        tb = self.tok.tokens_of(term_b)
+        if len(ta) != 1 or len(tb) != 1:
+            raise ValueError(f"{what} terms must analyze to one token")
+        pos = self.raw_positions([ta[0], tb[0]])
+        return self._score_match_docs(
+            f"{term_a} {term_b}", kernel(pos[ta[0]], pos[tb[0]], window), k
+        )
+
+    def search_proximity(
+        self, term_a: str, term_b: str, window: int = 3, k: int = 10
+    ) -> list[tuple[int, float]]:
+        """Proximity search: docs where ``term_a`` and ``term_b`` occur
+        within ``window`` token positions (either order), ranked by
+        BM25 over the two terms. Neighbor-probe kernel:
+        ``_proximity_match``."""
+        return self._pair_match(
+            _proximity_match, "proximity", term_a, term_b, window, k
+        )
+
+    def search_span_near(
+        self, term_a: str, term_b: str, window: int = 3, k: int = 10
+    ) -> list[tuple[int, float]]:
+        """ORDERED span-near (Lucene span_near in_order=true): docs
+        where ``term_b`` follows ``term_a`` within ``window``
+        positions, ranked by BM25 over the two terms — the
+        direction-sensitive sibling of search_proximity ("hash join"
+        near-misses where only "join ... hash" appears). Kernel:
+        ``_span_near_ordered_match``."""
+        return self._pair_match(
+            _span_near_ordered_match, "span", term_a, term_b, window, k
+        )
+
+    # ---- boolean ---------------------------------------------------
+
+    def search_boolean(
+        self, query: str, mode: str = "and", exclude: str | None = None
+    ) -> np.ndarray:
+        """Unranked boolean retrieval over the inverted index: sorted
+        doc_ids containing ALL (``and``) or ANY (``or``) analyzed
+        query terms — the index-backed counterpart of the reference's
+        naive forall-contains scan (MediaServiceLive.scala:108-112).
+        ``exclude`` subtracts docs containing ANY of its analyzed
+        terms (Lucene MUST_NOT). Set algebra over sorted posting doc
+        arrays, so cost is bounded by the query terms' df, not the
+        corpus: OR is one concat + unique, AND intersects
+        smallest-first."""
+        if mode not in ("and", "or"):
+            raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
+        seen = list(dict.fromkeys(self.tok.tokens_of(query)))
+        got = self.term_docs(seen)
+        sets = [got[t] for t in seen if t in got]
+        if not sets or (mode == "and" and len(sets) != len(seen)):
+            return np.zeros(0, dtype=np.int64)  # a term matches nothing
+        if mode == "or":
+            out = np.unique(np.concatenate(sets))
+        else:
+            sets.sort(key=len)
+            out = sets[0]
+            for d in sets[1:]:
+                out = out[np.isin(out, d, assume_unique=True, kind="sort")]
+                if out.size == 0:
+                    break
+        if exclude and out.size:
+            ex = self.term_docs(
+                list(dict.fromkeys(self.tok.tokens_of(exclude)))
+            )
+            if ex:
+                out = out[~np.isin(
+                    out, np.unique(np.concatenate(list(ex.values()))),
+                    assume_unique=True, kind="sort",
+                )]
+        return out[self._live_mask(out)]
+
+    # ---- dictionary scans ------------------------------------------
+
+    def prefix_terms(
+        self, prefix: str, max_expansions: int = 50
+    ) -> list[str]:
+        """The first ``max_expansions`` dictionary terms starting with
+        ``prefix``, in TERM order — the deterministic multi-term
+        expansion list (the ES expansion cap is part of the query
+        contract, so the cap rule must be order-stable). Capping each
+        group at the global cap is exact: the global first-m set draws
+        at most m terms from any group, all within that group's first
+        m."""
+        if not prefix:
+            raise ValueError("empty prefix")
+        parts = self._scans("prefix", prefix, max_expansions, False)
+        return _top_terms(parts, max_expansions, by_df=False)[0]
+
+    def _constant_score(
+        self, kind: str, arg: str
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, n_terms) of a multi-term rewrite (Lucene
+        MultiTermQuery's constant-score shape; no per-term scoring):
+        sorted live docs containing ANY dictionary term matching
+        ``arg``, with the count of DISTINCT matching terms each doc
+        contains. Each term lives in exactly one shard group, so
+        summing the groups' per-doc counts is exact."""
+        parts = self._scans(kind, arg)
+        docs = np.concatenate([p[0] for p in parts])
+        if docs.size == 0:
+            z = np.zeros(0, dtype=np.int64)
+            return z, z
+        udocs, inv = np.unique(docs, return_inverse=True)
+        counts = np.zeros(udocs.size, dtype=np.int64)
+        np.add.at(counts, inv, np.concatenate([p[1] for p in parts]))
+        live = self._live_mask(udocs)
+        return udocs[live], counts[live]
+
+    def search_prefix(self, prefix: str) -> tuple[np.ndarray, np.ndarray]:
+        """Wildcard (``prefix*``) retrieval: the constant-score rewrite
+        over one vectorized ``starts_with`` dictionary scan — cost is
+        vocabulary-sized, then bounded by the matched terms' total df.
+        Term->shard routing is hash-based, so a shard-range searcher
+        sees only its group's terms; the fan-out scans every group."""
+        if not prefix:
+            raise ValueError("empty prefix")
+        return self._constant_score("prefix", prefix)
+
+    def search_contains(self, substr: str) -> tuple[np.ndarray, np.ndarray]:
+        """Infix wildcard (``*substr*``) retrieval: the constant-score
+        rewrite over terms with ``substr`` as a substring (the Lucene
+        WildcardQuery shape beside ``search_prefix``)."""
+        if not substr:
+            raise ValueError("empty substring")
+        return self._constant_score("contains", substr)
+
+    def search_suffix(self, suffix: str) -> tuple[np.ndarray, np.ndarray]:
+        """Leading-wildcard (``*suffix``) retrieval: the constant-score
+        rewrite over terms ending with ``suffix``. ES serves this by
+        indexing a REVERSED copy of each token so the leading wildcard
+        becomes a prefix scan; here ``ends_with`` over the term column
+        IS the reversed-prefix scan (same cost as ``search_prefix``,
+        no second dictionary copy to keep in sync)."""
+        if not suffix:
+            raise ValueError("empty suffix")
+        return self._constant_score("suffix", suffix)
+
+    def search_regex(self, pattern: str) -> tuple[np.ndarray, np.ndarray]:
+        """Regex retrieval (Lucene RegexpQuery shape): the
+        constant-score rewrite over terms matching ``pattern`` (RE2
+        partial-match, i.e. unanchored unless the pattern anchors
+        itself; ``pc.match_substring_regex`` compiles RE2 once per
+        call). Oracle parity is exact because DuckDB's
+        ``regexp_matches`` is the same RE2 engine with the same
+        partial-match contract."""
+        if not pattern:
+            raise ValueError("empty pattern")
+        return self._constant_score("regex", pattern)
+
+    def search_fuzzy(self, q: str) -> tuple[np.ndarray, np.ndarray]:
+        """(doc_ids, n_terms): the constant-score rewrite over the
+        terms within edit distance 1 of ``q``."""
+        return self._constant_score("fuzzy", q)
+
+    def suggest(self, prefix: str, k: int = 10):
+        """Completion suggester: the top-k dictionary terms starting
+        with ``prefix``, ranked by document frequency (df desc, term
+        asc) — the ES term/completion-suggester analog
+        (ElasticOperations.scala keyword dictionary), answered
+        straight from the dictionary with ZERO postings decode (df is
+        a dictionary column); k rows per shard group on the wire. df
+        is index-time df: per-doc deletes narrow retrieval via
+        tombstone masks, but suggestion counts refresh at compaction
+        (the same staleness contract ES document-frequency stats have
+        between merges)."""
+        if not prefix:
+            raise ValueError("empty prefix")
+        return _top_terms(self._scans("prefix", prefix, k), k)
+
+    def suggest_corrections(self, q: str, k: int = 3):
+        """Spell correction ('did you mean'): the top-k dictionary
+        terms within edit distance 1 of ``q`` (exact match included —
+        ES term-suggester suggest_mode=always with max_edits pinned),
+        ranked like ``suggest`` (df desc, term asc, index-time df)."""
+        if not q:
+            raise ValueError("empty query")
+        return _top_terms(self._scans("fuzzy", q, k), k)
+
+
+class Searcher(_Operators):
+    """Loads the dictionary + doc lengths once (init-once worker state)
+    and answers the ``_Operators`` primitives in-process: a single
+    shard group that is itself.
 
     Two scopes:
     - full (``shard_range=None``): every dictionary shard — the
@@ -329,9 +660,10 @@ class Searcher(_LiveFilter):
     - shard group (``shard_range=(lo, hi)``): ONLY the dictionary
       shards with ``lo <= term_shard < hi`` are read and held — the
       per-actor memory footprint scales with the group, not the
-      corpus vocabulary. Group searchers serve per-term score
-      contributions (``search_contribs``) that a ``FanoutSearcher``
-      merges bit-identically to full-dictionary ``search_exact``.
+      corpus vocabulary. As a ``_GroupServer`` actor it answers a
+      ``FanoutSearcher``'s primitives for the terms it owns; merged
+      contributions are bit-identical to full-dictionary
+      ``search_exact``.
       Per-doc stats (doc lengths, tombstones) are still held whole:
       any document can appear in any term shard (Lucene's norms-like
       footprint, 8 B/doc — the remaining per-doc state).
@@ -640,163 +972,6 @@ class Searcher(_LiveFilter):
             self._pos_cache.pop(next(iter(self._pos_cache)))
         self._pos_cache[term] = out
 
-    _POS_SHIFT = _POS_SHIFT  # phrase-alignment key = doc << 32 | pos
-
-    def search_phrase(self, phrase: str, k: int = 10) -> list[tuple[int, float]]:
-        """Exact phrase search: documents containing the analyzed
-        phrase tokens at consecutive positions, ranked by BM25 over the
-        phrase terms (same rounding/tie-break contract as exact
-        search). Alignment kernel: ``_phrase_align`` (shared with the
-        fan-out path)."""
-        toks = self.tok.tokens_of(phrase)
-        if not toks or any(t not in self._row for t in toks):
-            return []
-        match_docs = _phrase_align(
-            [self._positions_of(t) for t in toks], len(toks)
-        )
-        if match_docs.size:
-            match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        # BM25 over the phrase terms, restricted to matching docs
-        scores = np.zeros(match_docs.size, dtype=np.float64)
-        for term, qw in self._query_terms(phrase):
-            docs, tfs = self._decode_full(term)
-            idx = np.searchsorted(docs, match_docs.astype(np.uint64))
-            tf = tfs[idx].astype(np.float64)
-            scores += self._contrib(
-                qw, int(self._dfs[self._row[term]]), tf,
-                self.doc_len[match_docs],
-            )
-        return _rank(match_docs, scores, k)
-
-    def search_span_near(
-        self, term_a: str, term_b: str, window: int = 3, k: int = 10
-    ) -> list[tuple[int, float]]:
-        """ORDERED span-near (Lucene span_near in_order=true): docs
-        where ``term_b`` follows ``term_a`` within ``window``
-        positions, ranked by BM25 over the two terms — the
-        direction-sensitive sibling of search_proximity ("hash join"
-        near-misses where only "join ... hash" appears). Kernel:
-        ``_span_near_ordered_match`` (shared with the fan-out
-        path)."""
-        ta = self.tok.tokens_of(term_a)
-        tb = self.tok.tokens_of(term_b)
-        if len(ta) != 1 or len(tb) != 1:
-            raise ValueError("span terms must analyze to one token")
-        a, b = ta[0], tb[0]
-        if a not in self._row or b not in self._row:
-            return []
-        match_docs = _span_near_ordered_match(
-            self._positions_of(a), self._positions_of(b), window
-        )
-        if match_docs.size:
-            match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        scores = np.zeros(match_docs.size, dtype=np.float64)
-        for term, qw in self._query_terms(f"{term_a} {term_b}"):
-            docs, tfs = self._decode_full(term)
-            i2 = np.searchsorted(docs, match_docs.astype(np.uint64))
-            scores += self._contrib(
-                qw, int(self._dfs[self._row[term]]),
-                tfs[i2].astype(np.float64), self.doc_len[match_docs],
-            )
-        return _rank(match_docs, scores, k)
-
-    def prefix_terms(
-        self, prefix: str, max_expansions: int = 50
-    ) -> list[str]:
-        """The first ``max_expansions`` dictionary terms starting with
-        ``prefix``, in TERM order — the deterministic multi-term
-        expansion list (the ES expansion cap is part of the query
-        contract, so the cap rule must be order-stable)."""
-        if not prefix:
-            raise ValueError("empty prefix")
-        hits = pc.starts_with(self._tbl["term"], prefix)
-        idx = np.flatnonzero(hits.to_numpy(zero_copy_only=False))
-        if idx.size == 0:
-            return []
-        terms = self._tbl["term"].take(
-            pa.array(idx, pa.int64())
-        ).to_pylist()
-        return sorted(terms)[:max_expansions]
-
-    def search_phrase_prefix(
-        self, phrase: str, max_expansions: int = 50, k: int = 10
-    ) -> list[tuple[int, float]]:
-        """ES ``match_phrase_prefix`` (search-as-you-type): the
-        analyzed phrase must appear at consecutive positions with its
-        LAST token as a PREFIX of the final term. The prefix expands
-        to the first ``max_expansions`` dictionary terms in term order
-        (prefix_terms), each expansion runs the shared phrase-align
-        kernel, and the match sets union. Ranking: BM25 over the FIXED
-        leading terms only — expansions gate the match but do not
-        perturb the score, so ranking stays stable keystroke to
-        keystroke (and the oracle shares the exact contract)."""
-        toks = self.tok.tokens_of(phrase)
-        if len(toks) < 2:
-            raise ValueError(
-                "phrase_prefix needs >= 2 analyzed tokens"
-            )
-        lead, pfx = toks[:-1], toks[-1]
-        if any(t not in self._row for t in lead):
-            return []
-        lead_pos = [self._positions_of(t) for t in lead]
-        parts = []
-        for e in self.prefix_terms(pfx, max_expansions):
-            md = _phrase_align(
-                lead_pos + [self._positions_of(e)], len(toks)
-            )
-            if md.size:
-                parts.append(md)
-        if not parts:
-            return []
-        match_docs = np.unique(np.concatenate(parts))
-        match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        scores = np.zeros(match_docs.size, dtype=np.float64)
-        for term, qw in self._query_terms(" ".join(lead)):
-            docs, tfs = self._decode_full(term)
-            idx = np.searchsorted(docs, match_docs.astype(np.uint64))
-            scores += self._contrib(
-                qw, int(self._dfs[self._row[term]]),
-                tfs[idx].astype(np.float64), self.doc_len[match_docs],
-            )
-        return _rank(match_docs, scores, k)
-
-    def search_proximity(
-        self, term_a: str, term_b: str, window: int = 3, k: int = 10
-    ) -> list[tuple[int, float]]:
-        """Proximity search: docs where ``term_a`` and ``term_b`` occur
-        within ``window`` token positions (either order), ranked by
-        BM25 over the two terms. Neighbor-probe kernel:
-        ``_proximity_match`` (shared with the fan-out path)."""
-        ta = self.tok.tokens_of(term_a)
-        tb = self.tok.tokens_of(term_b)
-        if len(ta) != 1 or len(tb) != 1:
-            raise ValueError("proximity terms must analyze to one token")
-        a, b = ta[0], tb[0]
-        if a not in self._row or b not in self._row:
-            return []
-        match_docs = _proximity_match(
-            self._positions_of(a), self._positions_of(b), window
-        )
-        if match_docs.size:
-            match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        scores = np.zeros(match_docs.size, dtype=np.float64)
-        for term, qw in self._query_terms(f"{term_a} {term_b}"):
-            docs, tfs = self._decode_full(term)
-            i2 = np.searchsorted(docs, match_docs.astype(np.uint64))
-            scores += self._contrib(
-                qw, int(self._dfs[self._row[term]]),
-                tfs[i2].astype(np.float64), self.doc_len[match_docs],
-            )
-        return _rank(match_docs, scores, k)
-
     def _contrib(self, qw: float, df: int, tf, dl):
         k1, b = self.config.bm25.k1, self.config.bm25.b
         idf = self._idf(df)
@@ -804,31 +979,6 @@ class Searcher(_LiveFilter):
         return qw * idf * (tf * (k1 + 1.0)) / denom
 
     # ---- exact (term-at-a-time) ------------------------------------
-
-    def term_positions(
-        self, term: str
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Public positional readback for one analyzed term — the
-        term-vector primitive behind highlighting/snippets: (docs, tfs,
-        occ) where ``occ`` holds every occurrence's absolute 0-based
-        token position, posting-ordered (posting i owns
-        ``occ[sum(tfs[:i]):sum(tfs[:i+1])]``). ``term`` must analyze
-        to exactly one token; a vocabulary miss returns empty arrays.
-        Tombstoned docs are excluded (same contract as search)."""
-        toks = self.tok.tokens_of(term)
-        if len(toks) != 1:
-            raise ValueError("term_positions takes a single-token term")
-        t = toks[0]
-        if t not in self._row:
-            z64 = np.zeros(0, dtype=np.uint64)
-            return z64, np.zeros(0, dtype=np.uint32), z64
-        docs, tfs, occ = self._positions_of(t)
-        if self._tomb is not None and docs.size:
-            live = self._live_mask(docs)
-            if not live.all():
-                keep_occ = np.repeat(live, tfs.astype(np.int64))
-                docs, tfs, occ = docs[live], tfs[live], occ[keep_occ]
-        return docs, tfs, occ
 
     def _taat_scores(
         self, query: str, mask: np.ndarray | None = None
@@ -910,22 +1060,6 @@ class Searcher(_LiveFilter):
             self._interval_postings(self._query_terms(query)), k, mask
         )
 
-    def search_min_should_match(
-        self, query: str, m: int, k: int = 10,
-    ) -> list[tuple[int, float, int]]:
-        """ES ``minimum_should_match`` retrieval: BM25 top-k over the
-        docs matching at least ``m`` DISTINCT analyzed query terms
-        (a pure OR rewards one hot term; AND is brittle; m-of-n is the
-        standard middle). Returns (doc_id, score, n_matched). Built on
-        ``search_contribs`` — its rows are exactly the (distinct term,
-        doc) match pairs, so the merge's per-doc row count IS the
-        distinct matched-term count (matching-postings-sized, never
-        doc-space loops). Ranking contract: (round(score,4) DESC,
-        doc_id ASC)."""
-        return _min_should_match(
-            self._merge_contribs(*self.search_contribs(query)), m, k
-        )
-
     def search_after(
         self, query: str, k: int = 10,
         after: tuple[float, int] | None = None,
@@ -965,56 +1099,114 @@ class Searcher(_LiveFilter):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(doc_ids:int64[], qi:int64[], contrib:float64[]) rows of
         ``_interval_postings`` output, qi-major."""
-        if not postings:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z, np.zeros(0, dtype=np.float64)
-        d_parts, q_parts, c_parts = [], [], []
+        rows = []
         for qi, term, qw, d, f in postings:
             di = d.astype(np.int64)
-            d_parts.append(di)
-            q_parts.append(np.full(di.size, qi, dtype=np.int64))
-            c_parts.append(self._contrib(
-                qw, int(self._dfs[self._row[term]]),
-                f.astype(np.float64), self.doc_len[di],
+            rows.append((
+                di, np.full(di.size, qi, dtype=np.int64),
+                self._contrib(
+                    qw, int(self._dfs[self._row[term]]),
+                    f.astype(np.float64), self.doc_len[di],
+                ),
             ))
-        return (
-            np.concatenate(d_parts),
-            np.concatenate(q_parts),
-            np.concatenate(c_parts),
+        return _concat_rows(rows)
+
+    # ---- the four primitives, answered in-process (one group) -------
+
+    def raw_positions(self, tokens) -> dict:
+        """{token: (docs, tfs, occ)} for analyzed ``tokens`` — empty
+        arrays on a vocabulary miss (or a token outside this shard
+        range); tombstones NOT applied."""
+        z64 = np.zeros(0, dtype=np.uint64)
+        miss = (z64, np.zeros(0, dtype=np.uint32), z64)
+        return {
+            t: self._positions_of(t) if t in self._row else miss
+            for t in tokens
+        }
+
+    def term_docs(self, tokens) -> dict:
+        """{token: sorted int64 posting docs} for the analyzed
+        ``tokens`` this dictionary holds (absent tokens omitted —
+        presence is part of a boolean AND's answer)."""
+        return {
+            t: self._decode_full(t)[0].astype(np.int64)
+            for t in tokens if t in self._row
+        }
+
+    def contribs(
+        self, qterms: list[tuple[str, float]],
+        docs: np.ndarray | None = None,
+    ):
+        """(doc_ids:int64[], qi:int64[], contrib:float64[]) rows for
+        the terms of [(analyzed term, weight)] this dictionary owns:
+        qi = the term's index IN ``qterms``, fixed by the caller so
+        every shard group labels contributions identically. With
+        ``docs`` (sorted), only the rows at those docs."""
+        postings = self._interval_postings(qterms)
+        if docs is not None:
+            postings = [
+                (qi, t, qw, *_slice_runs(d, f, docs, docs))
+                for qi, t, qw, d, f in postings
+            ]
+        return self._contribs(postings)
+
+    def _scans(self, kind: str, arg: str, k: int | None = None,
+               by_df: bool = True) -> list:
+        return [self.dict_scan(kind, arg, k, by_df)]
+
+    def dict_scan(self, kind: str, arg: str, k: int | None = None,
+                  by_df: bool = True):
+        """This dictionary's share of a dictionary-scan operator over
+        the terms matching ``arg`` (a ``_MATCHERS`` kind, or "fuzzy"):
+        one vectorized vocabulary-sized scan, one matched-set-sized
+        gather. With ``k`` None, the constant-score hits: (docs, number
+        of distinct matching terms per doc), tombstones NOT applied
+        (each term's doc list is unique, so doc multiplicity is that
+        count); else the first k matching (terms, dfs) in
+        ``_top_terms`` order, with no postings decode."""
+        if kind == "fuzzy":
+            rows = self._fuzzy_rows(arg)
+        else:
+            rows = np.flatnonzero(
+                _MATCHERS[kind](self._tbl["term"], arg)
+                .to_numpy(zero_copy_only=False)
+            )
+        terms = self._tbl["term"].take(pa.array(rows, pa.int64())).to_pylist()
+        if k is not None:
+            return _top_terms([(terms, self._dfs[rows])], k, by_df)
+        if not terms:
+            z = np.zeros(0, dtype=np.int64)
+            return z, z
+        return np.unique(
+            np.concatenate(
+                [self._decode_full(t)[0].astype(np.int64) for t in terms]
+            ),
+            return_counts=True,
         )
 
-    def contribs_terms(self, qterms: list[tuple[str, float]]):
-        """``search_contribs`` for an EXPLICIT [(analyzed term,
-        weight)] list (the _taat_scores_terms entry point made
-        fan-out-servable): qi = the term's index IN THE PASSED LIST,
-        fixed by the caller so every shard group labels contributions
-        identically; only terms this dictionary owns (and that fall in
-        this searcher's shard range) emit rows."""
-        return self._contribs(self._interval_postings(qterms))
+    def _fuzzy_rows(self, q: str) -> np.ndarray:
+        """Dictionary row indices of the terms within Levenshtein
+        distance 1 of ``q`` (Lucene FuzzyQuery, fixed max-edits=1), via
+        ``one_edit_mask`` over the length-filtered vocabulary slice —
+        vocabulary-bounded like every multi-term rewrite (Lucene walks
+        a Levenshtein automaton over the same term dictionary)."""
+        terms = self._tbl["term"]
+        lens = pc.utf8_length(terms).to_numpy(zero_copy_only=False)
+        cand = np.flatnonzero(np.abs(lens - len(q)) <= 1)
+        if cand.size == 0:
+            return cand
+        return cand[one_edit_mask(
+            terms.take(pa.array(cand, pa.int64())).to_pylist(), q
+        )]
 
-    def search_contribs(self, query: str):
-        """Per-term BM25 contributions for the query terms THIS
-        searcher's dictionary owns: (doc_ids:int64[], qi:int64[],
-        contrib:float64[]), where ``qi`` is the term's first-appearance
-        index over the whole analyzed query (computed identically by
-        every shard group, so merged contributions sorted by (doc, qi)
-        and summed left-to-right reproduce ``search_exact``'s float64
-        accumulation order bit-for-bit). Tombstone filtering happens at
-        the merge — the fan-out layer holds the (small) tombstone set."""
-        return self.contribs_terms(
-            _first_appearance(self.tok.tokens_of(query))
-        )
+    def fuzzy_terms(self, q: str) -> list[str]:
+        """Dictionary terms within Levenshtein distance 1 of ``q``, in
+        dictionary order."""
+        return self._tbl["term"].take(
+            pa.array(self._fuzzy_rows(q), pa.int64())
+        ).to_pylist()
 
     # ---- block-max pruning -----------------------------------------
-
-    def query_ub(self, query: str) -> float:
-        """Sum of qw * max_score over the query terms THIS searcher's
-        dictionary owns — the global per-term score upper bounds the
-        fan-out WAND coordinator turns into per-group remainders."""
-        return float(sum(
-            qw * float(self._record(t)["max_score"])
-            for t, qw in self._query_terms(query)
-        ))
 
     def _decode_blocks(
         self, r: dict, bidx: np.ndarray
@@ -1113,18 +1305,6 @@ class Searcher(_LiveFilter):
                 out.append((qi, t, qw, d, f))
         return out
 
-    def survivor_contribs(self, query: str, theta_g: float):
-        """``search_contribs`` restricted to the intervals whose bound
-        over THIS group's terms reaches the fan-out coordinator's
-        group-effective threshold ``theta_g`` = theta - R_g, where R_g
-        upper-bounds every OTHER group's terms. A doc with true score
-        >= theta has local score >= theta_g, so its interval is kept
-        and its local contributions are all returned; theta_g <= 0
-        (other groups' mass alone can reach theta) prunes nothing."""
-        return self._contribs(self._interval_postings(
-            _first_appearance(self.tok.tokens_of(query)), theta_g
-        ))
-
     def search_wand(
         self, query: str, k: int = 10
     ) -> list[tuple[int, float]]:
@@ -1181,222 +1361,6 @@ class Searcher(_LiveFilter):
             self._interval_postings(qterms, theta, iv), k, theta=theta
         )
 
-    def search_boolean(
-        self, query: str, mode: str = "and", exclude: str | None = None
-    ) -> np.ndarray:
-        """Unranked boolean retrieval over the inverted index: sorted
-        doc_ids containing ALL (``and``) or ANY (``or``) analyzed
-        query terms — the index-backed counterpart of the reference's
-        naive forall-contains scan (MediaServiceLive.scala:108-112).
-        ``exclude`` subtracts docs containing ANY of its analyzed
-        terms (Lucene MUST_NOT). Set algebra over decoded posting doc
-        arrays (each sorted), so cost is bounded by the query terms'
-        df, not the corpus."""
-        if mode not in ("and", "or"):
-            raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-        seen = list(dict.fromkeys(self.tok.tokens_of(query)))
-        present = [t for t in seen if t in self._row]
-        if mode == "and" and len(present) != len(seen):
-            return np.zeros(0, dtype=np.int64)  # a term matches nothing
-        if not present:
-            return np.zeros(0, dtype=np.int64)
-        sets = []
-        for t in present:
-            d, _ = self._decode_full(t)
-            sets.append(d.astype(np.int64))
-        out = _boolean_combine(sets, mode)
-        if exclude and out.size:
-            ex = [
-                t for t in dict.fromkeys(self.tok.tokens_of(exclude))
-                if t in self._row
-            ]
-            if ex:
-                ex_docs = np.unique(np.concatenate(
-                    [self._decode_full(t)[0].astype(np.int64) for t in ex]
-                ))
-                out = out[~np.isin(
-                    out, ex_docs, assume_unique=True, kind="sort"
-                )]
-        if out.size:
-            out = out[self._live_mask(out)]
-        return out
-
-    def search_prefix(self, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-        """Wildcard (``prefix*``) retrieval: (doc_ids, n_terms) —
-        sorted docs containing ANY dictionary term starting with
-        ``prefix``, with the count of DISTINCT matching terms each doc
-        contains (Lucene MultiTermQuery's constant-score shape; no
-        per-term scoring). The dictionary is scanned once with a
-        vectorized ``starts_with`` — cost is vocabulary-sized, then
-        bounded by the matched terms' total df. With shard-group scope
-        the scan covers only the group's terms (term->shard routing is
-        hash-based, so prefix queries need the full searcher or a
-        fan-out union across every group)."""
-        if not prefix:
-            raise ValueError("empty prefix")
-        return self._constant_score_scan(
-            pc.starts_with(self._tbl["term"], prefix)
-        )
-
-    def _constant_score_scan(
-        self, hits
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Shared tail of every dictionary-scan multi-term rewrite
-        (prefix, infix): one vectorized dictionary gather
-        (matched-set-sized), per-term postings decode — no per-element
-        Arrow .as_py() — then a doc-multiplicity union (each term's
-        doc list is unique, so multiplicity == the
-        distinct-matching-term count) and the tombstone mask."""
-        idx = np.flatnonzero(hits.to_numpy(zero_copy_only=False))
-        if idx.size == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z
-        matched = self._tbl["term"].take(
-            pa.array(idx, pa.int64())
-        ).to_pylist()
-        parts = [self._decode_full(t)[0].astype(np.int64) for t in matched]
-        docs, counts = np.unique(np.concatenate(parts), return_counts=True)
-        if self._tomb is not None and docs.size:
-            live = self._live_mask(docs)
-            docs, counts = docs[live], counts[live]
-        return docs, counts.astype(np.int64)
-
-    def search_contains(self, substr: str) -> tuple[np.ndarray, np.ndarray]:
-        """Infix wildcard (``*substr*``) retrieval: (doc_ids, n_terms)
-        — docs containing ANY dictionary term with ``substr`` as a
-        substring, with distinct-matching-term counts (the Lucene
-        WildcardQuery shape beside ``search_prefix``; same vectorized
-        dictionary scan, same constant-score rewrite, same shard-group
-        caveat: infix queries need the full searcher or a fan-out
-        union, term->shard routing being hash-based)."""
-        if not substr:
-            raise ValueError("empty substring")
-        return self._constant_score_scan(
-            pc.match_substring(self._tbl["term"], substr)
-        )
-
-    def search_suffix(self, suffix: str) -> tuple[np.ndarray, np.ndarray]:
-        """Leading-wildcard (``*suffix``) retrieval: (doc_ids, n_terms)
-        — docs containing ANY dictionary term ending with ``suffix``,
-        with distinct-matching-term counts. ES serves this by indexing
-        a REVERSED copy of each token so the leading wildcard becomes
-        a prefix scan (the reverse-token analyzer technique); this
-        dictionary's multi-term rewrites are already one vectorized
-        vocabulary-sized kernel, so ``ends_with`` over the term column
-        IS the reversed-prefix scan (same cost as ``search_prefix``,
-        no second dictionary copy to keep in sync). Same constant-score
-        rewrite and shard-group caveat as prefix/infix: suffix matches
-        hash anywhere, so group scope needs a fan-out union."""
-        if not suffix:
-            raise ValueError("empty suffix")
-        return self._constant_score_scan(
-            pc.ends_with(self._tbl["term"], suffix)
-        )
-
-    def search_regex(self, pattern: str) -> tuple[np.ndarray, np.ndarray]:
-        """Regex retrieval (Lucene RegexpQuery shape): (doc_ids,
-        n_terms) — docs containing ANY dictionary term matching
-        ``pattern`` (RE2 partial-match, i.e. unanchored unless the
-        pattern anchors itself), with distinct-matching-term counts.
-        Fourth member of the multi-term rewrite family beside prefix,
-        infix and fuzzy — same vectorized dictionary scan
-        (``pc.match_substring_regex`` compiles RE2 once per call),
-        same constant-score rewrite, same shard-group caveat (regex
-        matches can hash anywhere: full searcher or fan-out union).
-        Oracle parity is exact because DuckDB's ``regexp_matches`` is
-        the same RE2 engine with the same partial-match contract."""
-        if not pattern:
-            raise ValueError("empty pattern")
-        return self._constant_score_scan(
-            pc.match_substring_regex(self._tbl["term"], pattern)
-        )
-
-    def suggest(self, prefix: str, k: int = 10):
-        """Completion suggester: the top-k dictionary terms starting
-        with ``prefix``, ranked by document frequency (df desc, term
-        asc) — the ES term/completion-suggester analog
-        (ElasticOperations.scala keyword dictionary), answered
-        straight from the dictionary with ZERO postings decode (df is
-        a dictionary column). Vocabulary-sized vectorized scan,
-        matched-set-sized lexsort. df is index-time df: per-doc
-        deletes narrow retrieval via tombstone masks, but suggestion
-        counts refresh at compaction (the same staleness contract ES
-        document-frequency stats have between merges)."""
-        if not prefix:
-            raise ValueError("empty prefix")
-        hits = pc.starts_with(self._tbl["term"], prefix)
-        idx = np.flatnonzero(hits.to_numpy(zero_copy_only=False))
-        if idx.size == 0:
-            return [], np.zeros(0, dtype=np.int64)
-        dfs = self._dfs[idx].astype(np.int64)
-        terms = np.array(
-            self._tbl["term"].take(pa.array(idx, pa.int64())).to_pylist()
-        )
-        order = np.lexsort((terms, -dfs))[:k]
-        return terms[order].tolist(), dfs[order]
-
-    def _fuzzy_term_rows(self, q: str) -> tuple[list[str], np.ndarray]:
-        """(terms, dictionary row indices) within Levenshtein distance
-        1 of ``q`` — the shared candidate scan behind fuzzy retrieval
-        and spell correction."""
-        tbl_terms = self._tbl["term"]
-        lens = pc.utf8_length(tbl_terms).to_numpy(zero_copy_only=False)
-        cand_idx = np.flatnonzero(np.abs(lens - len(q)) <= 1)
-        if cand_idx.size == 0:
-            return [], np.zeros(0, dtype=np.int64)
-        cand = tbl_terms.take(pa.array(cand_idx, pa.int64())).to_pylist()
-        hit = np.asarray(one_edit_mask(cand, q), dtype=bool)
-        return (
-            [t for t, h in zip(cand, hit) if h],
-            cand_idx[hit].astype(np.int64),
-        )
-
-    def fuzzy_terms(self, q: str) -> list[str]:
-        """Dictionary terms within Levenshtein distance 1 of ``q``
-        (Lucene FuzzyQuery, fixed max-edits=1), via the vectorized
-        one-edit characterization in ``one_edit_mask`` over the
-        length-filtered vocabulary slice. Vocabulary-bounded like
-        every multi-term rewrite (Lucene walks a Levenshtein automaton
-        over the same term dictionary)."""
-        return self._fuzzy_term_rows(q)[0]
-
-    def suggest_corrections(self, q: str, k: int = 3):
-        """Spell correction ('did you mean'): the top-k dictionary
-        terms within edit distance 1 of ``q`` (exact match included —
-        ES term-suggester suggest_mode=always with max_edits pinned),
-        ranked by document frequency (df desc, term asc) straight from
-        the dictionary — zero postings decode, like ``suggest``. df is
-        index-time df (same compaction-refresh staleness contract)."""
-        if not q:
-            raise ValueError("empty query")
-        terms, idx = self._fuzzy_term_rows(q)
-        if not terms:
-            return [], np.zeros(0, dtype=np.int64)
-        dfs = self._dfs[idx].astype(np.int64)
-        order = np.lexsort((np.array(terms, dtype=object).astype(str),
-                            -dfs))[:k]
-        return [terms[i] for i in order], dfs[order]
-
-    def search_fuzzy(self, q: str) -> tuple[np.ndarray, np.ndarray]:
-        """(doc_ids, n_terms): docs containing any term within edit
-        distance 1 of ``q``, with distinct-matching-term counts (the
-        constant-score MultiTermQuery shape, like search_prefix)."""
-        terms = self.fuzzy_terms(q)
-        if not terms:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z
-        parts = [self._decode_full(t)[0].astype(np.int64) for t in terms]
-        docs, counts = np.unique(np.concatenate(parts), return_counts=True)
-        if self._tomb is not None and docs.size:
-            live = self._live_mask(docs)
-            docs, counts = docs[live], counts[live]
-        return docs, counts.astype(np.int64)
-
-    def search(self, query: str, k: int = 10, mode: str = "wand"):
-        if mode == "exact":
-            return self.search_exact(query, k)
-        return self.search_wand(query, k)
-
 
 def _layered_sums(
     docs: np.ndarray, qis: np.ndarray, cs: np.ndarray
@@ -1420,152 +1384,100 @@ def _layered_sums(
     return d[starts], sums, seg_lens
 
 
-class _GroupServer:
-    """Ray actor body: one dictionary shard group, loaded once."""
+class _GroupServer(Searcher):
+    """Ray actor body: a shard-range ``Searcher`` (one dictionary shard
+    group, loaded once) answering the fan-out's primitives, plus the
+    group side of the distributed-WAND threshold exchange.
 
-    def __init__(self, index_dir: str, lo: int, hi: int):
-        self.searcher = Searcher(index_dir, shard_range=(lo, hi))
-
-    def contribs(self, query: str):
-        return self.searcher.search_contribs(query)
-
-    def contribs_terms(self, qterms):
-        return self.searcher.contribs_terms(qterms)
+    The exchange's methods are defined here, not inherited: Ray wraps
+    every method of an actor class in the driver and ships the
+    wrappers by value, so a driver-side wrapper installed on this
+    class (``perfbench/trace.py`` wraps ``wand_bootstrap`` and
+    ``survivor_contribs``) is shipped by reference only when it is
+    importable under its own ``_GroupServer`` name."""
 
     def wand_bootstrap(self, query: str, k: int):
         """(ub_sum, local_topk_docs, local_scores): the group's share
-        of the global score upper bound plus a k-bounded candidate
-        seed from group-local block-max WAND. The local scores are
-        exact sums over THIS group's terms only, i.e. LOWER bounds on
-        the docs' true scores (contributions are non-negative) — the
-        coordinator may sum them across groups into a sound pruning
-        threshold without a rescore round."""
-        ub = self.searcher.query_ub(query)
-        hits = self.searcher.search_wand(query, k)
+        of the global score upper bound (qw * max_score over the query
+        terms it owns) plus a k-bounded candidate seed from group-local
+        block-max WAND. The local scores are exact sums over THIS
+        group's terms only, i.e. LOWER bounds on the docs' true scores
+        (contributions are non-negative) — the coordinator may sum them
+        across groups into a sound pruning threshold without a rescore
+        round."""
+        ub = float(sum(
+            qw * float(self._record(t)["max_score"])
+            for t, qw in self._query_terms(query)
+        ))
+        hits = self.search_wand(query, k)
         return (
             ub,
             np.array([d for d, _ in hits], dtype=np.int64),
             np.array([s for _, s in hits], dtype=np.float64),
         )
 
-    def survivor_contribs(self, query: str, theta_g: float):
-        return self.searcher.survivor_contribs(query, theta_g)
-
     def wand_bootstrap_many(self, queries, k: int):
         """Batched bootstrap: ONE RPC carries every query of a serving
-        batch that this group owns — the per-query round trips were
-        the fan-out's dominant serve-mode cost (VERDICT r4 #4)."""
+        batch that this group owns."""
         return [self.wand_bootstrap(q, k) for q in queries]
 
+    def survivor_contribs(self, query: str, theta_g: float):
+        """``search_contribs`` restricted to the intervals whose bound
+        over THIS group's terms reaches the fan-out coordinator's
+        group-effective threshold ``theta_g`` = theta - R_g, where R_g
+        upper-bounds every OTHER group's terms. A doc with true score
+        >= theta has local score >= theta_g, so its interval is kept
+        and its local contributions are all returned; theta_g <= 0
+        (other groups' mass alone can reach theta, or no theta at all)
+        prunes nothing."""
+        return self._contribs(self._interval_postings(
+            _first_appearance(self.tok.tokens_of(query)), theta_g
+        ))
+
     def survivor_contribs_many(self, queries, thetas):
-        """Batched survivor round; ``theta is None`` marks a query in
-        the <k-positive-seeds fallback, which is served with FULL
-        exact contributions (what ``FanoutSearcher.search_exact``
-        would have fetched)."""
+        """Batched survivor round: ONE RPC carries every query of the
+        batch with its ``theta_g``."""
         return [
-            self.searcher.search_contribs(q) if th is None
-            else self.searcher.survivor_contribs(q, th)
-            for q, th in zip(queries, thetas)
+            self.survivor_contribs(q, th) for q, th in zip(queries, thetas)
         ]
 
-    def term_positions(self, term: str):
-        return self.searcher.term_positions(term)
-
-    def prefix_hits(self, prefix: str):
-        return self.searcher.search_prefix(prefix)
-
-    def fuzzy_hits(self, q: str):
-        return self.searcher.search_fuzzy(q)
-
-    def contains_hits(self, substr: str):
-        return self.searcher.search_contains(substr)
-
-    def regex_hits(self, pattern: str):
-        return self.searcher.search_regex(pattern)
-
-    def suffix_hits(self, suffix: str):
-        return self.searcher.search_suffix(suffix)
-
-    def prefix_terms_local(self, prefix: str, max_expansions: int):
-        """Group-local prefix expansion candidates in term order.
-        Capping per group at the global cap is EXACT: the global
-        first-m set draws at most m terms from any group, all within
-        that group's first m."""
-        return self.searcher.prefix_terms(prefix, max_expansions)
-
-    def suggest_local(self, prefix: str, k: int):
-        """Group-local completion candidates: (terms, dfs). Each term
-        is hash-routed to exactly one shard group, so group results
-        are DISJOINT and the coordinator's global top-k over the
-        union is exact."""
-        return self.searcher.suggest(prefix, k=k)
-
-    def corrections_local(self, q: str, k: int):
-        """Group-local spell-correction candidates (same disjointness
-        argument as suggest_local)."""
-        return self.searcher.suggest_corrections(q, k=k)
-
-    def raw_positions(self, token: str):
-        """Unfiltered positional readback for one ALREADY-ANALYZED
-        token (docs, tfs, occ; empty on vocabulary miss). Tombstones
-        are NOT applied — the fan-out merge filters match docs at the
-        end, exactly where the single Searcher's phrase/proximity
-        paths do."""
-        s = self.searcher
-        if token not in s._row:
-            z64 = np.zeros(0, dtype=np.uint64)
-            return z64, np.zeros(0, dtype=np.uint32), z64
-        return s._positions_of(token)
-
-    def term_docs(self, tokens: list[str]) -> dict:
-        """Raw posting doc arrays for the given ALREADY-ANALYZED
-        tokens this group owns (absent tokens omitted — presence is
-        part of the answer for boolean AND)."""
-        s = self.searcher
-        return {
-            t: s._decode_full(t)[0].astype(np.int64)
-            for t in tokens
-            if t in s._row
-        }
-
     def load_stats(self) -> dict:
-        s = self.searcher
         return {
-            "n_terms": s.n_terms_loaded,
-            "dict_bytes": s.dict_bytes_loaded,
+            "n_terms": self.n_terms_loaded,
+            "dict_bytes": self.dict_bytes_loaded,
             # 0 when doc_len is served from the memory-mapped sidecar:
             # the actor's heap holds NO doc-id-space-sized array
-            "doclen_bytes_inheap": s.doclen_bytes_inheap,
-            "load_sec": s.load_sec,
+            "doclen_bytes_inheap": self.doclen_bytes_inheap,
+            "load_sec": self.load_sec,
         }
 
 
 def group_bounds(num_term_shards: int, n_groups: int) -> list[tuple[int, int]]:
-    """Contiguous shard ranges covering [0, S) as evenly as possible."""
-    n_groups = max(1, min(n_groups, num_term_shards))
-    step = (num_term_shards + n_groups - 1) // n_groups
-    return [
-        (lo, min(num_term_shards, lo + step))
-        for lo in range(0, num_term_shards, step)
-    ]
+    """``n_groups`` contiguous shard ranges tiling [0, S) (capped at S
+    groups), their sizes differing by at most one."""
+    S = num_term_shards
+    n = max(1, min(n_groups, S))
+    return [(i * S // n, (i + 1) * S // n) for i in range(n)]
 
 
-class FanoutSearcher(_LiveFilter):
-    """Sharded serving: queries fan out to one actor per dictionary
-    shard group (each holding ONLY its shards — per-actor memory
-    scales with the group, the ES-style sharded-index analog of
-    ElasticOperations.scala:91-97), and per-term contributions merge
-    into exact BM25 scores. Routing: a group is called only if it owns
-    at least one analyzed query term (``term_shard_of``).
+class FanoutSearcher(_Operators):
+    """Sharded serving: queries fan out to one ``_GroupServer`` actor
+    per dictionary shard group (each holding ONLY its shards —
+    per-actor memory scales with the group, the ES-style sharded-index
+    analog of ElasticOperations.scala:91-97). The shared operators run
+    here on the four primitives, routed to the group owning each
+    analyzed token's hash shard (``term_shard_of``), or to every group
+    for dictionary scans; match-set operators send their match docs to
+    the owning groups and get back only the contributions there.
 
     The merge is BIT-IDENTICAL to a full-dictionary
     ``Searcher.search_exact``: contributions are sorted by (doc_id,
     query-term index) and summed left-to-right per doc — the same
     float64 accumulation order as the single searcher's term-at-a-time
-    loop. Top-k serving can also prune: ``search_wand`` runs the
+    loop. Top-k serving can also prune: ``search_wand_many`` runs the
     threshold-exchange protocol (group-local block-max seeds -> a
     lower-bound theta -> per-group interval pruning with
-    ``Searcher.survivor_contribs``, the single searcher's kernel), so
+    ``_GroupServer.survivor_contribs``, the single searcher's kernel), so
     hot-query cost no longer grows with df the way exact TAAT does."""
 
     def __init__(self, index_dir: str, n_groups: int = 4, actors=None):
@@ -1579,8 +1491,7 @@ class FanoutSearcher(_LiveFilter):
         self.space = int(
             self.stats.get("doc_id_space", self.stats["n_docs"])
         )
-        S = self.config.num_term_shards
-        self.bounds = group_bounds(S, n_groups)
+        self.bounds = group_bounds(self.config.num_term_shards, n_groups)
         self._load_tombstones(index_dir)
         if actors is None:
             # num_cpus=0: group servers are IO/lookup-bound between
@@ -1590,7 +1501,7 @@ class FanoutSearcher(_LiveFilter):
             # its own node-level resources instead)
             cls = ray.remote(num_cpus=0)(_GroupServer)
             actors = [
-                cls.remote(index_dir, lo, hi) for lo, hi in self.bounds
+                cls.remote(index_dir, shard_range=b) for b in self.bounds
             ]
         self.actors = actors
 
@@ -1609,85 +1520,98 @@ class FanoutSearcher(_LiveFilter):
         """Sorted ids of the groups owning any of ``tokens``."""
         return sorted({self._group_of_token(t) for t in tokens})
 
-    def _contrib_parts(self, query: str) -> list:
-        """Per-group ``search_contribs`` triples for ``query``, from the
-        groups owning at least one of its analyzed terms."""
+    # ---- the four primitives, routed to the owning groups -----------
+
+    def _routed(self, method: str, tokens) -> dict:
+        """The merged {token: ...} replies of the group method
+        ``method``, each owning group asked once for its tokens."""
         import ray
 
-        gids = self._groups_for(self.tok.tokens_of(query))
+        by_group: dict[int, list[str]] = {}
+        for t in dict.fromkeys(tokens):
+            by_group.setdefault(self._group_of_token(t), []).append(t)
+        got: dict = {}
+        for part in ray.get([
+            getattr(self.actors[g], method).remote(ts)
+            for g, ts in by_group.items()
+        ]):
+            got.update(part)
+        return got
+
+    def raw_positions(self, tokens) -> dict:
+        return self._routed("raw_positions", tokens)
+
+    def term_docs(self, tokens) -> dict:
+        return self._routed("term_docs", tokens)
+
+    def contribs(
+        self, qterms: list[tuple[str, float]],
+        docs: np.ndarray | None = None,
+    ):
+        import ray
+
+        return _concat_rows(ray.get([
+            self.actors[g].contribs.remote(qterms, docs)
+            for g in self._groups_for(t for t, _ in qterms)
+        ]))
+
+    def _scans(self, kind: str, arg: str, k: int | None = None,
+               by_df: bool = True) -> list:
+        import ray
+
         return ray.get(
-            [self.actors[g].contribs.remote(query) for g in gids]
+            [a.dict_scan.remote(kind, arg, k, by_df) for a in self.actors]
         )
 
-    def _merge_contrib_parts(
-        self, parts
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """``_merge_contribs`` over per-group contribution triples:
-        layered qi-ordered sums reproduce the single searcher's float
-        accumulation exactly, so the bit-identity contract with the
-        single Searcher lives in one place."""
-        if not parts:
-            return None
-        return self._merge_contribs(
-            *(np.concatenate(col) for col in zip(*parts))
-        )
+    # ---- exact, paged and weighted top-k ----------------------------
 
-    def search_wand(self, query: str, k: int = 10):
-        """Distributed block-max WAND over the TERM-partitioned fan-out
-        (the threshold-exchange shape of Lucene's distributed BMW;
-        reference analog: ES sharded top-k with score thresholds,
-        ElasticOperations.scala:91-97):
+    def _ranked(self, rows, k: int) -> list[tuple[int, float]]:
+        got = self._merge_contribs(*rows)
+        return [] if got is None else _rank(got[0], got[1], k)
 
-        1. bootstrap — every owning group returns its local block-max
-           WAND top-k (doc ids + exact LOCAL scores) plus its share of
-           the global upper bound;
-        2. the coordinator sums each seed doc's local scores across
-           the groups that returned it — a LOWER bound on its true
-           score, since contributions are non-negative — and sets
-           theta = the k-th largest bound (sound: those k docs each
-           truly score >= theta, so the final k-th score does too);
-        3. theta broadcasts back as per-group effective thresholds
-           theta - R_g (R_g = the other groups' upper-bound mass);
-           each group returns exact contributions only for the doc
-           intervals whose bound over its terms reaches theta - R_g
-           (``Searcher.survivor_contribs``, the single searcher's
-           interval kernel);
-        4. the union merges through the same layered qi-ordered sums
-           as search_exact — scores stay bit-identical to the single
-           searcher (pytest-enforced).
+    def search_exact(self, query: str, k: int = 10):
+        return self._ranked(self.search_contribs(query), k)
 
-        Two RPC rounds per query; an earlier variant spent a third
-        round rescoring the seeds for a tighter theta — the looser
-        bound only grows the survivor superset, never the answer.
+    def search_terms_weighted(
+        self, qterms: list[tuple[str, float]], k: int = 10,
+    ) -> list[tuple[int, float]]:
+        """Distributed retrieval over an EXPLICIT weighted term list —
+        the fan-out twin of ``Searcher._taat_scores_terms`` and the
+        serving primitive for every query REWRITER (synonym expansion,
+        more-like-this keyword sets, curriculum probes), with scores
+        bit-identical to the single searcher's sequential term
+        accumulation."""
+        return self._ranked(self.contribs(qterms), k)
 
-        Soundness: for any doc with true score >= theta,
-        s_g + R_g >= score >= theta holds in EVERY group, so each
-        group's survivor scan covers all of that doc's local postings;
-        docs the scan drops are provably below theta, and at least k
-        exactly-scored docs sit at or above it."""
-        import ray
-
-        gids = self._groups_for(self.tok.tokens_of(query))
-        if not gids:
-            return []
-        boots = ray.get([
-            self.actors[g].wand_bootstrap.remote(query, k) for g in gids
-        ])
-        thetas = self._group_thresholds(boots, k)
-        if thetas is None:
-            return []  # no query term exists anywhere in the index
-        if thetas[0] is None:
-            # fewer than k positive seeds: there is no lower bound for
-            # pruning to work against — serve the exact fan-out
-            return self.search_exact(query, k)
-        parts = ray.get([
-            self.actors[g].survivor_contribs.remote(query, thetas[i])
-            for i, g in enumerate(gids)
-        ])
-        got = self._merge_contrib_parts(parts)
+    def search_after(
+        self, query: str, k: int = 10,
+        after: tuple[float, int] | None = None,
+        tiebreak: np.ndarray | None = None,
+    ) -> list[tuple[int, float]]:
+        """Cursor-paged retrieval through the shard fan-out — the same
+        (round(score,4) DESC, id ASC) page contract as the single
+        Searcher's search_after. Per-group contributions fan out once
+        per page; the layered sums reproduce the single searcher's
+        float accumulation order, so rounded scores — and therefore
+        page boundaries — are bit-identical (pytest-enforced)."""
+        got = self._merge_contribs(*self.search_contribs(query))
         if got is None:
             return []
-        return _rank(got[0], got[1], k)
+        udocs, sums, _ = got
+        r = np.round(sums, 4)
+        tb = tiebreak[udocs] if tiebreak is not None else udocs
+        if after is not None:
+            s_a, t_a = after
+            sel = (r < s_a) | ((r == s_a) & (tb > t_a))
+            r, tb = r[sel], tb[sel]
+        return _rank(tb, r, k)
+
+    # ---- distributed block-max WAND ----------------------------------
+
+    def search_wand(self, query: str, k: int = 10):
+        """``search_wand_many`` for one query: the same two RPC
+        rounds."""
+        return self.search_wand_many([query], k)[0]
 
     def _group_thresholds(self, boots, k: int):
         """Per-group effective thresholds from the bootstrap replies.
@@ -1696,11 +1620,12 @@ class FanoutSearcher(_LiveFilter):
         true score, so the k-th largest summed bound lower-bounds the
         final k-th score — one fewer RPC round per query than the
         rescore-the-seeds protocol, at slightly looser (still sound)
-        pruning. Returns None when no query term exists anywhere; a
-        list of [None]*len(boots) when pruning has no lower bound to
-        work against (the exact-fallback marker); else the per-group
-        theta - R_g values (eps-loosened — float safety may only ever
-        LOOSEN a threshold)."""
+        pruning. Returns None when no query term exists anywhere;
+        zeros when pruning has no lower bound to work against (fewer
+        than k positive seeds: the survivor scan then returns every
+        contribution); else the per-group theta - R_g values
+        (eps-loosened — float safety may only ever LOOSEN a
+        threshold)."""
         ubs = np.array([b[0] for b in boots], dtype=np.float64)
         total_ub = float(ubs.sum())
         if total_ub <= 0.0:
@@ -1720,7 +1645,7 @@ class FanoutSearcher(_LiveFilter):
             if lower.size >= k:
                 theta = float(np.sort(lower)[::-1][k - 1])
         if theta <= 0.0:
-            return [None] * len(boots)
+            return [0.0] * len(boots)
         eps = 1e-9 * total_ub + 1e-12
         return [
             theta - (total_ub - float(ubs[i])) - eps
@@ -1728,21 +1653,41 @@ class FanoutSearcher(_LiveFilter):
         ]
 
     def search_wand_many(self, queries, k: int = 10):
-        """Distributed block-max WAND for a WHOLE serving batch in the
-        SAME two RPC rounds the single-query protocol pays: round 1
-        sends each group ONE ``wand_bootstrap_many`` carrying every
-        owned query; the coordinator derives every query's thresholds;
-        round 2 sends each group ONE ``survivor_contribs_many``.
-        Per-query math is shared with ``search_wand`` (same bootstrap,
-        ``_group_thresholds``, merge), so results are bit-identical to
-        the one-at-a-time path (pytest-enforced). This is what lets
-        the serving actor pool amortize fan-out RPC latency across a
-        batch instead of paying 2 x n_groups round trips per query
-        (VERDICT r4 ask #4)."""
+        """Distributed block-max WAND over the TERM-partitioned fan-out
+        for a whole serving batch, in two RPC rounds per batch (the
+        threshold-exchange shape of Lucene's distributed BMW;
+        reference analog: ES sharded top-k with score thresholds,
+        ElasticOperations.scala:91-97):
+
+        1. bootstrap — each group gets ONE ``wand_bootstrap_many``
+           carrying every query it owns a term of, and returns per
+           query its local block-max WAND top-k (doc ids + exact LOCAL
+           scores) plus its share of the global upper bound;
+        2. the coordinator sums each seed doc's local scores across
+           the groups that returned it — a LOWER bound on its true
+           score, since contributions are non-negative — and sets
+           theta = the k-th largest bound (sound: those k docs each
+           truly score >= theta, so the final k-th score does too);
+        3. theta goes back as per-group effective thresholds
+           theta - R_g (R_g = the other groups' upper-bound mass) in
+           ONE ``survivor_contribs_many`` per group; each group returns
+           exact contributions only for the doc intervals whose bound
+           over its terms reaches theta - R_g
+           (``_GroupServer.survivor_contribs``, the single searcher's
+           interval kernel), or all of them for a query with fewer
+           than k positive seeds (theta 0: nothing to prune
+           against);
+        4. each query's rows merge through the same layered qi-ordered
+           sums as search_exact — scores stay bit-identical to the
+           single searcher (pytest-enforced).
+
+        Soundness: for any doc with true score >= theta,
+        s_g + R_g >= score >= theta holds in EVERY group, so each
+        group's survivor scan covers all of that doc's local postings;
+        docs the scan drops are provably below theta, and at least k
+        exactly-scored docs sit at or above it."""
         import ray
 
-        n = len(queries)
-        results: list[list] = [[] for _ in range(n)]
         gids_per = [
             self._groups_for(self.tok.tokens_of(q)) for q in queries
         ]
@@ -1750,427 +1695,45 @@ class FanoutSearcher(_LiveFilter):
         for i, gids in enumerate(gids_per):
             for g in gids:
                 owned.setdefault(g, []).append(i)
+        results: list[list] = [[] for _ in queries]
         if not owned:
             return results
         # ---- RPC round 1: batched bootstrap, one call per group ----
-        glist = sorted(owned)
-        boot_lists = ray.get([
-            self.actors[g].wand_bootstrap_many.remote(
-                [queries[i] for i in owned[g]], k
-            )
-            for g in glist
-        ])
         boots_of: dict[tuple[int, int], tuple] = {}
-        for g, blist in zip(glist, boot_lists):
-            for i, b in zip(owned[g], blist):
-                boots_of[(i, g)] = b
+        for g, blist in zip(owned, ray.get([
+            self.actors[g].wand_bootstrap_many.remote(
+                [queries[i] for i in idx], k
+            )
+            for g, idx in owned.items()
+        ])):
+            boots_of.update(((i, g), b) for i, b in zip(owned[g], blist))
         # ---- per-query thresholds (driver-side, no RPC) ----
-        plan: dict[int, tuple[list, list]] = {g: ([], []) for g in glist}
-        pending: list[int] = []
-        for i in range(n):
-            gids = gids_per[i]
+        plan: dict[int, list[tuple[int, float]]] = {}
+        for i, gids in enumerate(gids_per):
             if not gids:
                 continue
-            boots = [boots_of[(i, g)] for g in gids]
-            thetas = self._group_thresholds(boots, k)
+            thetas = self._group_thresholds(
+                [boots_of[(i, g)] for g in gids], k
+            )
             if thetas is None:
                 continue  # no term exists: []
-            for pos, g in enumerate(gids):
-                plan[g][0].append(queries[i])
-                plan[g][1].append(thetas[pos])
-            pending.append(i)
-        if not pending:
+            for g, th in zip(gids, thetas):
+                plan.setdefault(g, []).append((i, th))
+        if not plan:
             return results
         # ---- RPC round 2: batched survivor scan, one call per group
-        part_lists = ray.get([
-            self.actors[g].survivor_contribs_many.remote(*plan[g])
-            for g in glist if plan[g][0]
-        ])
-        parts_of: dict[int, list] = {i: [] for i in pending}
-        for g, plist in zip(
-            [g for g in glist if plan[g][0]], part_lists
-        ):
-            it = iter(plist)
-            for i in pending:
-                if g in gids_per[i]:
-                    parts_of[i].append(next(it))
-        for i in pending:
-            got = self._merge_contrib_parts(parts_of[i])
-            if got is not None:
-                results[i] = _rank(got[0], got[1], k)
+        parts_of: dict[int, list] = {}
+        for g, plist in zip(plan, ray.get([
+            self.actors[g].survivor_contribs_many.remote(
+                [queries[i] for i, _ in p], [th for _, th in p]
+            )
+            for g, p in plan.items()
+        ])):
+            for (i, _), rows in zip(plan[g], plist):
+                parts_of.setdefault(i, []).append(rows)
+        for i, parts in parts_of.items():
+            results[i] = self._ranked(_concat_rows(parts), k)
         return results
-
-    def search_exact(self, query: str, k: int = 10):
-        got = self._merge_contrib_parts(self._contrib_parts(query))
-        if got is None:
-            return []
-        return _rank(got[0], got[1], k)
-
-    def search_after(
-        self, query: str, k: int = 10,
-        after: tuple[float, int] | None = None,
-        tiebreak: np.ndarray | None = None,
-    ) -> list[tuple[int, float]]:
-        """Cursor-paged retrieval through the shard fan-out — the same
-        (round(score,4) DESC, id ASC) page contract as the single
-        Searcher's search_after. Per-group contributions fan out once
-        per page; the layered sums reproduce the single searcher's
-        float accumulation order, so rounded scores — and therefore
-        page boundaries — are bit-identical (pytest-enforced)."""
-        got = self._merge_contrib_parts(self._contrib_parts(query))
-        if got is None:
-            return []
-        udocs, sums, _ = got
-        r = np.round(sums, 4)
-        tb = tiebreak[udocs] if tiebreak is not None else udocs
-        if after is not None:
-            s_a, t_a = after
-            sel = (r < s_a) | ((r == s_a) & (tb > t_a))
-            r, tb = r[sel], tb[sel]
-        return _rank(tb, r, k)
-
-    def search(self, query: str, k: int = 10, mode: str = "wand"):
-        """Same dispatch surface as the single ``Searcher.search``."""
-        if mode == "exact":
-            return self.search_exact(query, k)
-        return self.search_wand(query, k)
-
-    def term_positions(self, term: str):
-        """Positional readback through the shard groups: the analyzed
-        token hashes to exactly ONE term shard, so exactly one group
-        actor is called (group searchers apply the tombstone mask
-        themselves — same contract as the single Searcher)."""
-        import ray
-
-        toks = self.tok.tokens_of(term)
-        if len(toks) != 1:
-            raise ValueError("term_positions takes a single-token term")
-        g = self._group_of_token(toks[0])
-        return ray.get(self.actors[g].term_positions.remote(term))
-
-    @staticmethod
-    def _union_counts(parts) -> tuple[np.ndarray, np.ndarray]:
-        """Merge per-group (docs, n_terms) multi-term results: term →
-        shard routing is hash-based so every group may own matching
-        terms, but each TERM lives in exactly one group — summing the
-        per-group distinct-term counts per doc is exact."""
-        docs = np.concatenate([p[0] for p in parts])
-        cnts = np.concatenate([p[1] for p in parts])
-        if docs.size == 0:
-            z = np.zeros(0, dtype=np.int64)
-            return z, z
-        udocs, inv = np.unique(docs, return_inverse=True)
-        sums = np.zeros(udocs.size, dtype=np.int64)
-        np.add.at(sums, inv, cnts)
-        return udocs, sums
-
-    def search_prefix(self, prefix: str) -> tuple[np.ndarray, np.ndarray]:
-        """Prefix retrieval across every shard group (prefix matches
-        can hash anywhere, so this is a full fan-out union — see
-        Searcher.search_prefix's scoping note)."""
-        import ray
-
-        parts = ray.get(
-            [a.prefix_hits.remote(prefix) for a in self.actors]
-        )
-        return self._union_counts(parts)
-
-    def search_contains(self, substr: str) -> tuple[np.ndarray, np.ndarray]:
-        """Infix retrieval across every shard group (substring matches
-        can hash anywhere — same full fan-out union as prefix)."""
-        import ray
-
-        parts = ray.get(
-            [a.contains_hits.remote(substr) for a in self.actors]
-        )
-        return self._union_counts(parts)
-
-    def search_regex(self, pattern: str) -> tuple[np.ndarray, np.ndarray]:
-        """Regex retrieval across every shard group (regex matches can
-        hash anywhere — same full fan-out union as prefix/infix)."""
-        import ray
-
-        parts = ray.get(
-            [a.regex_hits.remote(pattern) for a in self.actors]
-        )
-        return self._union_counts(parts)
-
-    def search_suffix(self, suffix: str) -> tuple[np.ndarray, np.ndarray]:
-        """Leading-wildcard retrieval across every shard group (suffix
-        matches can hash anywhere — same full fan-out union as
-        prefix/infix/regex)."""
-        import ray
-
-        parts = ray.get(
-            [a.suffix_hits.remote(suffix) for a in self.actors]
-        )
-        return self._union_counts(parts)
-
-    def suggest(self, prefix: str, k: int = 10):
-        """Completion suggestions across every shard group: each group
-        returns its local df-desc top-k (terms are hash-disjoint
-        across groups, so k per group suffices) and the coordinator
-        takes the global top-k over the tiny union — k * n_groups
-        candidate rows on the wire, never a dictionary scan's
-        worth."""
-        import ray
-
-        parts = ray.get(
-            [a.suggest_local.remote(prefix, k) for a in self.actors]
-        )
-        terms = np.array(
-            [t for ts, _ in parts for t in ts], dtype=object
-        )
-        dfs = np.concatenate(
-            [np.asarray(d, dtype=np.int64) for _, d in parts]
-        ) if parts else np.zeros(0, np.int64)
-        if terms.size == 0:
-            return [], np.zeros(0, dtype=np.int64)
-        order = np.lexsort((terms.astype(str), -dfs))[:k]
-        return terms[order].tolist(), dfs[order]
-
-    def search_fuzzy(self, q: str) -> tuple[np.ndarray, np.ndarray]:
-        """Edit-distance-1 retrieval across every shard group (same
-        full fan-out union shape as search_prefix)."""
-        import ray
-
-        parts = ray.get([a.fuzzy_hits.remote(q) for a in self.actors])
-        return self._union_counts(parts)
-
-    def suggest_corrections(self, q: str, k: int = 3):
-        """Spell correction across every shard group: disjoint local
-        top-ks, global (df desc, term asc) top-k over the tiny union
-        (the suggest merge shape)."""
-        import ray
-
-        parts = ray.get(
-            [a.corrections_local.remote(q, k) for a in self.actors]
-        )
-        terms = np.array(
-            [t for ts, _ in parts for t in ts], dtype=object
-        )
-        dfs = np.concatenate(
-            [np.asarray(d, dtype=np.int64) for _, d in parts]
-        ) if parts else np.zeros(0, np.int64)
-        if terms.size == 0:
-            return [], np.zeros(0, dtype=np.int64)
-        order = np.lexsort((terms.astype(str), -dfs))[:k]
-        return terms[order].tolist(), dfs[order]
-
-    def _positions_fanout(self, toks: list[str]) -> dict:
-        """Raw (untombstoned) positions per distinct analyzed token,
-        each fetched from the single group owning its hash shard."""
-        import ray
-
-        uniq = list(dict.fromkeys(toks))
-        refs = [
-            self.actors[self._group_of_token(t)].raw_positions.remote(t)
-            for t in uniq
-        ]
-        return dict(zip(uniq, ray.get(refs)))
-
-    def _score_match_docs(
-        self, query: str, match_docs: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """BM25 over the query terms restricted to ``match_docs``
-        (sorted): per-group contributions masked to the match set,
-        then the same layered qi-ordered sums as search_exact — the
-        float64 accumulation order of the single searcher's
-        phrase/proximity scoring loops. Every match doc contains every
-        query term, so the output docs equal ``match_docs``."""
-        docs, qis, cs = (
-            np.concatenate(col) for col in zip(*self._contrib_parts(query))
-        )
-        keep = np.isin(docs, match_docs, kind="sort")
-        return _layered_sums(docs[keep], qis[keep], cs[keep])[:2]
-
-    def search_phrase(self, phrase: str, k: int = 10):
-        """Distributed exact phrase search: positions fan out per term
-        to the owning shard group; the alignment kernel and the
-        scoring contract are the single Searcher's (bit-identical
-        results, pytest-enforced)."""
-        toks = self.tok.tokens_of(phrase)
-        if not toks:
-            return []
-        pos = self._positions_fanout(toks)
-        match_docs = _phrase_align([pos[t] for t in toks], len(toks))
-        if match_docs.size:
-            match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        udocs, sums = self._score_match_docs(phrase, match_docs)
-        return _rank(udocs, sums, k)
-
-    def search_terms_weighted(
-        self, qterms: list[tuple[str, float]], k: int = 10,
-    ) -> list[tuple[int, float]]:
-        """Distributed retrieval over an EXPLICIT weighted term list —
-        the fan-out twin of ``Searcher._taat_scores_terms`` and the
-        serving primitive for every query REWRITER (synonym expansion,
-        more-like-this keyword sets, curriculum probes): terms route
-        to the groups owning their hash shards, per-group
-        contributions merge through the layered qi-ordered sums, so
-        scores are bit-identical to the single searcher's sequential
-        term accumulation."""
-        import ray
-
-        got = self._merge_contrib_parts(ray.get([
-            self.actors[g].contribs_terms.remote(qterms)
-            for g in self._groups_for(t for t, _ in qterms)
-        ]))
-        if got is None:
-            return []
-        return _rank(got[0], got[1], k)
-
-    def search_min_should_match(
-        self, query: str, m: int, k: int = 10,
-    ) -> list[tuple[int, float, int]]:
-        """Distributed minimum_should_match: per-group contributions
-        through the single searcher's merge (layered qi-ordered sums,
-        whose per-doc row count is the distinct-match count) and
-        ranking, so results are bit-identical."""
-        return _min_should_match(
-            self._merge_contrib_parts(self._contrib_parts(query)), m, k
-        )
-
-    def search_phrase_prefix(
-        self, phrase: str, max_expansions: int = 50, k: int = 10
-    ):
-        """Distributed match_phrase_prefix: per-group prefix expansion
-        (hash-disjoint dictionaries, per-group cap then one global
-        term-order cap — exact, see prefix_terms_local), per-term
-        position fan-out, the single Searcher's phrase-align kernel
-        per expansion, and the shared match-doc scoring contract (BM25
-        over the fixed leading terms)."""
-        import ray
-
-        toks = self.tok.tokens_of(phrase)
-        if len(toks) < 2:
-            raise ValueError(
-                "phrase_prefix needs >= 2 analyzed tokens"
-            )
-        lead, pfx = toks[:-1], toks[-1]
-        exp_parts = ray.get([
-            a.prefix_terms_local.remote(pfx, max_expansions)
-            for a in self.actors
-        ])
-        exps = sorted(
-            set().union(*(set(p) for p in exp_parts))
-        )[:max_expansions]
-        if not exps:
-            return []
-        pos = self._positions_fanout(lead + exps)
-        parts = []
-        for e in exps:
-            md = _phrase_align(
-                [pos[t] for t in lead] + [pos[e]], len(toks)
-            )
-            if md.size:
-                parts.append(md)
-        if not parts:
-            return []
-        match_docs = np.unique(np.concatenate(parts))
-        match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        udocs, sums = self._score_match_docs(" ".join(lead), match_docs)
-        return _rank(udocs, sums, k)
-
-    def search_span_near(
-        self, term_a: str, term_b: str, window: int = 3, k: int = 10
-    ):
-        """Distributed ORDERED span-near: per-term position fan-out +
-        the single Searcher's ordered kernel and scoring contract."""
-        ta = self.tok.tokens_of(term_a)
-        tb = self.tok.tokens_of(term_b)
-        if len(ta) != 1 or len(tb) != 1:
-            raise ValueError("span terms must analyze to one token")
-        pos = self._positions_fanout([ta[0], tb[0]])
-        match_docs = _span_near_ordered_match(
-            pos[ta[0]], pos[tb[0]], window
-        )
-        if match_docs.size:
-            match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        udocs, sums = self._score_match_docs(
-            f"{term_a} {term_b}", match_docs
-        )
-        return _rank(udocs, sums, k)
-
-    def search_proximity(
-        self, term_a: str, term_b: str, window: int = 3, k: int = 10
-    ):
-        """Distributed proximity search (either order, ≤ ``window``
-        positions apart): per-term position fan-out + the single
-        Searcher's neighbor-probe kernel and scoring contract."""
-        ta = self.tok.tokens_of(term_a)
-        tb = self.tok.tokens_of(term_b)
-        if len(ta) != 1 or len(tb) != 1:
-            raise ValueError("proximity terms must analyze to one token")
-        pos = self._positions_fanout([ta[0], tb[0]])
-        match_docs = _proximity_match(pos[ta[0]], pos[tb[0]], window)
-        if match_docs.size:
-            match_docs = match_docs[self._live_mask(match_docs)]
-        if match_docs.size == 0:
-            return []
-        udocs, sums = self._score_match_docs(
-            f"{term_a} {term_b}", match_docs
-        )
-        return _rank(udocs, sums, k)
-
-    def _term_docs_fanout(self, toks: list[str]) -> dict:
-        """Posting doc sets per analyzed token, each fetched from the
-        single group owning its hash shard; absent tokens are absent
-        from the result."""
-        import ray
-
-        by_group: dict[int, list[str]] = {}
-        for t in toks:
-            by_group.setdefault(self._group_of_token(t), []).append(t)
-        got: dict[str, np.ndarray] = {}
-        for r in ray.get(
-            [
-                self.actors[g].term_docs.remote(ts)
-                for g, ts in by_group.items()
-            ]
-        ):
-            got.update(r)
-        return got
-
-    def search_boolean(
-        self, query: str, mode: str = "and", exclude: str | None = None
-    ) -> np.ndarray:
-        """Distributed unranked boolean retrieval: each group resolves
-        the posting doc sets for the analyzed tokens it owns (absence
-        included in the answer — an AND with any vocabulary miss is
-        empty); set algebra, MUST_NOT subtraction and tombstone
-        filtering happen at the merge, mirroring the single
-        Searcher."""
-        if mode not in ("and", "or"):
-            raise ValueError(f"mode must be 'and' or 'or', got {mode!r}")
-        seen = list(dict.fromkeys(self.tok.tokens_of(query)))
-        if not seen:
-            return np.zeros(0, dtype=np.int64)
-        got = self._term_docs_fanout(seen)
-        present = [t for t in seen if t in got]
-        if mode == "and" and len(present) != len(seen):
-            return np.zeros(0, dtype=np.int64)
-        if not present:
-            return np.zeros(0, dtype=np.int64)
-        out = _boolean_combine([got[t] for t in present], mode)
-        if exclude and out.size:
-            ex = list(dict.fromkeys(self.tok.tokens_of(exclude)))
-            got_ex = self._term_docs_fanout(ex) if ex else {}
-            ex_sets = [got_ex[t] for t in ex if t in got_ex]
-            if ex_sets:
-                ex_docs = np.unique(np.concatenate(ex_sets))
-                out = out[~np.isin(
-                    out, ex_docs, assume_unique=True, kind="sort"
-                )]
-        if out.size:
-            out = out[self._live_mask(out)]
-        return out
 
     def load_stats(self) -> list[dict]:
         import ray

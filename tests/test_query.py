@@ -590,10 +590,13 @@ def test_interval_postings_selects_kept_intervals(small_index):
     selection, covering every doc whose local score clears theta."""
     import numpy as np
 
-    from sotohp_ray.pipelines.query import _first_appearance, _layered_sums
+    from sotohp_ray.pipelines.query import (
+        _first_appearance, _GroupServer, _layered_sums,
+    )
 
     _, index_dir, _, _ = small_index
-    cached = Searcher(index_dir)
+    # a full-scope group server: the Searcher plus the survivor scan
+    cached = _GroupServer(index_dir)
     assert cached._record("uniq0x0tok")["docs"] is not None  # inline
     queries = [q["q"] for q in reference_queries(small_index[0])[::5]]
     hot = max(cached._row, key=lambda t: cached._dfs[cached._row[t]])
@@ -689,15 +692,23 @@ def test_group_server_resident_set_scales_with_group(small_index):
 
 def test_fanout_respects_tombstones(small_index, tmp_path_factory):
     """Deleted docs must vanish from fan-out results exactly as they
-    do from the single searcher (the merge layer owns the tombstones)."""
+    do from the single searcher (the merge layer owns the tombstones),
+    for every operator: exact top-k on the reference queries, and the
+    positional, boolean, multi-term, min-should-match and paged
+    operators on inputs drawn from the deleted doc's own tokens, so
+    that it matches each of them before the delete."""
+    import re
     import shutil
+
+    import numpy as np
 
     from sotohp_ray.pipelines.delete import delete_docs
     from sotohp_ray.pipelines.query import FanoutSearcher
 
-    _, index_dir, _, _ = small_index
-    queries = reference_queries(small_index[0])[:10]
-    victim = Searcher(index_dir).search_exact(queries[0]["q"], 1)[0][0]
+    corpus_dir, index_dir, _, _ = small_index
+    queries = reference_queries(corpus_dir)[:10]
+    s0 = Searcher(index_dir)
+    victim = s0.search_exact(queries[0]["q"], 1)[0][0]
     idx2 = str(tmp_path_factory.mktemp("idx_fanout_del"))
     shutil.rmtree(idx2)
     shutil.copytree(index_dir, idx2)
@@ -708,6 +719,58 @@ def test_fanout_respects_tombstones(small_index, tmp_path_factory):
         got = f.search_exact(q["q"], q["k"])
         assert got == s.search_exact(q["q"], q["k"]), q
         assert all(d != victim for d, _ in got)
+
+    stream = _token_streams(corpus_dir, index_dir)[victim]
+    a, b = next(
+        (x, y) for x, y in zip(stream, stream[1:])
+        if x != y and len(y) >= 3
+        and s0.tok.tokens_of(f"{x} {y[:3]}") == [x, y[:3]]
+    )
+    by_df = sorted(s0._row, key=lambda t: (s0._dfs[s0._row[t]], t))
+    other = next(t for t in by_df[len(by_df) // 2:] if t not in stream)
+    n = s0.space
+    ab = f"{a} {b}"
+    cursor = s.search_after(ab, k=3)[-1]
+    cases = [  # (name, operator, the victim matches it before delete)
+        ("and", lambda x: x.search_boolean(ab, "and"), True),
+        ("or", lambda x: x.search_boolean(ab, "or"), True),
+        ("or-not", lambda x: x.search_boolean(ab, "or", exclude=other),
+         True),
+        ("and-not", lambda x: x.search_boolean(ab, "and", exclude=b),
+         False),
+        ("prefix", lambda x: x.search_prefix(a[:2]), True),
+        ("contains", lambda x: x.search_contains(a[1:] or a), True),
+        ("suffix", lambda x: x.search_suffix(a[-2:]), True),
+        ("regex", lambda x: x.search_regex("^" + re.escape(a[:2])), True),
+        ("fuzzy", lambda x: x.search_fuzzy(a), True),
+        ("proximity",
+         lambda x: x.search_proximity(a, b, window=2, k=n), True),
+        ("span_near",
+         lambda x: x.search_span_near(a, b, window=1, k=n), True),
+        ("phrase_prefix", lambda x: x.search_phrase_prefix(
+            f"{a} {b[:3]}", max_expansions=n, k=n), True),
+        ("term_positions", lambda x: x.term_positions(a), True),
+        ("min_should_match",
+         lambda x: x.search_min_should_match(ab, 2, k=n), True),
+        ("search_after", lambda x: x.search_after(ab, k=n), True),
+        ("search_after page 2",
+         lambda x: x.search_after(ab, k=n, after=cursor), False),
+    ]
+
+    def arrays(r):
+        """A result as a tuple of arrays, doc ids first."""
+        if isinstance(r, list):
+            return tuple(np.array(c) for c in zip(*r)) or (np.zeros(0),)
+        return r if isinstance(r, tuple) else (r,)
+
+    for name, op, hits in cases:
+        want, got = arrays(op(s)), arrays(op(f))
+        assert len(want) == len(got), name
+        for u, v in zip(want, got):
+            np.testing.assert_array_equal(u, v, err_msg=name)
+        assert victim not in got[0], name
+        if hits:
+            assert victim in arrays(op(s0))[0], name
 
 
 def test_term_positions_match_token_streams(small_index):
@@ -1413,7 +1476,7 @@ def test_fanout_terms_weighted_equals_single(small_index):
 
 def test_fanout_group_count_invariance(small_index):
     """Shrink/split resharding: serving results must be IDENTICAL for
-    every group count (1, 2, 4, 8) — group boundaries are hash ranges
+    every group count (1, 2, 4, 8, 12) — group boundaries are hash ranges
     over the same dictionary, so regrouping is a pure serving-time
     choice (the ES shrink/split contract, no index rewrite)."""
     from sotohp_ray.pipelines.query import FanoutSearcher
@@ -1428,7 +1491,7 @@ def test_fanout_group_count_invariance(small_index):
             "wand": s.search_wand(q, 10),
             "msm2": s.search_min_should_match(q, 2, 10),
         }
-    for n_groups in (1, 2, 4, 8):
+    for n_groups in (1, 2, 4, 8, 12):
         f = FanoutSearcher(index_dir, n_groups=n_groups)
         for q in queries:
             assert f.search_exact(q, 10) == baselines[q]["exact"], (
@@ -1437,6 +1500,26 @@ def test_fanout_group_count_invariance(small_index):
                 n_groups, q)
             assert f.search_min_should_match(q, 2, 10) == \
                 baselines[q]["msm2"], (n_groups, q)
+
+
+def test_group_bounds_tile_evenly():
+    """For every n <= S, group_bounds returns exactly n contiguous
+    ranges tiling [0, S), their sizes differing by at most one; a
+    larger n caps at S one-shard groups."""
+    from sotohp_ray.pipelines.query import group_bounds
+
+    for S in (1, 4, 10, 12, 64):
+        for n in range(1, S + 1):
+            b = group_bounds(S, n)
+            assert len(b) == n, (S, n)
+            assert b[0][0] == 0 and b[-1][1] == S, (S, n)
+            assert all(x[1] == y[0] for x, y in zip(b, b[1:])), (S, n)
+            sizes = [hi - lo for lo, hi in b]
+            assert min(sizes) >= 1 and max(sizes) - min(sizes) <= 1, (S, n)
+    assert group_bounds(64, 4) == [(0, 16), (16, 32), (32, 48), (48, 64)]
+    assert len(group_bounds(64, 12)) == 12
+    assert group_bounds(10, 4) == [(0, 2), (2, 5), (5, 7), (7, 10)]
+    assert group_bounds(4, 10) == [(0, 1), (1, 2), (2, 3), (3, 4)]
 
 
 def test_fanout_wand_many_bit_identical(small_index):
