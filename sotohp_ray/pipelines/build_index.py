@@ -36,9 +36,17 @@ Phase 2 (the merge — a bucketed shuffle with NO exchange): because the
   config + lineage fingerprints, so a resumed build redoes the merge
   iff phase-1 output changed.
 
-Global stats (N, total tokens, avgdl) are aggregated from lineage
-records (driver-side, tiny) into ``stats.json`` — the A2-style
-partial+final multi-aggregate (Statistics.scala:49-135 analog).
+``commit_lineage`` is the one step between the two phases, and the
+only caller of the merge: it aggregates the global stats (N, total
+tokens, avgdl) from the done lineage records (tiny, in-process) into
+``stats.json`` — the A2-style partial+final multi-aggregate
+(Statistics.scala:49-135 analog) — and runs the merge iff the marker
+is stale. ``update.sync_changed_docs`` (and its crash repair) and
+``delete.compact_index`` go through the same step, so every path from
+lineage to a servable index decides staleness the same way. Before
+phase 1 a build retires every partition that no corpus file backs,
+sync increments included, so the done records are exactly the
+corpus partitions.
 """
 
 from __future__ import annotations
@@ -46,6 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 
 import numpy as np
@@ -76,20 +85,20 @@ class PartitionIndexer:
 
     _cache: dict[tuple, "PartitionIndexer"] = {}
 
-    def __init__(self, config_kwargs: dict, index_dir: str):
+    def __init__(self, config_json: str, index_dir: str):
         from sotohp_ray.functions.tokenizer import CodeTokenizer
 
-        self.config = _config_from_kwargs(config_kwargs)
+        self.config = IndexConfig.from_json(config_json)
         self.tokenizer = CodeTokenizer(self.config.tokenizer)
         self.index_dir = index_dir
         self.cfg_fp = _config_fingerprint(self.config)
 
     @classmethod
-    def for_worker(cls, config_kwargs: dict, index_dir: str):
-        key = (json.dumps(config_kwargs, sort_keys=True), index_dir)
+    def for_worker(cls, config_json: str, index_dir: str):
+        key = (config_json, index_dir)
         inst = cls._cache.get(key)
         if inst is None:
-            inst = cls._cache[key] = cls(config_kwargs, index_dir)
+            inst = cls._cache[key] = cls(config_json, index_dir)
         return inst
 
     def __call__(self, batch: dict) -> dict:
@@ -116,25 +125,10 @@ class PartitionIndexer:
                 self.index_dir, "docmeta", f"partition-{pid:05d}", "data.parquet"
             ),
         )
-        # shuffle-WRITE side of the merge: partials sorted by term_shard
-        # with one row group per shard, located by the rgmap sidecar —
-        # the shuffle key is known at write time, so no groupby exchange
-        # is ever needed (and none of its all-to-all overhead is paid)
         shards = partials["term_shard"].to_numpy(zero_copy_only=False)
-        order = np.argsort(shards, kind="stable")
-        partials = partials.take(pa.array(order))
-        pdir = os.path.join(
-            self.index_dir, "partials", f"partition-{pid:05d}"
-        )
-        lin.atomic_write_bucketed(
-            partials, shards[order], os.path.join(pdir, "data.parquet")
-        )
-        # row-group map sidecar: row group i of data.parquet holds
-        # exactly shard rgmap[i] — merge tasks seek their bucket by
-        # index with zero filter/metadata evaluation
-        lin.write_json(
-            os.path.join(pdir, "rgmap.json"),
-            {"shards": np.unique(shards).astype(int).tolist()},
+        write_partials(
+            partials.take(pa.array(np.argsort(shards, kind="stable"))),
+            os.path.join(self.index_dir, "partials", f"partition-{pid:05d}"),
         )
         record = {
             "partition_id": pid,
@@ -150,41 +144,22 @@ class PartitionIndexer:
         return metrics
 
 
-def _config_from_kwargs(kw: dict) -> IndexConfig:
-    from sotohp_ray.config import BM25Params, TokenizerRules
-
-    return IndexConfig(
-        num_term_shards=kw["num_term_shards"],
-        block_size=kw["block_size"],
-        salt_rows=kw["salt_rows"],
-        codec=kw["codec"],
-        partials_codec=kw.get("partials_codec", "varint"),
-        path_include=kw.get("path_include"),
-        path_ignore=kw.get("path_ignore"),
-        tokenizer=TokenizerRules(
-            rewritings=tuple(tuple(x) for x in kw["rewritings"]),
-            mappings=tuple(tuple(x) for x in kw["mappings"]),
-            stopwords=frozenset(kw["stopwords"]),
-        ),
-        bm25=BM25Params(k1=kw["k1"], b=kw["b"]),
+def write_partials(partials: pa.Table, pdir: str) -> None:
+    """Shuffle-WRITE side of the merge: ``partials``, sorted by
+    term_shard, go to ``pdir/data.parquet`` with one row group per
+    shard — the shuffle key is known at write time, so no groupby
+    exchange is ever needed (and none of its all-to-all overhead is
+    paid). Row-group map sidecar: row group i of data.parquet holds
+    exactly shard rgmap[i] — merge tasks seek their bucket by index
+    with zero filter/metadata evaluation."""
+    shards = partials["term_shard"].to_numpy(zero_copy_only=False)
+    lin.atomic_write_bucketed(
+        partials, shards, os.path.join(pdir, "data.parquet")
     )
-
-
-def _config_to_kwargs(c: IndexConfig) -> dict:
-    return {
-        "num_term_shards": c.num_term_shards,
-        "block_size": c.block_size,
-        "salt_rows": c.salt_rows,
-        "codec": c.codec,
-        "partials_codec": c.partials_codec,
-        "path_include": c.path_include,
-        "path_ignore": c.path_ignore,
-        "rewritings": [list(x) for x in c.tokenizer.rewritings],
-        "mappings": [list(x) for x in c.tokenizer.mappings],
-        "stopwords": sorted(c.tokenizer.stopwords),
-        "k1": c.bm25.k1,
-        "b": c.bm25.b,
-    }
+    lin.write_json(
+        os.path.join(pdir, "rgmap.json"),
+        {"shards": np.unique(shards).astype(int).tolist()},
+    )
 
 
 def build_index(
@@ -212,19 +187,22 @@ def build_index(
     bases = np.zeros(len(files), dtype=np.int64)
     np.cumsum(counts[:-1], out=bases[1:])
 
-    done = lin.completed_partitions(index_dir, cfg_fp)
-    # drop lineage/partials for partition files no longer in the corpus
-    # (their partials dirs would otherwise still feed the merge and
-    # their metrics would pollute the global stats)
-    removed = [p for p in done if p >= len(files)]
-    named = {os.path.basename(f) for f in files}
-    removed += [
-        p for p, r in done.items()
-        if p < len(files) and r.get("input_file") not in named
-    ]
-    for p in set(removed):
-        done.pop(p)
-        lin.drop_partition(index_dir, p)
+    # a full build re-derives the index from the corpus: retire every
+    # partition no corpus file backs (sync increments included, and
+    # whatever config indexed them), so that the done records are
+    # exactly the corpus partitions. Their partials would otherwise
+    # still feed the merge and their metrics the global stats.
+    names = [os.path.basename(f) for f in files]
+    records = {r["partition_id"]: r for r in lin.done_records(index_dir)}
+    for p in lin.partition_ids(index_dir):
+        r = records.get(p)
+        if p >= len(files) or (r and r.get("input_file") != names[p]):
+            lin.drop_partition(index_dir, p)
+            records.pop(p, None)
+    # a crashed consolidation record would replay retired increments
+    shutil.rmtree(lin.increments_dir(index_dir), ignore_errors=True)
+    # stale-config checkpoints are ignored, i.e. re-done
+    done = {p: r for p, r in records.items() if r.get("config") == cfg_fp}
     # stale = content changed OR this partition's doc-id base shifted
     # (an earlier partition's row count changed): doc_ids are dense
     # prefix sums, so a base shift cascades re-indexing downstream —
@@ -246,10 +224,10 @@ def build_index(
 
     t0 = time.perf_counter()
     if todo:
-        cfg_kwargs = _config_to_kwargs(config)
+        cfg_json = config.to_json()
 
         def _index_batch(batch: dict) -> dict:
-            ix = PartitionIndexer.for_worker(cfg_kwargs, index_dir)
+            ix = PartitionIndexer.for_worker(cfg_json, index_dir)
             return ix(batch)
 
         extra = {} if concurrency is None else {"concurrency": concurrency}
@@ -264,21 +242,8 @@ def build_index(
         metrics_ds.materialize()
     t_phase1 = time.perf_counter() - t0
 
-    # ---- global stats from lineage (tiny, driver-side) -------------
-    records = [
-        r
-        for r in lin.read_records(index_dir)
-        if r.get("status") == "done" and r.get("config") == cfg_fp
-    ]
-    n_docs = sum(r["doc_count"] for r in records)
-    total_tokens = sum(r["token_count"] for r in records)
-    total_postings = sum(r["posting_count"] for r in records)
-    stats = {
-        "n_docs": n_docs,
-        "total_tokens": total_tokens,
-        "total_postings": total_postings,
-        "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
-        "partitions_done": len(records),
+    fields = {
+        "partitions_done": len(done) + len(todo),
         "partitions_total": len(files),
         "config": cfg_fp,
         # dense doc-id space = total corpus rows (ids are partition
@@ -288,36 +253,19 @@ def build_index(
         # after compact_index consistent.
         "doc_id_space": int(bases[-1] + counts[-1]) if files else 0,
     }
-    with open(os.path.join(index_dir, "stats.json"), "w") as f:
-        json.dump(stats, f, indent=1, sort_keys=True)
-
-    if only_partitions is not None and len(records) < len(files):
-        # simulated interrupt: phase 1 incomplete, skip the merge
-        stats["merged"] = False
-        return stats
-
-    # ---- phase 2: the merge shuffle --------------------------------
-    lineage_fp = hashlib.sha256(
-        json.dumps(
-            sorted(
-                (r["partition_id"], r["input_fingerprint"]) for r in records
-            )
-        ).encode()
-    ).hexdigest()[:16]
-    marker = os.path.join(index_dir, "_MERGE_DONE.json")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            m = json.load(f)
-        if m.get("config") == cfg_fp and m.get("lineage") == lineage_fp:
-            stats["merged"] = True
-            stats["merge_skipped"] = True
-            return stats
+    if fields["partitions_done"] < len(files):
+        # simulated interrupt (only_partitions): phase 1 incomplete,
+        # nothing to commit
+        return {**fields, "merged": False}
 
     t1 = time.perf_counter()
-    merge_phase(index_dir, config, n_docs, stats["avgdl"], lineage_fp)
+    stats, merged = commit_lineage(index_dir, config, fields)
     stats["merged"] = True
-    stats["t_phase1_sec"] = round(t_phase1, 3)
-    stats["t_merge_sec"] = round(time.perf_counter() - t1, 3)
+    if merged:
+        stats["t_phase1_sec"] = round(t_phase1, 3)
+        stats["t_merge_sec"] = round(time.perf_counter() - t1, 3)
+    else:
+        stats["merge_skipped"] = True
 
     def _dir_bytes(d: str) -> int:
         total = 0
@@ -333,9 +281,45 @@ def build_index(
         stats["dictionary_to_corpus_ratio"] = round(
             stats["dictionary_bytes"] / stats["corpus_bytes"], 4
         )
-    with open(os.path.join(index_dir, "stats.json"), "w") as f:
-        json.dump(stats, f, indent=1, sort_keys=True, default=str)
     return stats
+
+
+def _merge_marker(index_dir: str) -> str:
+    return os.path.join(index_dir, "_MERGE_DONE.json")
+
+
+def commit_lineage(
+    index_dir: str, config: IndexConfig, fields: dict
+) -> tuple[dict, bool]:
+    """The one step that turns lineage into a servable index, shared by
+    build, sync, crash repair and compaction. Global stats (N, total
+    tokens, avgdl) are summed from the done lineage records
+    (tiny, in-process; the partial+final multi-aggregate of
+    Statistics.scala:49-135) and written atomically to ``stats.json``
+    together with the caller's ``fields``; then the merge runs unless
+    ``_MERGE_DONE.json`` already names this config and lineage
+    fingerprint. Idempotent. Returns (stats, whether it merged)."""
+    records = lin.done_records(index_dir)
+    n_docs = sum(r["doc_count"] for r in records)
+    total_tokens = sum(r["token_count"] for r in records)
+    stats = {
+        **fields,
+        "n_docs": n_docs,
+        "total_tokens": total_tokens,
+        "total_postings": sum(r["posting_count"] for r in records),
+        "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
+    }
+    lin.write_stats(index_dir, stats)
+    lineage_fp = lin.lineage_fingerprint(records)
+    marker = _merge_marker(index_dir)
+    if os.path.exists(marker):
+        with open(marker) as f:
+            if json.load(f) == {
+                "config": _config_fingerprint(config), "lineage": lineage_fp
+            }:
+                return stats, False  # dictionary reflects this lineage
+    merge_phase(index_dir, config, n_docs, stats["avgdl"], lineage_fp)
+    return stats, True
 
 
 def merge_phase(
@@ -345,21 +329,16 @@ def merge_phase(
     avgdl: float,
     lineage_fp: str,
 ) -> None:
-    """Phase 2 standalone (also reused by compaction, which rewrites
-    partials and must rebuild the dictionary with fresh df/N/avgdl):
-    shuffle-free bucketed merge of all partials into dictionary
-    shards, then the merge metrics + done marker."""
+    """Phase 2, run only by ``commit_lineage``: shuffle-free bucketed
+    merge of all partials into dictionary shards, then the merge
+    metrics + done marker."""
     import ray
     import ray.data
 
-    cfg_fp = _config_fingerprint(config)
-    marker = os.path.join(index_dir, "_MERGE_DONE.json")
     from sotohp_ray.stages.merge import merge_shard
 
     partials_dir = os.path.join(index_dir, "partials")
     dict_dir = os.path.join(index_dir, "dictionary")
-    import shutil
-
     if os.path.isdir(dict_dir):
         shutil.rmtree(dict_dir)
     os.makedirs(dict_dir, exist_ok=True)
@@ -377,7 +356,7 @@ def merge_phase(
         "doc_blob", "tf_blob", "dl_blob",
         "pos0", "pos_blob", "cf_partial",
     ]
-    config_kwargs = _config_to_kwargs(config)
+    config_json = config.to_json()
 
     part_dirs = sorted(
         os.path.join(partials_dir, d)
@@ -398,7 +377,7 @@ def merge_phase(
     ]
 
     def _merge_range(batch: dict) -> dict:
-        cfg = _config_from_kwargs(config_kwargs)
+        cfg = IndexConfig.from_json(config_json)
         out_shards, out_rows = [], []
         for lo, hi in zip(batch["lo"], batch["hi"]):
             lo, hi = int(lo), int(hi)
@@ -467,8 +446,10 @@ def merge_phase(
             {"n_shards": 0, "total_terms": 0, "max_shard_terms": 0,
              "min_shard_terms": 0, "terms_per_shard": {}},
         )
-    with open(marker, "w") as f:
-        json.dump({"config": cfg_fp, "lineage": lineage_fp}, f)
+    lin.write_json(
+        _merge_marker(index_dir),
+        {"config": _config_fingerprint(config), "lineage": lineage_fp},
+    )
 
 
 def _main() -> None:

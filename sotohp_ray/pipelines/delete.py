@@ -23,9 +23,7 @@ two-phase form every LSM-ish store uses):
 
 from __future__ import annotations
 
-import json
 import os
-import tempfile
 import time
 
 import numpy as np
@@ -70,8 +68,7 @@ def delete_docs(
     if engine_doc_ids is not None:
         want_ids = np.array(sorted({int(x) for x in engine_doc_ids}),
                             dtype=np.uint64)
-        with open(os.path.join(index_dir, "stats.json")) as f:
-            st = json.load(f)
+        st = lin.read_stats(index_dir)
         space = int(st.get("doc_id_space", st["n_docs"]))
         # ids beyond the id space are genuine caller errors (an
         # unvalidated out-of-range tombstone would crash every
@@ -109,25 +106,23 @@ def delete_docs(
     )
     if new.size == 0:
         return 0
-    d = tombstones_dir(index_dir)
-    os.makedirs(d, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=d, suffix=".parquet.tmp")
-    os.close(fd)
-    pq.write_table(
-        pa.table({"doc_id": pa.array(new, pa.uint64())}), tmp
+    lin.atomic_write_table(
+        pa.table({"doc_id": pa.array(new, pa.uint64())}),
+        os.path.join(
+            tombstones_dir(index_dir), f"batch-{time.time_ns():020d}.parquet"
+        ),
     )
-    os.replace(tmp, os.path.join(d, f"batch-{time.time_ns():020d}.parquet"))
     return int(new.size)
 
 
 def _compact_partition(
-    index_dir: str, pid: int, deleted: np.ndarray, config_kwargs: dict
+    index_dir: str, pid: int, deleted: np.ndarray, config_json: str
 ) -> dict:
     """Rewrite one partition's docmeta + partials without the deleted
     docs. Returns the updated lineage metrics."""
-    from sotohp_ray.pipelines.build_index import _config_from_kwargs
+    from sotohp_ray.pipelines.build_index import write_partials
 
-    cfg = _config_from_kwargs(config_kwargs)
+    cfg = IndexConfig.from_json(config_json)
     enc, dec = pcodec.CODECS[cfg.partials_codec]
 
     dm_path = os.path.join(
@@ -232,15 +227,7 @@ def _compact_partition(
             t = t.set_column(
                 fi, name, pa.array(vals, type=t.schema.field(name).type)
             )
-        t = t.filter(pa.array(keep_row))
-        shards = t["term_shard"].to_numpy(zero_copy_only=False)
-        lin.atomic_write_bucketed(
-            t, shards, os.path.join(pdir, "data.parquet")
-        )
-        lin.write_json(
-            os.path.join(pdir, "rgmap.json"),
-            {"shards": np.unique(shards).astype(int).tolist()},
-        )
+        write_partials(t.filter(pa.array(keep_row)), pdir)
     return {
         "partition_id": pid,
         "removed_docs": removed_docs,
@@ -252,31 +239,25 @@ def _compact_partition(
 def compact_index(index_dir: str) -> dict:
     """Apply all tombstones physically and rebuild the dictionary with
     exact post-delete statistics. Returns the updated stats dict."""
-    import hashlib
+    import shutil
 
     import ray
     import ray.data
 
     from sotohp_ray.pipelines.build_index import (
-        _config_fingerprint,
-        _config_to_kwargs,
-        merge_phase,
+        _merge_marker,
+        commit_lineage,
     )
 
     deleted = load_tombstones(index_dir)
     with open(os.path.join(index_dir, "config.json")) as f:
         config = IndexConfig.from_json(f.read())
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        old_stats = json.load(f)
+    old_stats = lin.read_stats(index_dir)
     if deleted.size == 0:
         return old_stats
 
-    records = {
-        r["partition_id"]: r
-        for r in lin.read_records(index_dir)
-        if r.get("status") == "done"
-    }
-    cfg_kwargs = _config_to_kwargs(config)
+    records = {r["partition_id"]: r for r in lin.done_records(index_dir)}
+    cfg_json = config.to_json()
     items = [{"partition_id": p} for p in sorted(records)]
     dref = ray.put(deleted)
 
@@ -286,7 +267,7 @@ def compact_index(index_dir: str) -> dict:
             "partition_id", "removed_docs", "removed_tokens",
             "removed_postings")}
         for pid in batch["partition_id"]:
-            m = _compact_partition(index_dir, int(pid), dels, cfg_kwargs)
+            m = _compact_partition(index_dir, int(pid), dels, cfg_json)
             for k in out:
                 out[k].append(m[k])
         return {k: np.asarray(v, dtype=np.int64) for k, v in out.items()}
@@ -312,42 +293,26 @@ def compact_index(index_dir: str) -> dict:
         lin.write_record(index_dir, r)
         removed_total += int(row["removed_docs"])
 
-    recs = list(records.values())
-    n_docs = sum(r["doc_count"] for r in recs)
-    total_tokens = sum(r["token_count"] for r in recs)
-    stats = dict(old_stats)
-    stats["n_docs"] = n_docs
-    stats["total_tokens"] = total_tokens
-    stats["total_postings"] = sum(r["posting_count"] for r in recs)
-    stats["avgdl"] = (total_tokens / n_docs) if n_docs else 0.0
-    # doc ids stay sparse: searchers size dense arrays by the ORIGINAL
-    # id space, scoring N is the live count
-    stats["doc_id_space"] = int(
-        old_stats.get("doc_id_space", old_stats["n_docs"])
-    )
-    stats["compacted_docs_total"] = int(
-        old_stats.get("compacted_docs_total", 0)
-    ) + removed_total
-    with open(os.path.join(index_dir, "stats.json"), "w") as f:
-        json.dump(stats, f, indent=1, sort_keys=True, default=str)
-
-    lineage_fp = hashlib.sha256(
-        json.dumps(
-            sorted(
-                (r["partition_id"], r["input_fingerprint"],
-                 r.get("compacted_out", 0))
-                for r in recs
-            )
-        ).encode()
-    ).hexdigest()[:16]
-    marker = os.path.join(index_dir, "_MERGE_DONE.json")
+    # always re-merge: df and every block-max change with the postings
+    marker = _merge_marker(index_dir)
     if os.path.exists(marker):
         os.remove(marker)
-    merge_phase(index_dir, config, n_docs, stats["avgdl"], lineage_fp)
+    stats, _ = commit_lineage(
+        index_dir, config,
+        {
+            **old_stats,
+            # doc ids stay sparse: searchers size dense arrays by the
+            # ORIGINAL id space, scoring N is the live count
+            "doc_id_space": int(
+                old_stats.get("doc_id_space", old_stats["n_docs"])
+            ),
+            "compacted_docs_total": int(
+                old_stats.get("compacted_docs_total", 0)
+            ) + removed_total,
+        },
+    )
 
     # tombstones are applied — clear them
-    import shutil
-
     shutil.rmtree(tombstones_dir(index_dir), ignore_errors=True)
     stats["merged"] = True
     return stats

@@ -318,30 +318,26 @@ def reindex(
 ) -> dict:
     """The ES ``_reindex``-with-new-settings analog: rebuild
     ``index_dir`` from ``corpus_dir`` under a NEW IndexConfig (changed
-    tokenizer rules, codec, sharding) while the old index stays live
-    and intact until ONE atomic directory swap at the end — a crash
-    at any point leaves either the old or the new index, never a mix
-    (the migrate/restore swap discipline). Returns the build stats of
-    the new index. The build itself is the normal streaming build
-    (SPIMI actor pool -> bucketed merge) into a staging dir beside
-    the target."""
-    import shutil
+    tokenizer rules, codec, sharding) into a staging dir beside the
+    target, with the normal streaming build (SPIMI task pool ->
+    bucketed merge), while the old index stays live and intact. The
+    build then replaces it with two renames (``lin.replace_dir``):
+    readers never see a mix, but between the renames the old index
+    sits at ``index_dir + ".old"`` and ``index_dir`` is missing. A
+    failed second rename puts the old index back before the error
+    propagates; after a crash there, the next ``reindex`` (or
+    ``restore_snapshot``) call into the same dir renames it back first.
+    Returns the build stats of the new index."""
     import tempfile
 
     from sotohp_ray.pipelines.build_index import build_index
 
+    lin.restore_dir(index_dir)
     parent = os.path.dirname(os.path.abspath(index_dir)) or "."
     staging = tempfile.mkdtemp(dir=parent, prefix=".reindex-")
     try:
         stats = build_index(corpus_dir, staging, config=config)
-        if os.path.isdir(index_dir):
-            old = index_dir + ".old"
-            shutil.rmtree(old, ignore_errors=True)
-            os.replace(index_dir, old)
-            os.replace(staging, index_dir)
-            shutil.rmtree(old, ignore_errors=True)
-        else:
-            os.replace(staging, index_dir)
+        lin.replace_dir(staging, index_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise

@@ -12,9 +12,9 @@ properties that matter at scale for free:
   only the changed files' blobs (asserted by the returned
   ``n_new_blobs`` telemetry);
 - **restore-to-point-in-time is total**: restore materializes the
-  manifest into a FRESH directory and atomically swaps it in
-  (staging + ``os.replace``, the migrate.py discipline), so a crashed
-  restore never leaves a half-written index.
+  manifest into a FRESH directory and swaps it in
+  (``lineage.replace_dir``, shared with ``migrate.reindex``), so a
+  crashed restore never leaves a half-written index.
 
 Every write is tmp+rename atomic; blobs are immutable once placed, so
 concurrent snapshots of different indexes can share a repository.
@@ -27,6 +27,8 @@ import json
 import os
 import shutil
 import tempfile
+
+from sotohp_ray.state import lineage as lin
 
 _CHUNK = 1 << 20
 
@@ -97,12 +99,15 @@ def list_snapshots(repo_dir: str) -> list[str]:
 
 
 def restore_snapshot(repo_dir: str, name: str, dest_dir: str) -> int:
-    """Materialize snapshot ``name`` at ``dest_dir`` (atomic swap: the
-    tree is staged next to the destination, then one ``os.replace``;
-    an existing index at ``dest_dir`` is replaced only at that final
-    step). Hardlinks blobs where the filesystem allows (restore is
-    then O(manifest), not O(bytes)); falls back to copy. Returns the
-    number of files restored."""
+    """Materialize snapshot ``name`` at ``dest_dir``: the tree is
+    staged next to the destination, and an existing index at
+    ``dest_dir`` is replaced only at the end, by ``lin.replace_dir``
+    (which puts the old index back if its second rename fails; a
+    crash between the renames is undone by the next call). Hardlinks
+    blobs where the filesystem allows (restore is then O(manifest),
+    not O(bytes)); falls back to copy. Returns the number of files
+    restored."""
+    lin.restore_dir(dest_dir)
     with open(os.path.join(repo_dir, "snapshots", f"{name}.json")) as f:
         manifest = json.load(f)["files"]
     parent = os.path.dirname(os.path.abspath(dest_dir)) or "."
@@ -117,14 +122,7 @@ def restore_snapshot(repo_dir: str, name: str, dest_dir: str) -> int:
                 os.link(blob, out)
             except OSError:
                 shutil.copyfile(blob, out)
-        if os.path.isdir(dest_dir):
-            old = dest_dir + ".old"
-            shutil.rmtree(old, ignore_errors=True)
-            os.replace(dest_dir, old)
-            os.replace(staging, dest_dir)
-            shutil.rmtree(old, ignore_errors=True)
-        else:
-            os.replace(staging, dest_dir)
+        lin.replace_dir(staging, dest_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise

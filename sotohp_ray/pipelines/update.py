@@ -25,10 +25,13 @@ only what actually changed:
    persisted under ``index_dir/increments/`` plus an INTENT sidecar
    ``partition-N.json`` recording (pid, base, rows) BEFORE any index
    state changes — the crash-recovery record.
-3. **Merge** — compaction applies the tombstones and reruns the
-   bucketed merge with exact post-update df/N/avgdl, so search results
-   equal an index freshly built over the updated corpus (the
-   compaction==fresh-build contract, pytest-verified for deletes).
+3. **Commit** — compaction applies the tombstones, then
+   ``build_index.commit_lineage`` (the one lineage-to-index step that
+   build, sync, crash repair and compaction share) recomputes stats
+   from the done lineage records and reruns the bucketed merge with
+   exact post-update df/N/avgdl, so search results equal an index
+   freshly built over the updated corpus (the compaction==fresh-build
+   contract, pytest-verified for deletes).
 
 Crash safety: every step is either idempotent or replayable. The
 ``doc_id_space`` bump is written (atomically) BEFORE the increment is
@@ -37,16 +40,24 @@ the recorded space (which would crash ``Searcher.__init__``). Every
 ``sync_changed_docs`` call begins with ``_repair_interrupted``: any
 increment intent without a 'done' lineage record is re-indexed from
 its persisted input (all partition writes are atomic tmp+rename, so
-re-running is safe), and a stale merge marker or pending tombstones
-trigger the finishing merge/compaction that the interrupted run never
-reached. A retry therefore REPAIRS instead of silently no-op'ing on
-the "detect sees the new docmeta rows as current" early exit.
+re-running is safe), pending tombstones trigger the compaction, and
+the commit merges if the merge marker does not match the lineage —
+the finishing work the interrupted run never reached. A retry
+therefore REPAIRS instead of silently no-op'ing on the "detect sees
+the new docmeta rows as current" early exit; after a completed sync
+the commit finds the marker current and merges nothing.
 
 Source-of-truth caveat: an increment represents state newer than the
 original corpus directory. A later full ``build_index`` against that
-(unchanged) corpus dir re-derives the index from the corpus and drops
-increments — exactly like the reference, where the filesystem is
-always the authority a full re-sync returns to.
+(unchanged) corpus dir re-derives the index from the corpus: it
+retires every increment (lineage, partitions, persisted input and
+intent, under any config), so no later sync replays one. One
+divergence remains: compaction is recorded in the base partitions'
+lineage, and a rebuild keeps the compacted state of unchanged input
+files (that is how deletes survive a rebuild). So old versions of
+docs a compacting sync replaced stay out of a rebuilt index until
+their input files change, and tombstones still pending at the
+rebuild keep hiding them.
 """
 
 from __future__ import annotations
@@ -63,30 +74,8 @@ from sotohp_ray.config import IndexConfig
 from sotohp_ray.state import lineage as lin
 
 
-def _existing_partition_ids(index_dir: str) -> list[int]:
-    pdir = os.path.join(index_dir, "partials")
-    if not os.path.isdir(pdir):
-        return []
-    return sorted(
-        int(d[len("partition-"):])
-        for d in os.listdir(pdir)
-        if d.startswith("partition-")
-    )
-
-
-def _increments_dir(index_dir: str) -> str:
-    return os.path.join(index_dir, "increments")
-
-
-def _read_stats(index_dir: str) -> dict:
-    with open(os.path.join(index_dir, "stats.json")) as f:
-        return json.load(f)
-
-
-def _write_stats(index_dir: str, stats: dict) -> None:
-    # atomic (tmp+rename): stats.json is read by every Searcher; a
-    # torn write would take the whole index offline
-    lin.write_json(os.path.join(index_dir, "stats.json"), stats)
+_existing_partition_ids = lin.partition_ids
+_increments_dir = lin.increments_dir
 
 
 def _scan_docmeta(
@@ -189,140 +178,69 @@ def detect_changes(
     }
 
 
-def _finish_merge(index_dir: str, config: IndexConfig) -> dict:
-    """Recompute global stats from 'done' lineage records, persist
-    them, and (re)run the bucketed merge unless the merge marker
-    already matches the current lineage fingerprint. Idempotent — the
-    finishing step of both the append path and crash repair."""
-    import hashlib
+def _intents(index_dir: str) -> list[dict]:
+    """Increment intents {pid, base, rows} on disk, sorted by pid."""
+    d = _increments_dir(index_dir)
+    out = []
+    for name in sorted(os.listdir(d)) if os.path.isdir(d) else []:
+        if name.startswith("partition-") and name.endswith(".json"):
+            with open(os.path.join(d, name)) as f:
+                out.append(json.load(f))
+    return sorted(out, key=lambda r: int(r["pid"]))
 
-    from sotohp_ray.pipelines.build_index import (
-        _config_fingerprint,
-        merge_phase,
-    )
 
-    records = [
-        r for r in lin.read_records(index_dir)
-        if r.get("status") == "done"
-    ]
-    n_docs = sum(r["doc_count"] for r in records)
-    total_tokens = sum(r["token_count"] for r in records)
-    stats = _read_stats(index_dir)
-    stats["n_docs"] = n_docs
-    stats["total_tokens"] = total_tokens
-    stats["total_postings"] = sum(r["posting_count"] for r in records)
-    stats["avgdl"] = (total_tokens / n_docs) if n_docs else 0.0
-    _write_stats(index_dir, stats)
-    lineage_fp = hashlib.sha256(
-        json.dumps(
-            sorted(
-                (r["partition_id"], r["input_fingerprint"])
-                for r in records
-            )
-        ).encode()
-    ).hexdigest()[:16]
-    marker = os.path.join(index_dir, "_MERGE_DONE.json")
-    if os.path.exists(marker):
-        with open(marker) as f:
-            m = json.load(f)
-        if (
-            m.get("config") == _config_fingerprint(config)
-            and m.get("lineage") == lineage_fp
-        ):
-            return stats  # dictionary already reflects this lineage
-        os.remove(marker)
-    merge_phase(
-        index_dir, config, n_docs, stats["avgdl"], lineage_fp
+def _index_increment(
+    index_dir: str, config: IndexConfig, intent: dict
+) -> None:
+    """Index one increment from its persisted input. The doc_id_space
+    bump precedes indexing, so docmeta can never hold ids >= the
+    recorded space (Searcher arrays size from it)."""
+    from sotohp_ray.pipelines.build_index import PartitionIndexer
+
+    pid, base = int(intent["pid"]), int(intent["base"])
+    stats = lin.read_stats(index_dir)
+    if int(stats.get("doc_id_space", stats["n_docs"])) < base + int(
+        intent["rows"]
+    ):
+        stats["doc_id_space"] = base + int(intent["rows"])
+        lin.write_stats(index_dir, stats)
+    PartitionIndexer(config.to_json(), index_dir)._index_one(
+        pid, lin.increment_path(index_dir, pid, "parquet"), base
     )
-    return stats
 
 
 def _repair_interrupted(
-    index_dir: str, config: IndexConfig, compact: bool
-) -> bool:
-    """Replay any work an interrupted sync left behind. Returns True
-    if something was repaired. Three recoverable states, in order:
+    index_dir: str, config: IndexConfig, compact: bool | str
+) -> None:
+    """Replay any work an interrupted sync left behind, in order:
 
+    - a consolidation record is on disk -> roll it forward;
     - an increment intent exists but its partition has no 'done'
       lineage record -> re-index it from the persisted increment input
       (atomic overwrites make the replay safe);
     - tombstones are pending and the caller allows compaction -> the
       interrupted run tombstoned old versions but never compacted;
-    - the merge marker doesn't match the current lineage fingerprint
-      -> partitions were indexed but the dictionary was never rebuilt.
+    - otherwise commit the lineage, which merges only if the merge
+      marker is stale (partitions were indexed but the dictionary was
+      never rebuilt).
     """
-    import hashlib
+    from sotohp_ray.pipelines import delete
+    from sotohp_ray.pipelines.build_index import commit_lineage
 
-    from sotohp_ray.pipelines.build_index import (
-        PartitionIndexer,
-        _config_fingerprint,
-        _config_to_kwargs,
-    )
-    from sotohp_ray.pipelines.delete import compact_index, load_tombstones
-
-    inc_dir = _increments_dir(index_dir)
-    done = {
-        r["partition_id"]
-        for r in lin.read_records(index_dir)
-        if r.get("status") == "done"
-    }
-    reindexed = _finish_consolidation(index_dir, config)
-    if os.path.isdir(inc_dir):
-        for name in sorted(os.listdir(inc_dir)):
-            if not (name.startswith("partition-") and name.endswith(".json")):
-                continue
-            with open(os.path.join(inc_dir, name)) as f:
-                intent = json.load(f)
-            pid = int(intent["pid"])
-            if pid in done:
-                continue
-            inc_path = os.path.join(
-                inc_dir, f"partition-{pid:05d}.parquet"
-            )
-            if not os.path.exists(inc_path):
-                continue  # intent written, input lost: nothing to replay
-            base = int(intent["base"])
-            stats = _read_stats(index_dir)
-            space = int(stats.get("doc_id_space", stats["n_docs"]))
-            if space < base + int(intent["rows"]):
-                stats["doc_id_space"] = base + int(intent["rows"])
-                _write_stats(index_dir, stats)
-            ix = PartitionIndexer(_config_to_kwargs(config), index_dir)
-            ix._index_one(pid, inc_path, base)
-            reindexed = True
-
-    pending_tombs = load_tombstones(index_dir).size > 0
-    records = [
-        r for r in lin.read_records(index_dir)
-        if r.get("status") == "done"
-    ]
-    lineage_fp = hashlib.sha256(
-        json.dumps(
-            sorted(
-                (r["partition_id"], r["input_fingerprint"])
-                for r in records
-            )
-        ).encode()
-    ).hexdigest()[:16]
-    marker = os.path.join(index_dir, "_MERGE_DONE.json")
-    stale = True
-    if os.path.exists(marker):
-        with open(marker) as f:
-            m = json.load(f)
-        stale = not (
-            m.get("config") == _config_fingerprint(config)
-            and m.get("lineage") == lineage_fp
-        )
-    if pending_tombs and compact is True:
+    _finish_consolidation(index_dir, config)
+    done = {r["partition_id"] for r in lin.done_records(index_dir)}
+    for intent in _intents(index_dir):
+        if int(intent["pid"]) not in done and os.path.exists(
+            lin.increment_path(index_dir, intent["pid"], "parquet")
+        ):  # (an intent whose input was lost has nothing to replay)
+            _index_increment(index_dir, config, intent)
+    if compact is True and delete.load_tombstones(index_dir).size:
         # under compact='auto', pending tombstones are a NORMAL
         # deferred state, not an interrupted run — the policy in the
         # sync body decides when they get applied
-        compact_index(index_dir)
-        return True
-    if reindexed or stale:
-        _finish_merge(index_dir, config)
-        return True
-    return False
+        delete.compact_index(index_dir)
+    else:
+        commit_lineage(index_dir, config, lin.read_stats(index_dir))
 
 
 AUTO_COMPACT_MAX_INCREMENTS = 8
@@ -332,25 +250,8 @@ AUTO_COMPACT_TOMBSTONE_FRAC = 0.10
 def _done_increment_intents(index_dir: str) -> list[dict]:
     """Sorted (by pid) increment intents whose partition has a 'done'
     lineage record — the consolidation-eligible backlog."""
-    inc_dir = _increments_dir(index_dir)
-    if not os.path.isdir(inc_dir):
-        return []
-    done = {
-        r["partition_id"]
-        for r in lin.read_records(index_dir)
-        if r.get("status") == "done"
-    }
-    out = []
-    for name in sorted(os.listdir(inc_dir)):
-        if not (
-            name.startswith("partition-") and name.endswith(".json")
-        ):
-            continue
-        with open(os.path.join(inc_dir, name)) as f:
-            intent = json.load(f)
-        if int(intent["pid"]) in done:
-            out.append(intent)
-    return sorted(out, key=lambda r: int(r["pid"]))
+    done = {r["partition_id"] for r in lin.done_records(index_dir)}
+    return [i for i in _intents(index_dir) if int(i["pid"]) in done]
 
 
 def _auto_compact_due(index_dir: str) -> bool:
@@ -367,37 +268,11 @@ def _auto_compact_due(index_dir: str) -> bool:
         AUTO_COMPACT_MAX_INCREMENTS
     ):
         return True
-    stats = _read_stats(index_dir)
-    n_docs = int(stats.get("n_docs", 0))
+    n_docs = int(lin.read_stats(index_dir).get("n_docs", 0))
     tombs = int(load_tombstones(index_dir).size)
     return tombs > 0 and tombs >= AUTO_COMPACT_TOMBSTONE_FRAC * max(
         n_docs, 1
     )
-
-
-def _remove_partition_artifacts(index_dir: str, pid: int) -> None:
-    """Idempotently retire one partition: increment intent first (so
-    the generic crash replay can never re-index it), then the
-    increment input, lineage record, docmeta and partials dirs."""
-    import shutil
-
-    inc_dir = _increments_dir(index_dir)
-    for p in (
-        os.path.join(inc_dir, f"partition-{pid:05d}.json"),
-        os.path.join(inc_dir, f"partition-{pid:05d}.parquet"),
-        os.path.join(
-            index_dir, "lineage", f"partition-{pid:05d}.json"
-        ),
-    ):
-        try:
-            os.remove(p)
-        except OSError:
-            pass
-    for d in (
-        os.path.join(index_dir, "docmeta", f"partition-{pid:05d}"),
-        os.path.join(index_dir, "partials", f"partition-{pid:05d}"),
-    ):
-        shutil.rmtree(d, ignore_errors=True)
 
 
 def _finish_consolidation(index_dir: str, config: IndexConfig) -> bool:
@@ -407,40 +282,24 @@ def _finish_consolidation(index_dir: str, config: IndexConfig) -> bool:
     rolls FORWARD — finish retiring the old increments, index the
     consolidated partition if its lineage record is missing, adjust
     doc_id_space, drop the record. Every step is idempotent."""
-    from sotohp_ray.pipelines.build_index import (
-        PartitionIndexer,
-        _config_to_kwargs,
-    )
-
     cpath = os.path.join(_increments_dir(index_dir), "consolidate.json")
     if not os.path.exists(cpath):
         return False
     with open(cpath) as f:
         c = json.load(f)
     for pid in c["old_pids"]:
-        _remove_partition_artifacts(index_dir, int(pid))
-    new_pid = int(c["pid"])
-    done = {
-        r["partition_id"]
-        for r in lin.read_records(index_dir)
-        if r.get("status") == "done"
-    }
-    inc_path = os.path.join(
-        _increments_dir(index_dir), f"partition-{new_pid:05d}.parquet"
-    )
-    if new_pid not in done:
+        lin.drop_partition(index_dir, int(pid))
+    intent = {"pid": int(c["pid"]), "base": c["base"], "rows": c["rows"]}
+    if intent["pid"] not in {
+        r["partition_id"] for r in lin.done_records(index_dir)
+    }:
         lin.write_json(
-            os.path.join(
-                _increments_dir(index_dir),
-                f"partition-{new_pid:05d}.json",
-            ),
-            {"pid": new_pid, "base": c["base"], "rows": c["rows"]},
+            lin.increment_path(index_dir, intent["pid"], "json"), intent
         )
-        ix = PartitionIndexer(_config_to_kwargs(config), index_dir)
-        ix._index_one(new_pid, inc_path, int(c["base"]))
-    stats = _read_stats(index_dir)
+        _index_increment(index_dir, config, intent)
+    stats = lin.read_stats(index_dir)
     stats["doc_id_space"] = int(c["space"])
-    _write_stats(index_dir, stats)
+    lin.write_stats(index_dir, stats)
     os.remove(cpath)
     return True
 
@@ -475,18 +334,15 @@ def _consolidate_increments(
     for a, b in zip(intents, intents[1:]):
         if int(a["base"]) + int(a["rows"]) != int(b["base"]):
             return False  # non-contiguous: never consolidate a gap
-    stats = _read_stats(index_dir)
+    stats = lin.read_stats(index_dir)
     space = int(stats.get("doc_id_space", stats["n_docs"]))
     last = intents[-1]
     if int(last["base"]) + int(last["rows"]) != space:
         return False  # backlog is not the top of the id space
-    inc_dir = _increments_dir(index_dir)
     parts = []
     for intent in intents:
         pid = int(intent["pid"])
-        t = pq.read_table(
-            os.path.join(inc_dir, f"partition-{pid:05d}.parquet")
-        )
+        t = pq.read_table(lin.increment_path(index_dir, pid, "parquet"))
         dm_path = os.path.join(
             index_dir, "docmeta", f"partition-{pid:05d}", "data.parquet"
         )
@@ -502,15 +358,14 @@ def _consolidate_increments(
     cat = pa.concat_tables(parts)
     base = int(intents[0]["base"])
     new_pid = (max(_existing_partition_ids(index_dir), default=-1)) + 1
-    inc_path = os.path.join(
-        inc_dir, f"partition-{new_pid:05d}.parquet"
-    )
     # durable order: consolidated input FIRST, then the record (the
     # point of no return — repair rolls forward from here), then the
     # retire+index replay shared with crash recovery
-    lin.atomic_write_table(cat, inc_path)
+    lin.atomic_write_table(
+        cat, lin.increment_path(index_dir, new_pid, "parquet")
+    )
     lin.write_json(
-        os.path.join(inc_dir, "consolidate.json"),
+        os.path.join(_increments_dir(index_dir), "consolidate.json"),
         {
             "old_pids": [int(i["pid"]) for i in intents],
             "pid": new_pid,
@@ -549,10 +404,7 @@ def sync_changed_docs(
     instead of growing per sync, with the crash-safety contract
     preserved (staged ``consolidate.json`` record, forward-only
     replay)."""
-    from sotohp_ray.pipelines.build_index import (
-        PartitionIndexer,
-        _config_to_kwargs,
-    )
+    from sotohp_ray.pipelines.build_index import commit_lineage
     from sotohp_ray.pipelines.delete import compact_index, delete_docs
 
     with open(os.path.join(index_dir, "config.json")) as f:
@@ -568,7 +420,7 @@ def sync_changed_docs(
     if not rows and not missing.size:
         return {
             "changed": 0, "new": 0, "tombstoned": 0, "removed": 0,
-            "stats": _read_stats(index_dir),
+            "stats": lin.read_stats(index_dir),
         }
 
     dead = list(det["old_ids"]) + [int(i) for i in missing]
@@ -580,47 +432,35 @@ def sync_changed_docs(
         # one increment partition, ids appended at the top of the
         # space. Durable order matters: (1) increment input parquet,
         # (2) intent json {pid, base, rows} — the replay record,
-        # (3) doc_id_space bump, (4) index. A crash between any two
-        # steps is repaired by _repair_interrupted on the next call;
-        # the space bump precedes indexing so docmeta can never hold
-        # ids >= the recorded space (Searcher arrays size from it).
-        stats = _read_stats(index_dir)
-        base = int(stats.get("doc_id_space", stats["n_docs"]))
+        # (3) doc_id_space bump + index (_index_increment). A crash
+        # between any two steps is repaired by _repair_interrupted on
+        # the next call.
+        stats = lin.read_stats(index_dir)
         pid = (max(_existing_partition_ids(index_dir), default=-1)) + 1
         inc = incoming.take(pa.array(sorted(rows), pa.int64()))
-        inc_path = os.path.join(
-            _increments_dir(index_dir), f"partition-{pid:05d}.parquet"
+        lin.atomic_write_table(
+            inc, lin.increment_path(index_dir, pid, "parquet")
         )
-        lin.atomic_write_table(inc, inc_path)
-        lin.write_json(
-            os.path.join(
-                _increments_dir(index_dir), f"partition-{pid:05d}.json"
-            ),
-            {"pid": pid, "base": base, "rows": inc.num_rows},
-        )
-        stats["doc_id_space"] = base + inc.num_rows
-        _write_stats(index_dir, stats)
-        ix = PartitionIndexer(_config_to_kwargs(config), index_dir)
-        ix._index_one(pid, inc_path, base)
+        intent = {
+            "pid": pid,
+            "base": int(stats.get("doc_id_space", stats["n_docs"])),
+            "rows": inc.num_rows,
+        }
+        lin.write_json(lin.increment_path(index_dir, pid, "json"), intent)
+        _index_increment(index_dir, config, intent)
 
-    if compact == "auto":
-        if _auto_compact_due(index_dir):
-            from sotohp_ray.pipelines.delete import (
-                compact_index as _ci,
-            )
-
-            _ci(index_dir)  # applies + clears tombstones (and merges)
-            _consolidate_increments(index_dir, config)
-        # always finish with the stats+merge recompute: it is a no-op
-        # when the marker matches, and the consolidation path needs it
-        new_stats = _finish_merge(index_dir, config)
-    elif compact is True and dead:
+    if compact is True and dead:
         new_stats = compact_index(index_dir)
     else:
-        # pure additions (or caller defers compaction): recompute the
-        # global stats from lineage and rerun the merge so the new
-        # partition's postings are queryable with exact df/N/avgdl
-        new_stats = _finish_merge(index_dir, config)
+        if compact == "auto" and _auto_compact_due(index_dir):
+            compact_index(index_dir)  # applies + clears tombstones
+            _consolidate_increments(index_dir, config)
+        # pure additions, deferred compaction or a folded backlog:
+        # recompute the global stats from lineage and rerun the merge
+        # so new partitions are queryable with exact df/N/avgdl
+        new_stats, _ = commit_lineage(
+            index_dir, config, lin.read_stats(index_dir)
+        )
     out = {
         "changed": len(det["changed_rows"]),
         "new": len(det["new_rows"]),

@@ -11,6 +11,12 @@ still match (a config change invalidates the checkpoint — the
 reference's non-transactional checkpoint TODO at
 MediaServiceLive.scala:1480 is the failure mode this prevents).
 
+This module owns the index-state decision: which partitions are live
+(``done_records``), the fingerprint that decides whether the merged
+dictionary is current (``lineage_fingerprint``), how a partition is
+retired (``drop_partition``), and the writes of ``stats.json`` and the
+other JSON sidecars. ``build_index.commit_lineage`` combines them.
+
 All writes are atomic (tmp + rename), and lineage is written only
 AFTER the partition's data files are durably in place.
 """
@@ -20,6 +26,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 
 
@@ -61,33 +68,113 @@ def read_records(index_dir: str) -> list[dict]:
     return out
 
 
-def completed_partitions(
-    index_dir: str, config_fingerprint: str
-) -> dict[int, dict]:
-    """partition_id -> lineage record for partitions that are done
-    under the SAME config (stale-config checkpoints are ignored, i.e.
-    re-done)."""
-    out = {}
-    for r in read_records(index_dir):
-        if r.get("status") == "done" and r.get("config") == config_fingerprint:
-            out[r["partition_id"]] = r
-    return out
+def done_records(index_dir: str) -> list[dict]:
+    """The LIVE partitions: every 'done' record, whatever config
+    indexed it. Global stats and the merge are derived from exactly
+    this set."""
+    return [r for r in read_records(index_dir) if r.get("status") == "done"]
+
+
+def lineage_fingerprint(records: list[dict]) -> str:
+    """Fingerprint of the done records the merge was built from.
+    ``compacted_out`` is part of it: compaction rewrites partitions in
+    place without changing their input, so a crash between its lineage
+    writes and its merge must still leave the merge marker stale."""
+    return hashlib.sha256(
+        json.dumps(
+            sorted(
+                (r["partition_id"], r["input_fingerprint"],
+                 r.get("compacted_out", 0))
+                for r in records
+            )
+        ).encode()
+    ).hexdigest()[:16]
+
+
+def increments_dir(index_dir: str) -> str:
+    return os.path.join(index_dir, "increments")
+
+
+def increment_path(index_dir: str, pid: int, ext: str) -> str:
+    """A sync increment's persisted input (``parquet``) or intent
+    (``json``)."""
+    return os.path.join(
+        increments_dir(index_dir), f"partition-{int(pid):05d}.{ext}"
+    )
+
+
+def partition_ids(index_dir: str) -> list[int]:
+    """Every partition id with any artifact on disk (lineage record,
+    docmeta or partials dir, increment intent or input), including
+    half-written ones that have no 'done' record yet."""
+    ids = set()
+    for d in (lineage_dir(index_dir), increments_dir(index_dir),
+              os.path.join(index_dir, "docmeta"),
+              os.path.join(index_dir, "partials")):
+        if os.path.isdir(d):
+            ids.update(
+                int(n[len("partition-"):].split(".")[0])
+                for n in os.listdir(d) if n.startswith("partition-")
+            )
+    return sorted(ids)
 
 
 def drop_partition(index_dir: str, partition_id: int) -> None:
-    """Remove a partition's lineage record AND its durable outputs
-    (docmeta/partials dirs) — used when the partition's input file
-    disappeared from the corpus, so its rows must not feed the merge
-    or the global stats."""
-    import shutil
-
-    p = _path(index_dir, partition_id)
-    if os.path.exists(p):
-        os.remove(p)
+    """Idempotently retire one partition: the increment intent first
+    (so the sync's crash replay can never re-index it), then the
+    increment input, the lineage record (so its rows no longer feed
+    the global stats) and the docmeta/partials dirs (so they no longer
+    feed the merge)."""
+    for p in (
+        increment_path(index_dir, partition_id, "json"),
+        increment_path(index_dir, partition_id, "parquet"),
+        _path(index_dir, partition_id),
+    ):
+        if os.path.exists(p):
+            os.remove(p)
     for sub in ("docmeta", "partials"):
-        d = os.path.join(index_dir, sub, f"partition-{partition_id:05d}")
-        if os.path.isdir(d):
-            shutil.rmtree(d)
+        shutil.rmtree(
+            os.path.join(index_dir, sub, f"partition-{partition_id:05d}"),
+            ignore_errors=True,
+        )
+
+
+def read_stats(index_dir: str) -> dict:
+    with open(os.path.join(index_dir, "stats.json")) as f:
+        return json.load(f)
+
+
+def write_stats(index_dir: str, stats: dict) -> None:
+    # atomic: every Searcher reads stats.json, and a torn write would
+    # take the whole index offline
+    write_json(os.path.join(index_dir, "stats.json"), stats)
+
+
+def replace_dir(staging: str, live: str) -> None:
+    """Put directory ``staging`` in place of ``live``. The old tree
+    waits at ``live + ".old"`` between the two renames: if the second
+    rename fails it is renamed back before the error propagates, and
+    if the process dies there, ``restore_dir`` (which callers run
+    before they start) brings it back."""
+    if not os.path.isdir(live):
+        os.replace(staging, live)
+        return
+    old = live + ".old"
+    shutil.rmtree(old, ignore_errors=True)
+    os.replace(live, old)
+    try:
+        os.replace(staging, live)
+    except BaseException:
+        os.replace(old, live)
+        raise
+    shutil.rmtree(old, ignore_errors=True)
+
+
+def restore_dir(live: str) -> None:
+    """Undo a ``replace_dir`` that died between its two renames."""
+    old = live + ".old"
+    if not os.path.exists(live) and os.path.isdir(old):
+        os.replace(old, live)
 
 
 def write_json(final_path: str, payload: dict) -> None:

@@ -105,3 +105,66 @@ def test_reindex_new_tokenizer_atomic_swap(
     got = s1.search_exact("batch", k=5)
     assert [d for d, _ in got] == [d for d, _ in keep]
     assert not os.path.isdir(index_dir + ".old")  # swap cleaned up
+
+
+@pytest.mark.parametrize("op", ["reindex", "restore"])
+def test_failed_swap_keeps_old_index(
+    op, ray_session, tiny_corpus, tmp_path_factory, monkeypatch
+):
+    """Crash injection at the directory swap of ``reindex`` and
+    ``restore_snapshot``. A failing second rename must put the old
+    index back before the error propagates; a crash between the two
+    renames (live dir missing, old one at ``.old``) is undone by the
+    next call, even one that then fails itself."""
+    from sotohp_ray.config import IndexConfig, TokenizerRules
+    from sotohp_ray.pipelines import build_index as bi
+    from sotohp_ray.pipelines.migrate import reindex
+
+    corpus_dir, _ = tiny_corpus
+    root = str(tmp_path_factory.mktemp(f"swap_{op}"))
+    index_dir = os.path.join(root, "idx")
+    build_index(corpus_dir, index_dir)
+    before = Searcher(index_dir).search_exact(QUERY, k=20)
+    repo = os.path.join(root, "repo")
+    create_snapshot(index_dir, repo, "s")
+
+    def run():
+        if op == "reindex":
+            reindex(corpus_dir, index_dir, config=IndexConfig(
+                tokenizer=TokenizerRules(stopwords=frozenset({"return"}))
+            ))
+        else:
+            restore_snapshot(repo, "s", index_dir)
+
+    real_replace = os.replace
+
+    def failing_second_rename(src, dst):
+        if dst == index_dir and os.path.basename(src).startswith(
+            (".reindex-", ".restore-")
+        ):
+            raise OSError("injected failure of the second rename")
+        return real_replace(src, dst)
+
+    with monkeypatch.context() as m:
+        m.setattr(os, "replace", failing_second_rename)
+        with pytest.raises(OSError, match="injected"):
+            run()
+    assert Searcher(index_dir).search_exact(QUERY, k=20) == before
+    assert not os.path.exists(index_dir + ".old")
+    assert not [n for n in os.listdir(root) if n.startswith(".")]
+
+    # a crash between the renames, then a next call that fails early
+    os.replace(index_dir, index_dir + ".old")
+
+    def boom(*a, **k):
+        raise RuntimeError("injected build failure")
+
+    with monkeypatch.context() as m:
+        m.setattr(bi, "build_index", boom)
+        with pytest.raises((RuntimeError, FileNotFoundError)):
+            if op == "reindex":
+                run()
+            else:
+                restore_snapshot(repo, "missing", index_dir)
+    assert Searcher(index_dir).search_exact(QUERY, k=20) == before
+    assert not os.path.exists(index_dir + ".old")

@@ -383,3 +383,102 @@ def test_consolidation_crash_replays_forward(
     )
     assert len(update._done_increment_intents(idx)) == 1
     assert _results_by_path(idx) == before
+
+
+def _with_marker(t, paths, marker):
+    """``t``'s sync columns with ``marker`` appended to each doc in
+    ``paths``."""
+    cols = ["repo", "path", "commit", "lang", "content"]
+    texts = [
+        (x + "\n" + marker) if p in paths else x
+        for p, x in zip(t["path"].to_pylist(), t["content"].to_pylist())
+    ]
+    return t.set_column(
+        t.schema.get_field_index("content"), "content",
+        pa.array(texts, t.schema.field("content").type),
+    ).select(cols)
+
+
+def test_second_compacting_sync_merges_once(
+    ray_session, tiny_corpus, tmp_path_factory, monkeypatch
+):
+    """Every compacting sync runs the full merge exactly once, also
+    when it follows another compacting sync: the crash-repair check at
+    the start of a sync must recognise the merge marker that the
+    previous compaction wrote."""
+    from sotohp_ray.pipelines import build_index as bi
+
+    corpus_dir, _ = tiny_corpus
+    idx = str(tmp_path_factory.mktemp("idx_merge_once"))
+    build_index(corpus_dir, idx, config=IndexConfig())
+    t, _ = _corpus_table(corpus_dir)
+    paths = sorted(t["path"].to_pylist())
+    merges = []
+    real_merge = bi.merge_phase
+
+    def counting_merge(*a, **k):
+        merges.append(a[0])
+        return real_merge(*a, **k)
+
+    monkeypatch.setattr(bi, "merge_phase", counting_merge)
+    for i in range(2):
+        merges.clear()
+        out = sync_changed_docs(
+            idx, _with_marker(t, set(paths[: i + 1]), "mergeoncemarker")
+        )
+        assert out["changed"] == 1 and out["tombstoned"] == 1
+        assert len(merges) == 1, f"sync {i + 1} merged {len(merges)} times"
+    s = Searcher(idx)
+    assert len(s.search_exact("mergeoncemarker", k=s.space)) == 2
+
+
+def test_rebuild_retires_increments(
+    ray_session, tiny_corpus, tmp_path_factory
+):
+    """A full build_index returns the index to the corpus: the synced
+    increment is retired with its persisted input and intent, so a
+    later no-op sync cannot replay it back into the index."""
+    corpus_dir, _ = tiny_corpus
+    idx = str(tmp_path_factory.mktemp("idx_rebuild_inc"))
+    build_index(corpus_dir, idx, config=IndexConfig())
+    t, _ = _corpus_table(corpus_dir)
+    base = t.select(["repo", "path", "commit", "lang", "content"])
+    out = sync_changed_docs(
+        idx, pa.concat_tables([base, _pure_add_rows(t, 1, "resurrect")])
+    )
+    assert out["new"] == 1 and out["stats"]["n_docs"] == 65
+
+    stats = build_index(corpus_dir, idx, config=IndexConfig())
+    assert stats["n_docs"] == 64 and stats.get("merge_skipped") is None
+    out = sync_changed_docs(idx, base)
+    assert out["changed"] == 0 and out["new"] == 0
+    assert out["stats"]["n_docs"] == 64
+    s = Searcher(idx)
+    assert s.n_docs == 64
+    assert s.search_exact("resurrect_0", k=5) == []
+    assert not os.path.exists(os.path.join(idx, "increments"))
+
+
+def test_config_change_rebuild_after_sync(
+    ray_session, tiny_corpus, tmp_path_factory
+):
+    """A rebuild under a new config retires the increment that the old
+    config indexed (its lineage record carries the old config), so
+    its doc ids cannot outgrow the corpus-derived doc_id_space and the
+    index equals a fresh build under the new config."""
+    corpus_dir, _ = tiny_corpus
+    idx = str(tmp_path_factory.mktemp("idx_cfg_inc"))
+    build_index(corpus_dir, idx, config=IndexConfig())
+    t, _ = _corpus_table(corpus_dir)
+    base = t.select(["repo", "path", "commit", "lang", "content"])
+    sync_changed_docs(
+        idx, pa.concat_tables([base, _pure_add_rows(t, 1, "cfgsync")])
+    )
+    cfg = IndexConfig(block_size=64)
+    stats = build_index(corpus_dir, idx, config=cfg)
+    assert stats["n_docs"] == 64 and stats["doc_id_space"] == 64
+    s = Searcher(idx)  # docmeta ids must stay inside the id space
+    assert s.n_docs == 64 and s.space == 64
+    fresh_idx = str(tmp_path_factory.mktemp("idx_cfg_inc_fresh"))
+    build_index(corpus_dir, fresh_idx, config=cfg)
+    assert _results_by_path(idx) == _results_by_path(fresh_idx)
