@@ -5297,16 +5297,26 @@ def customer_spend_gini(sf_dir: str):
         .to_pandas()  # customer-sized
     )
     totals = _with_cols(totals, {"c": "int64", "cents": "int64"})
-    x = np.sort(totals["cents"].to_numpy(np.int64))
-    n = x.size
-    i = np.arange(1, n + 1, dtype=np.int64)
-    num = int(np.sum((2 * i - n - 1) * x))
-    den = int(n) * int(x.sum())
+    n, total, gini = _gini_of_totals(totals["cents"].to_numpy(np.int64))
     return pa.table({
         "n_customers": pa.array([n], pa.int64()),
-        "total_cents": pa.array([int(x.sum())], pa.int64()),
-        "gini": pa.array([num / den if den else 0.0], pa.float64()),
+        "total_cents": pa.array([total], pa.int64()),
+        "gini": pa.array([gini], pa.float64()),
     })
+
+
+def _gini_of_totals(cents: np.ndarray) -> tuple[int, int, float]:
+    """(n, total, gini) of per-customer integer totals: G = sum((2i -
+    n - 1) * x_(i)) / (n * sum x) over the ascending sort. The sums
+    are exact Python ints (numpy int64 wraps silently once the
+    rank-weighted sum passes 2**63), so gini is one division of exact
+    integers."""
+    x = np.sort(cents).tolist()
+    n = len(x)
+    total = sum(x)
+    num = sum((2 * i - n - 1) * v for i, v in enumerate(x, 1))
+    den = n * total
+    return n, total, num / den if den else 0.0
 
 
 def customer_spend_gini_sql() -> str:
@@ -6277,7 +6287,7 @@ b AS (SELECT min(day) AS lo, max(day) AS hi FROM d),
 grid AS (SELECT unnest(generate_series(lo, hi)) AS day FROM b),
 w AS (
   SELECT g.day, dd.user_id
-  FROM grid g JOIN d dd
+  FROM grid g LEFT JOIN d dd
     ON dd.day BETWEEN g.day - {window_days - 1} AND g.day)
 SELECT day, count(DISTINCT user_id)::BIGINT AS active_users
 FROM w GROUP BY day ORDER BY day
@@ -6325,7 +6335,7 @@ def events_stickiness_sql(
         return f"""
 {name} AS (
   SELECT g.day, count(DISTINCT dd.user_id)::BIGINT AS n
-  FROM grid g JOIN d dd
+  FROM grid g LEFT JOIN d dd
     ON dd.day BETWEEN g.day - {w - 1} AND g.day
   GROUP BY g.day)"""
 
@@ -6803,8 +6813,9 @@ grid AS (
 r AS (
   SELECT g0.hr, g0.i, g0.n,
          CAST(g0.n AS DOUBLE) AS level,
-         CAST(g1.n AS DOUBLE) - CAST(g0.n AS DOUBLE) AS trend
-  FROM grid g0 JOIN grid g1 ON g1.i = 1
+         coalesce(CAST(g1.n AS DOUBLE) - CAST(g0.n AS DOUBLE), 0.0)
+           AS trend
+  FROM grid g0 LEFT JOIN grid g1 ON g1.i = 1
   WHERE g0.i = 0
   UNION ALL
   SELECT g.hr, g.i, g.n,

@@ -18,6 +18,10 @@ properties that matter at scale for free:
 
 Every write is tmp+rename atomic; blobs are immutable once placed, so
 concurrent snapshots of different indexes can share a repository.
+``cleanup_repository`` is the exception: it needs exclusive access to
+the repository (no snapshot being created meanwhile), because a blob a
+concurrent snapshot has placed but not yet listed in a written
+manifest looks unreferenced and is removed.
 """
 
 from __future__ import annotations
@@ -135,7 +139,11 @@ def delete_snapshot(repo_dir: str, name: str) -> None:
 
 def cleanup_repository(repo_dir: str) -> int:
     """Drop blobs referenced by NO remaining manifest (the ES
-    ``_snapshot/_cleanup`` analog). Returns blobs removed."""
+    ``_snapshot/_cleanup`` analog). Returns blobs removed.
+
+    Needs exclusive access to the repository: there is no lock, so a
+    snapshot created concurrently can lose blobs it placed before its
+    manifest was written."""
     snaps = os.path.join(repo_dir, "snapshots")
     live: set[str] = set()
     for name in list_snapshots(repo_dir):

@@ -3,12 +3,15 @@ brute-force BM25 oracle — docIDs rank-identical, scores bit-close —
 and block-max WAND must equal exact scoring EXACTLY (WAND skips work,
 never changes answers)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.oracle import BruteForceBM25
 from sotohp_ray.pipelines.build_index import build_index
-from sotohp_ray.pipelines.query import Searcher
+from sotohp_ray.pipelines.query import Searcher, _top_order
 from sotohp_ray.sources.corpus import reference_queries
 
 
@@ -64,6 +67,86 @@ def test_k_larger_than_matches(small_index):
     s = Searcher(index_dir)
     r = s.search("uniq0x0tok", 50)  # df=1 term
     assert len(r) == 1
+
+
+@st.composite
+def _ranking_inputs(draw):
+    """(ids, scores, k): unsorted, possibly repeated ids; scores either
+    arbitrary or drawn from a few values (tie-heavy, all equal when
+    the pool has one value); k from 0 past the input size."""
+    n = draw(st.integers(0, 60))
+    score = st.floats(0.0, 50.0, allow_nan=False)
+    if draw(st.booleans()):
+        score = st.sampled_from(draw(st.lists(score, min_size=1,
+                                              max_size=3)))
+    scores = draw(st.lists(score, min_size=n, max_size=n))
+    ids = draw(st.lists(st.integers(0, 10**6), min_size=n, max_size=n,
+                        unique=draw(st.booleans())))
+    k = draw(st.integers(0, n + 3))
+    return np.array(ids, np.int64), np.array(scores, np.float64), k
+
+
+@settings(max_examples=400, deadline=None)
+@given(_ranking_inputs())
+def test_top_order_equals_full_lexsort(inputs):
+    """The partition-first selection returns exactly the positions of
+    the full (score desc, id asc) sort's first k."""
+    ids, scores, k = inputs
+    assert (_top_order(ids, scores, k).tolist()
+            == np.lexsort((ids, -scores))[:k].tolist())
+
+
+def test_top_order_edge_cases():
+    """k = 0, all scores equal, ties at the k-th score and k >= n,
+    against hand-ranked positions."""
+    ids = np.array([9, 3, 7, 1, 5], np.int64)
+    same = np.full(5, 2.5)
+    assert _top_order(ids, same, 0).tolist() == []
+    # all scores tie at the k-th: ids ascending decide
+    assert _top_order(ids, same, 2).tolist() == [3, 1]
+    ties = np.array([1.0, 2.0, 1.0, 2.0, 1.0])
+    assert _top_order(ids, ties, 3).tolist() == [3, 1, 4]
+    for k in (5, 6):
+        assert _top_order(ids, ties, k).tolist() == [3, 1, 4, 2, 0]
+
+
+def test_wand_shortcut_analyzes_once(small_index):
+    """A query small enough for search_wand's shortcut is analyzed
+    once, and the shortcut still answers through ``self.search_exact``
+    with the query and k."""
+    _, index_dir, _, _ = small_index
+    s = Searcher(index_dir)
+    q = next(q for q in reference_queries(small_index[0])
+             if s._query_terms(q["q"]))
+    s = Searcher(index_dir)  # an empty memo
+    analyzed, exact_calls = [], []
+    tokens_of = s.tok.tokens_of
+    s.tok.tokens_of = lambda text: analyzed.append(text) or tokens_of(text)
+    s.search_exact = lambda query, k: (
+        exact_calls.append((query, k)) or Searcher.search_exact(s, query, k))
+    hits = s.search_wand(q["q"], q["k"])
+    assert exact_calls == [(q["q"], q["k"])]
+    assert analyzed == [q["q"]]
+    assert hits and hits == Searcher(index_dir).search_exact(q["q"], q["k"])
+
+
+def test_query_terms_memo_does_not_leak(small_index):
+    """Alternating queries on one searcher answer exactly as a fresh
+    searcher does for each."""
+    _, index_dir, _, _ = small_index
+    s = Searcher(index_dir)
+    toks = [(q, s.tok.tokens_of(q["q"]))
+            for q in reference_queries(small_index[0])]
+    toks = [(q, t) for q, t in toks if any(x in s._row for x in t)]
+    a, b = toks[0][0], next(q for q, t in toks if t != toks[0][1])
+    absent = {"q": "zzznotfound", "k": 10}
+    for q in (a, b, a, absent, b, a):
+        fresh = Searcher(index_dir)
+        assert s._query_terms(q["q"]) == fresh._query_terms(q["q"]), q
+        assert s.search_wand(q["q"], q["k"]) == \
+            fresh.search_wand(q["q"], q["k"]), q
+        assert s.search_exact(q["q"], q["k"]) == \
+            Searcher(index_dir).search_exact(q["q"], q["k"]), q
 
 
 def _kernel_top_k(s, query, k):

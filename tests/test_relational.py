@@ -715,3 +715,80 @@ def test_skyline_dominance_edge_semantics(tmp_path):
     }), str(d / "orders.parquet"))
     out = orders_skyline(str(d)).to_pandas()
     assert list(out["o_orderkey"]) == [1, 2, 5, 6]
+
+
+def test_gini_of_totals_exact_past_int64():
+    """The Gini sums are exact integers where the int64 form wraps:
+    for cents (2**61, 2**62, 3 * 2**61) the total is 3 * 2**62 and the
+    rank-weighted numerator is 2**63, both past int64."""
+    from sotohp_ray.pipelines.relational import _gini_of_totals
+
+    x = np.array([3 << 61, 1 << 61, 1 << 62], np.int64)
+    xs = np.sort(x)
+    i = np.arange(1, 4, dtype=np.int64)
+    # the int64 form wraps: both sums come out negative
+    assert int(np.sum((2 * i - 3 - 1) * xs)) < 0 and int(xs.sum()) < 0
+    assert _gini_of_totals(x) == (3, 3 << 62, 2 / 9)
+    assert _gini_of_totals(np.array([5, 5], np.int64)) == (2, 10, 0.0)
+    assert _gini_of_totals(np.array([], np.int64)) == (0, 0, 0.0)
+
+
+def _engine_vs_duckdb(table: pa.Table, sf_dir: str, sql: str) -> None:
+    """The engine's rows equal the DuckDB oracle's, in day/hour order,
+    floats to 1e-9."""
+    import duckdb
+
+    con = duckdb.connect()
+    con.sql(f"CREATE VIEW events AS SELECT * FROM '{sf_dir}/events.parquet'")
+    want = con.sql(sql).fetchall()
+    got = [tuple(r.values()) for r in table.to_pylist()]
+    assert len(got) == len(want), (got, want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-9, abs=1e-9), (got, want)
+
+
+# events on days 0, 1 and 15: days 8-14 have no active user in a
+# 7-day window, and days 4-14 none in a 3-day one
+_SPARSE_DAYS = [(1, "2026-03-01 10:00", "view"),
+                (2, "2026-03-02 11:00", "click"),
+                (1, "2026-03-16 09:00", "view")]
+
+
+def test_rolling_active_users_oracle_zero_fills_gap_days(tmp_path):
+    from sotohp_ray.pipelines.relational import (
+        events_rolling_active_users,
+        events_rolling_active_users_sql,
+    )
+
+    d = _write_events(tmp_path, _SPARSE_DAYS)
+    out = events_rolling_active_users(d)
+    assert out.num_rows == 16 and out["active_users"].to_pylist()[9] == 0
+    _engine_vs_duckdb(out, d, events_rolling_active_users_sql())
+
+
+def test_stickiness_oracle_zero_fills_gap_days(tmp_path):
+    from sotohp_ray.pipelines.relational import (
+        events_stickiness,
+        events_stickiness_sql,
+    )
+
+    d = _write_events(tmp_path, _SPARSE_DAYS)
+    out = events_stickiness(d, mau_days=3)
+    assert out.num_rows == 16 and out["mau"].to_pylist()[9] == 0
+    _engine_vs_duckdb(out, d, events_stickiness_sql(mau_days=3))
+
+
+def test_holt_oracle_single_hour_degenerate_row(tmp_path):
+    """A series of one hour returns the level-only row (trend 0) on
+    both sides."""
+    from sotohp_ray.pipelines.relational import (
+        events_hourly_holt,
+        events_hourly_holt_sql,
+    )
+
+    d = _write_events(tmp_path, [(1, "2026-03-01 10:05", "view"),
+                                 (2, "2026-03-01 10:40", "click")])
+    out = events_hourly_holt(d)
+    assert out.to_pylist() == [{"hr": out["hr"][0].as_py(), "n": 2,
+                                "level": 2.0, "trend": 0.0}]
+    _engine_vs_duckdb(out, d, events_hourly_holt_sql())
