@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from sotohp_ray.utils import actor_pool_size as _pool
+from sotohp_ray.utils import actor_pool_size as _pool, sorted_lookup
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -1812,14 +1812,8 @@ def search_snippets(
             starts_ = np.zeros(docs.size, dtype=np.int64)
             np.cumsum(tfs.astype(np.int64)[:-1], out=starts_[1:])
             pos0 = occ[starts_].astype(np.int64)
-            idx = np.searchsorted(docs, topk_eng.astype(np.uint64))
-            ok = (idx < docs.size) & (
-                docs[np.minimum(idx, docs.size - 1)]
-                == topk_eng.astype(np.uint64)
-            )
-            first[ok] = np.minimum(
-                first[ok], pos0[np.minimum(idx, docs.size - 1)[ok]]
-            )
+            idx, ok = sorted_lookup(docs, topk_eng.astype(np.uint64))
+            first[ok] = np.minimum(first[ok], pos0[idx[ok]])
         dl = s.doc_len[topk_eng].astype(np.int64)
         lo = np.maximum(first - window, 0)
         hi = np.minimum(first + window, dl - 1)
@@ -2297,10 +2291,7 @@ def bm25_facets(sf_dir: str, queries=DOC_QUERIES) -> pa.Table:
         )
         parts = []
         for qi, arr in m.items():
-            p = np.searchsorted(arr, ids)
-            inb = p < arr.size
-            mask = np.zeros(ids.size, dtype=bool)
-            mask[inb] = arr[p[inb]] == ids[inb]
+            _, mask = sorted_lookup(arr, ids)
             if not mask.any():
                 continue
             hit = pa.table({
@@ -2408,10 +2399,7 @@ def bm25_length_facets(
         )
         qs, bs, ns = [], [], []
         for qi, arr in m.items():
-            p = np.searchsorted(arr, ids)
-            inb = p < arr.size
-            mask = np.zeros(ids.size, dtype=bool)
-            mask[inb] = arr[p[inb]] == ids[inb]
+            _, mask = sorted_lookup(arr, ids)
             if not mask.any():
                 continue
             lo = (nch[mask] // bucket) * bucket
@@ -2496,10 +2484,7 @@ def search_sort_by_length(
         nch = batch["n_chars"].to_numpy(zero_copy_only=False).astype(
             np.int64
         )
-        p = np.searchsorted(arr, ids)
-        inb = p < arr.size
-        mask = np.zeros(ids.size, dtype=bool)
-        mask[inb] = arr[p[inb]] == ids[inb]
+        _, mask = sorted_lookup(arr, ids)
         if not mask.any():
             return empty
         mi, mn = ids[mask], nch[mask]
@@ -2610,10 +2595,7 @@ def bm25_lang_stats(sf_dir: str, queries=DOC_QUERIES) -> pa.Table:
         langs = np.asarray(batch["lang"].to_pylist(), dtype=object)
         qs, ls, cs, ss, ms = [], [], [], [], []
         for qi, arr in m.items():
-            p = np.searchsorted(arr, ids)
-            inb = p < arr.size
-            mask = np.zeros(ids.size, dtype=bool)
-            mask[inb] = arr[p[inb]] == ids[inb]
+            _, mask = sorted_lookup(arr, ids)
             if not mask.any():
                 continue
             u, inv = np.unique(langs[mask], return_inverse=True)
@@ -2746,10 +2728,7 @@ def bm25_top_per_lang(
         langs = np.asarray(batch["lang"].to_pylist(), dtype=object)
         parts = []
         for qi, (mi, ms) in m.items():
-            p = np.searchsorted(mi, ids)
-            inb = p < mi.size
-            mask = np.zeros(ids.size, dtype=bool)
-            mask[inb] = mi[p[inb]] == ids[inb]
+            p, mask = sorted_lookup(mi, ids)
             if not mask.any():
                 continue
             sid = ids[mask]
@@ -3026,11 +3005,8 @@ def significant_terms(
         }
         for qi in fg_cols:
             arr = m[qi]
-            p = np.searchsorted(arr, doc)
-            inb = p < arr.size
-            hit = np.zeros(doc.size, dtype=np.int64)
-            hit[inb] = (arr[p[inb]] == doc[inb]).astype(np.int64)
-            cols[f"fg_{qi}"] = pa.array(hit)
+            _, hit = sorted_lookup(arr, doc)
+            cols[f"fg_{qi}"] = pa.array(hit.astype(np.int64))
         t = pa.table(cols)
         return t.group_by("term").aggregate(
             [("df_bg", "sum")] + [(f"fg_{qi}", "sum") for qi in fg_cols]

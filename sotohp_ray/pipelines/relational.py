@@ -12,7 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from sotohp_ray.utils import agg_select
+from sotohp_ray.utils import agg_select, co_group, sorted_lookup
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -21,6 +21,31 @@ def _read(sf_dir: str, table: str, columns=None):
     return ray.data.read_parquet(
         f"{sf_dir}/{table}.parquet", columns=columns
     )
+
+
+_I64, _F64, _STR, _TS = (
+    pa.int64(), pa.float64(), pa.string(), pa.timestamp("us")
+)
+
+
+_EVENT_SCHEMA = pa.schema(
+    [("user_id", _I64), ("event_id", _I64), ("ts", _TS)]
+)
+
+
+def _pick(**cols):
+    """``co_group`` projection that only selects and renames:
+    ``new_name="source_column"``."""
+    return lambda b: pa.table({new: b[old] for new, old in cols.items()})
+
+
+def _join_rows(build_keys, probe_keys):
+    """Hash-join probe of one ``co_group`` group: ``(rows, hit)`` where
+    ``hit`` marks the probe rows whose key occurs on the build side and
+    ``rows`` holds, per hit, the index of its (first) build row."""
+    order = np.argsort(build_keys, kind="stable")
+    pos, hit = sorted_lookup(build_keys[order], probe_keys)
+    return order[pos[hit]], hit
 
 
 def q1_pricing_summary(sf_dir: str):
@@ -289,71 +314,28 @@ def events_hopping_window_sql(
 
 
 def orders_with_segment(sf_dir: str):
-    """(o_orderkey, c_mktsegment): big-big INNER equi-join via
-    co-partitioning — completing the join family (broadcast
-    FK-hydration J1, as-of J4, semi J6, anti above): both sides
-    shuffle ONCE on the shared coarse key hash and each group runs a
-    vectorized sorted-build/probe (searchsorted), no broadcast and no
-    small-side assumption. At 10^9 rows per side the exchange carries
-    each row exactly once and the per-group probe is O((b+p) log b)
-    vectorized — the FK broadcast joins remain the right tool only
-    when one side is genuinely dim-sized."""
+    """(o_orderkey, c_mktsegment): big-big INNER equi-join as one
+    ``co_group`` exchange on custkey (the join family: broadcast
+    FK-hydration J1, as-of J4, semi J6, anti below); each group probes
+    its orders against its sorted customers. The FK broadcast joins
+    remain the right tool only when one side is genuinely dim-sized."""
     import pandas as pd
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
-    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-
-    def tag_c(batch: pa.Table) -> pa.Table:
-        k = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": batch["c_custkey"].cast(pa.int64()),
-            "ukey": _ukey(k),
-            "okey": pa.array(np.full(len(batch), -1, np.int64)),
-            "seg": batch["c_mktsegment"].cast(pa.string()),
-            "is_build": pa.array(np.ones(len(batch), bool)),
-        })
-
-    def tag_o(batch: pa.Table) -> pa.Table:
-        k = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": batch["o_custkey"].cast(pa.int64()),
-            "ukey": _ukey(k),
-            "okey": batch["o_orderkey"].cast(pa.int64()),
-            # probe rows never read seg: nulls, not a batch-sized
-            # Python list of empty strings, on the 10^9-row side
-            "seg": pa.nulls(len(batch), pa.string()),
-            "is_build": pa.array(np.zeros(len(batch), bool)),
-        })
-
-    both = cust.map_batches(tag_c, batch_format="pyarrow").union(
-        orders.map_batches(tag_o, batch_format="pyarrow")
-    )
-
-    def join(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        keys = g["key"].to_numpy()
-        bk = keys[build]
-        empty = pd.DataFrame({
-            "o_orderkey": pd.Series(dtype="int64"),
-            "c_mktsegment": pd.Series(dtype="object"),
-        })
-        if bk.size == 0:
-            # a coarse group can hold probe rows with no build rows
-            # (sparse/dangling keys) — inner join drops them all
-            return empty
-        bseg = g["seg"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk, bseg = bk[o], bseg[o]
-        pk = keys[~build]
-        pok = g["okey"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (pos < bk.size) & (bk[np.minimum(pos, bk.size - 1)] == pk)
+    def join(c, o) -> pd.DataFrame:
+        rows, hit = _join_rows(c["key"], o["key"])
         return pd.DataFrame({
-            "o_orderkey": pok[ok].astype("int64"),
-            "c_mktsegment": bseg[pos[ok]],
+            "o_orderkey": o["okey"][hit], "c_mktsegment": c["seg"][rows],
         })
 
-    return both.groupby("ukey").map_groups(join, batch_format="pandas")
+    return co_group(
+        join,
+        (_read(sf_dir, "customer", ["c_custkey", "c_mktsegment"]),
+         _pick(key="c_custkey", seg="c_mktsegment"),
+         pa.schema([("key", _I64), ("seg", _STR)])),
+        (_read(sf_dir, "orders", ["o_custkey", "o_orderkey"]),
+         _pick(key="o_custkey", okey="o_orderkey"),
+         pa.schema([("key", _I64), ("okey", _I64)])),
+    )
 
 
 def orders_with_segment_sql() -> str:
@@ -1035,30 +1017,13 @@ def events_rolling_max(sf_dir: str, w: int = ROLL_W):
     max is chosen as the rolling aggregate because it is
     ASSOCIATIVITY-EXACT on floats (a rolling float SUM would hash-
     mismatch any oracle whose window implementation adds in a
-    different order). Same co-partitioning discipline as every window
-    op here: per-batch tag on the shared coarse user hash, ONE
-    groupby, vectorized shifted-maximum kernel per group — no
-    per-user pandas groups, no driver loop."""
+    different order). One ``co_group`` exchange on user_id, a
+    vectorized shifted-maximum kernel per group."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(u),
-            "user_id": batch["user_id"].cast(pa.int64()),
-            "event_id": batch["event_id"].cast(pa.int64()),
-            "ts": batch["ts"].cast(pa.timestamp("us")),
-            "value": batch["value"].cast(pa.float64()),
-        })
-
-    def roll(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy()
-        e = g["event_id"].to_numpy()
-        t = g["ts"].astype("int64").to_numpy()
-        v = g["value"].to_numpy()
-        order = np.lexsort((e, t, u))
+    def roll(g) -> pd.DataFrame:
+        u, e, v = g["user_id"], g["event_id"], g["value"]
+        order = np.lexsort((e, g["ts"].view(np.int64), u))
         u, e, v = u[order], e[order], v[order]
         out = v.copy()
         for k in range(1, w):
@@ -1072,11 +1037,10 @@ def events_rolling_max(sf_dir: str, w: int = ROLL_W):
             "roll_max": out,
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(roll, batch_format="pandas")
-    )
+    return co_group(roll, (
+        _read(sf_dir, "events", ["event_id", "user_id", "ts", "value"]),
+        None, _EVENT_SCHEMA.append(pa.field("value", _F64)),
+    ))
 
 
 def events_rolling_max_sql(w: int = ROLL_W) -> str:
@@ -1088,9 +1052,6 @@ def events_rolling_max_sql(w: int = ROLL_W) -> str:
                ) AS roll_max
         FROM events
     """
-
-
-_COARSE_MASK = 0x3F  # 64 coarse user-hash groups for the window ops
 
 
 def _with_cols(df, cols: dict):
@@ -1109,14 +1070,6 @@ def _with_cols(df, cols: dict):
     })
 
 
-def _ukey(arr):
-    """Coarse co-partitioning key for per-user window kernels — ONE
-    definition so both sides of a co-partitioned join always agree."""
-    import pyarrow as _pa
-
-    return _pa.array((arr & _COARSE_MASK).astype(np.int64), _pa.int64())
-
-
 def events_prev_gap(sf_dir: str):
     """(event_id, gap_us): microseconds since the user's previous event
     — the sorted per-partition window op (J4 locationInduction: walk
@@ -1128,37 +1081,25 @@ def events_prev_gap(sf_dir: str):
     Int64 NA vs DuckDB float64 NaN hash-diverges even when values
     agree).
 
-    Partitioning: groupby on a COARSE user-hash (64 groups), not one
-    group per user — inside a group, one vectorized sort by (user, ts,
-    id) + diff with resets at user boundaries handles every user at
-    once (per-user map_groups paid ~1 ms of pandas overhead per
-    user)."""
+    One ``co_group`` exchange on user_id; inside a group, one
+    vectorized sort by (user, ts, id) + diff with resets at user
+    boundaries handles every user at once."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column("ukey", _ukey(u))
-
-    def gaps(g: pd.DataFrame) -> pd.DataFrame:
-        us = g["ts"].astype("int64").to_numpy()
-        u = g["user_id"].to_numpy()
-        e = g["event_id"].to_numpy()
+    def gaps(g) -> pd.DataFrame:
+        us, u, e = g["ts"].view(np.int64), g["user_id"], g["event_id"]
         order = np.lexsort((e, us, u))
         u, us, e = u[order], us[order], e[order]
         gap = np.empty(us.size, dtype=np.int64)
-        if us.size:
-            gap[0] = -1
-            gap[1:] = us[1:] - us[:-1]
-            gap[np.flatnonzero(np.diff(u)) + 1] = -1  # first per user
+        gap[0] = -1
+        gap[1:] = us[1:] - us[:-1]
+        gap[np.flatnonzero(np.diff(u)) + 1] = -1  # first per user
         return pd.DataFrame({"event_id": e, "gap_us": gap})
 
-    return (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(gaps, batch_format="pandas")
-    )
+    return co_group(gaps, (
+        _read(sf_dir, "events", ["event_id", "user_id", "ts"]),
+        None, _EVENT_SCHEMA,
+    ))
 
 
 def events_type_stats(sf_dir: str):
@@ -1255,31 +1196,17 @@ def events_topn_per_user(sf_dir: str, n: int = 3):
         )
         v = batch["value"].to_numpy(zero_copy_only=False)
         us, es, vs = _topn(u, e, v)
-        return pa.table({
-            "ukey": _ukey(us),
-            "user_id": pa.array(us, pa.int64()),
-            "event_id": pa.array(es, pa.int64()),
-            "value": pa.array(vs, pa.float64()),
-        })
+        return pa.table({"user_id": us, "event_id": es, "value": vs})
 
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        us, es, vs = _topn(
-            g["user_id"].to_numpy(),
-            g["event_id"].to_numpy(),
-            g["value"].to_numpy(),
-        )
-        return pd.DataFrame({
-            "user_id": us.astype("int64"),
-            "event_id": es.astype("int64"),
-            "value": vs,
-        })
+    def finalize(g) -> pd.DataFrame:
+        us, es, vs = _topn(g["user_id"], g["event_id"], g["value"])
+        return pd.DataFrame({"user_id": us, "event_id": es, "value": vs})
 
-    return (
-        _read(sf_dir, "events", ["event_id", "user_id", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(finalize, batch_format="pandas")
-    )
+    return co_group(finalize, (
+        _read(sf_dir, "events", ["event_id", "user_id", "value"]),
+        partial,
+        pa.schema([("user_id", _I64), ("event_id", _I64), ("value", _F64)]),
+    ))
 
 
 def events_topn_per_user_sql(n: int = 3) -> str:
@@ -1298,56 +1225,33 @@ def customers_without_big_orders(
     sf_dir: str, min_total: float = ANTI_ORDER_MIN
 ):
     """(c_custkey, c_acctbal): customers with NO order above
-    ``min_total`` — a co-partitioned hash ANTI-join (the negative form
-    of J6's semi-join filter). Both sides stream through per-batch
-    projections (the probe side filters to qualifying orders and
-    collapses to DISTINCT custkeys per batch before the exchange),
-    union into ONE groupby on the shared coarse key hash, and each
-    group emits its customer rows whose key never appears on the probe
-    side (one vectorized isin per group). No broadcast and no
-    small-side assumption: this is the big-big join shape — the
-    FK-hydration joins broadcast because dims are genuinely small; an
-    anti-join against a 100 TB fact table cannot."""
+    ``min_total`` — a ``co_group`` hash ANTI-join on custkey (the
+    negative form of J6's semi-join filter). The probe side collapses
+    to DISTINCT qualifying custkeys per batch before the exchange; each
+    group keeps its customers whose key never appears on the probe
+    side. No small-side assumption: an anti-join against a 100 TB fact
+    table cannot broadcast."""
     import pandas as pd
 
-    cust = _read(sf_dir, "customer", ["c_custkey", "c_acctbal"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-
-    def tag_c(batch: pa.Table) -> pa.Table:
-        k = batch["c_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": batch["c_custkey"].cast(pa.int64()),
-            "ukey": _ukey(k),
-            "c_acctbal": batch["c_acctbal"].cast(pa.float64()),
-            "is_probe": pa.array(np.zeros(len(batch), bool)),
-        })
-
-    def tag_o(batch: pa.Table) -> pa.Table:
+    def big_keys(batch: pa.Table) -> pa.Table:
         tp = batch["o_totalprice"].to_numpy(zero_copy_only=False)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        k = np.unique(ck[tp > min_total]).astype(np.int64)
-        return pa.table({
-            "key": pa.array(k, pa.int64()),
-            "ukey": _ukey(k),
-            "c_acctbal": pa.array(np.zeros(k.size), pa.float64()),
-            "is_probe": pa.array(np.ones(k.size, bool)),
-        })
+        return pa.table({"key": np.unique(ck[tp > min_total])})
 
-    both = cust.map_batches(tag_c, batch_format="pyarrow").union(
-        orders.map_batches(tag_o, batch_format="pyarrow")
-    )
-
-    def anti(g: pd.DataFrame) -> pd.DataFrame:
-        probe = g["is_probe"].to_numpy()
-        keys = g["key"].to_numpy()
-        seen = np.unique(keys[probe])
-        keep = ~probe & ~np.isin(keys, seen)
+    def anti(c, o) -> pd.DataFrame:
+        keep = ~np.isin(c["key"], o["key"])
         return pd.DataFrame({
-            "c_custkey": keys[keep].astype("int64"),
-            "c_acctbal": g["c_acctbal"].to_numpy()[keep],
+            "c_custkey": c["key"][keep], "c_acctbal": c["c_acctbal"][keep],
         })
 
-    return both.groupby("ukey").map_groups(anti, batch_format="pandas")
+    return co_group(
+        anti,
+        (_read(sf_dir, "customer", ["c_custkey", "c_acctbal"]),
+         _pick(key="c_custkey", c_acctbal="c_acctbal"),
+         pa.schema([("key", _I64), ("c_acctbal", _F64)])),
+        (_read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+         big_keys, pa.schema([("key", _I64)])),
+    )
 
 
 def customers_without_big_orders_sql(
@@ -1366,63 +1270,25 @@ def events_asof_orders(sf_dir: str):
     each event, the user's most recent order at-or-before the event
     timestamp (J4 locationInduction: nearest-neighbor-in-sorted-order
     join, MediaServiceLive.scala:1413-1454; its per-record index-walk
-    cost 7 extra minutes on 114k docs — here both sides co-partition by
-    key in ONE shuffle and each group is a vectorized searchsorted).
+    cost 7 extra minutes on 114k docs — here one ``co_group`` exchange
+    on user key, and inside a group ONE lexsort of the combined stream
+    (orders before events at equal ts, the <= semantics) plus running
+    cumsum/accumulate kernels answer every user at once).
 
     gap is -1 when the user has no prior order (NULL-free contract for
     cross-engine hashing).
     """
-    import numpy as np
     import pandas as pd
 
-    ev = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-    orders = _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-
-    # tag + union so ONE groupby co-partitions both sides — on a
-    # COARSE key hash (64 groups): inside a group, ONE lexsort of the
-    # combined stream (orders before events at equal ts, the <=
-    # semantics) and running cumsum/accumulate kernels answer every
-    # user at once (the round-1 per-user map_groups paid pandas
-    # overhead per user; the reference's per-record index walk paid 7
-    # minutes on 114k docs)
-    def tag_ev(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": batch["user_id"].cast(pa.int64()),
-            "ukey": _ukey(u),
-            "event_id": batch["event_id"].cast(pa.int64()),
-            "ts": batch["ts"].cast(pa.timestamp("us")),
-            "is_order": pa.array(np.zeros(len(batch), bool)),
-        })
-
-    def tag_or(batch: pa.Table) -> pa.Table:
-        u = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": batch["o_custkey"].cast(pa.int64()),
-            "ukey": _ukey(u),
-            "event_id": pa.array([-1] * len(batch), pa.int64()),
-            "ts": batch["o_orderdate"].cast(pa.timestamp("us")),
-            "is_order": pa.array(np.ones(len(batch), bool)),
-        })
-
-    both = ev.map_batches(tag_ev, batch_format="pyarrow").union(
-        orders.map_batches(tag_or, batch_format="pyarrow")
-    )
-
-    def asof(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["key"].to_numpy()
-        ts = g["ts"].astype("int64").to_numpy()
-        is_o = g["is_order"].to_numpy()
-        eid = g["event_id"].to_numpy()
+    def asof(e, o) -> pd.DataFrame:
+        u = np.concatenate([o["user_id"], e["user_id"]])
+        ts = np.concatenate([o["ts"], e["ts"]]).view(np.int64)
+        is_o = np.arange(u.size) < o["user_id"].size
+        eid = np.concatenate([np.full(o["user_id"].size, -1), e["event_id"]])
         pri = (~is_o).astype(np.int8)  # orders first at equal ts (<=)
         order = np.lexsort((pri, ts, u))
         u, ts, is_o, eid = u[order], ts[order], is_o[order], eid[order]
         n = u.size
-        if n == 0 or not (~is_o).any():
-            return pd.DataFrame(
-                {"event_id": pd.Series([], dtype="int64"),
-                 "n_prior_orders": pd.Series([], dtype="int64"),
-                 "last_order_gap_us": pd.Series([], dtype="int64")})
         c = np.cumsum(is_o.astype(np.int64))  # orders seen so far
         starts = np.concatenate(([0], np.flatnonzero(np.diff(u)) + 1))
         # order-count at each row's USER START (broadcast per group)
@@ -1446,7 +1312,14 @@ def events_asof_orders(sf_dir: str):
             "last_order_gap_us": gap.astype("int64"),
         })
 
-    return both.groupby("ukey").map_groups(asof, batch_format="pandas")
+    return co_group(
+        asof,
+        (_read(sf_dir, "events", ["event_id", "user_id", "ts"]),
+         None, _EVENT_SCHEMA),
+        (_read(sf_dir, "orders", ["o_custkey", "o_orderdate"]),
+         _pick(user_id="o_custkey", ts="o_orderdate"),
+         pa.schema([("user_id", _I64), ("ts", _TS)])),
+    )
 
 
 def events_asof_orders_sql() -> str:
@@ -1469,29 +1342,17 @@ def events_sessionize(sf_dir: str, gap_us: int = SESSION_GAP_US):
     """(event_id, session_seq): streaming-style sessionization — a new
     session starts when a user is idle longer than ``gap_us`` (the
     watermark-free batch formulation of §2.9; per-user sorted cumsum
-    over gap breaks, same partitioning as events_prev_gap)."""
+    over gap breaks, same ``co_group`` as events_prev_gap)."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column("ukey", _ukey(u))
-
-    def sess(g: pd.DataFrame) -> pd.DataFrame:
+    def sess(g) -> pd.DataFrame:
         # coarse group: every user at once — session breaks at idle
         # gaps OR user boundaries, session_seq = cumsum of breaks
         # minus the cumsum value at the user's start (vectorized reset)
-        us = g["ts"].astype("int64").to_numpy()
-        u = g["user_id"].to_numpy()
-        e = g["event_id"].to_numpy()
+        us, u, e = g["ts"].view(np.int64), g["user_id"], g["event_id"]
         order = np.lexsort((e, us, u))
         u, us, e = u[order], us[order], e[order]
         n = us.size
-        if n == 0:
-            return pd.DataFrame({
-                "event_id": pd.Series(dtype="int64"),
-                "session_seq": pd.Series(dtype="int64")})
         brk = np.ones(n, dtype=np.int64)
         brk[1:] = ((us[1:] - us[:-1]) > gap_us) | (u[1:] != u[:-1])
         seq = np.cumsum(brk)
@@ -1504,11 +1365,10 @@ def events_sessionize(sf_dir: str, gap_us: int = SESSION_GAP_US):
             "session_seq": seq - base,
         })
 
-    return (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(sess, batch_format="pandas")
-    )
+    return co_group(sess, (
+        _read(sf_dir, "events", ["event_id", "user_id", "ts"]),
+        None, _EVENT_SCHEMA,
+    ))
 
 
 def events_sessionize_sql(gap_us: int = SESSION_GAP_US) -> str:
@@ -1863,11 +1723,9 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
     one market segment's orders, top-``k`` by revenue. Exercises the
     three-table join pyramid with the right tool per edge: customer is
     DIM-sized -> the segment's custkeys broadcast once (J1 rule);
-    orders x lineitem is BIG x BIG -> both sides shuffle ONCE on the
-    shared coarse orderkey hash (the orders_with_segment kernel) with
-    lineitem pre-aggregated per batch BEFORE the exchange (partial
-    revenue per orderkey — the A1 combiner), so the wide exchange
-    carries per-(batch, orderkey) partials, not raw lineitems.
+    orders x lineitem is BIG x BIG -> one ``co_group`` exchange on
+    orderkey with lineitem pre-aggregated per batch BEFORE the exchange
+    (partial revenue per orderkey — the A1 combiner).
     Revenue in CENTS (round-at-end, the q1 float-free-hash rule);
     ranking (cents desc, orderkey asc) with per-group top-k partials
     and a tiny driver merge."""
@@ -1890,28 +1748,17 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
     ] + [np.zeros(0, dtype=np.int64)]))
     ckref = ray.put(ck)
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
+    def orders_side(batch: pa.Table) -> pa.Table:
         keys = ray.get(ckref)
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
         oc = batch["o_custkey"].to_numpy(zero_copy_only=False)
         m = (od < Q3_CUTOFF) & np.isin(oc, keys, kind="sort")
-        b = batch.filter(pa.array(m))
-        okey = b["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey.astype(np.int64)),
-            "cents": pa.array(np.zeros(len(b), np.float64)),
-            "o_orderdate": b["o_orderdate"],
-            "o_orderpriority": b["o_orderpriority"].cast(pa.string()),
-            "is_build": pa.array(np.ones(len(b), bool)),
-        })
+        return batch.filter(pa.array(m))
 
     def li_partial(batch: pa.Table) -> pa.Table:
         sd = batch["l_shipdate"].to_numpy(zero_copy_only=False)
         b = batch.filter(pa.array(sd > Q3_CUTOFF))
-        okey = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        okey = b["l_orderkey"].to_numpy(zero_copy_only=False)
         rev = (
             b["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
@@ -1919,66 +1766,35 @@ def q3_shipping_priority(sf_dir: str, k: int = 10):
         uk, inv = np.unique(okey, return_inverse=True)
         part = np.zeros(uk.size, dtype=np.float64)
         np.add.at(part, inv, rev)
-        return pa.table({
-            "ukey": _ukey(uk),
-            "okey": pa.array(uk),
-            "cents": pa.array(part, pa.float64()),
-            "o_orderdate": pa.nulls(
-                uk.size, pa.timestamp("us")
-            ),
-            "o_orderpriority": pa.nulls(uk.size, pa.string()),
-            "is_build": pa.array(np.zeros(uk.size, bool)),
-        })
+        return pa.table({"o_orderkey": uk, "rev": part})
 
-    both = (
-        _read(sf_dir, "orders",
-              ["o_orderkey", "o_custkey", "o_orderdate",
-               "o_orderpriority"])
-        .map_batches(tag_orders, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_extendedprice", "l_discount",
-                   "l_shipdate"])
-            .map_batches(li_partial, batch_format="pyarrow")
-        )
-    )
-
-    def join_topk(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "l_orderkey": pd.Series(dtype="int64"),
-            "revenue_cents": pd.Series(dtype="int64"),
-            "o_orderdate": pd.Series(dtype="datetime64[us]"),
-            "o_orderpriority": pd.Series(dtype="object"),
-        })
-        build = g["is_build"].to_numpy()
-        if not build.any():
-            return empty
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk = bk[o]
-        bdate = g["o_orderdate"].to_numpy()[build][o]
-        bprio = g["o_orderpriority"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        pv = g["cents"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (pos < bk.size) & (bk[np.minimum(pos, bk.size - 1)] == pk)
-        pos, pv = pos[ok], pv[ok]
-        if not pos.size:
-            return empty
-        rev = np.zeros(bk.size, dtype=np.float64)
-        np.add.at(rev, pos, pv)
-        hit = np.flatnonzero(rev != 0.0)
-        cents = np.round(rev[hit] * 100.0).astype(np.int64)
-        top = np.lexsort((bk[hit], -cents))[: min(len(hit), 10**9)]
+    def join_topk(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["o_orderkey"], li["o_orderkey"])
+        rev = np.zeros(o["o_orderkey"].size, dtype=np.float64)
+        np.add.at(rev, rows, li["rev"][hit])
+        sel = np.flatnonzero(rev != 0.0)
+        cents = np.round(rev[sel] * 100.0).astype(np.int64)
+        top = np.lexsort((o["o_orderkey"][sel], -cents))[: max(k, 1)]
+        sel = sel[top]
         return pd.DataFrame({
-            "l_orderkey": bk[hit][top].astype("int64"),
+            "l_orderkey": o["o_orderkey"][sel],
             "revenue_cents": cents[top],
-            "o_orderdate": bdate[hit][top],
-            "o_orderpriority": bprio[hit][top],
-        }).head(max(k, 1))
+            "o_orderdate": o["o_orderdate"][sel],
+            "o_orderpriority": o["o_orderpriority"][sel],
+        })
 
-    parts = both.groupby("ukey").map_groups(
-        join_topk, batch_format="pandas"
+    parts = co_group(
+        join_topk,
+        (_read(sf_dir, "orders",
+               ["o_orderkey", "o_custkey", "o_orderdate",
+                "o_orderpriority"]),
+         orders_side,
+         pa.schema([("o_orderkey", _I64), ("o_orderdate", _TS),
+                    ("o_orderpriority", _STR)])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_extendedprice", "l_discount",
+                "l_shipdate"]),
+         li_partial, pa.schema([("o_orderkey", _I64), ("rev", _F64)])),
     ).to_pandas()  # <= k rows per coarse group: tiny driver merge
     parts = parts.sort_values(
         ["revenue_cents", "l_orderkey"], ascending=[False, True]
@@ -2024,13 +1840,11 @@ def q5_local_supplier_volume(sf_dir: str):
     and supplier are TINY dims (broadcast once, J1); customer is
     dim-sized (custkey -> nationkey broadcast, documented assumption —
     at 10^9 customers this edge becomes a second co-partitioned
-    exchange); orders x lineitem is the BIG x BIG edge and shuffles
-    ONCE on the coarse orderkey hash. Each join group emits
+    exchange); orders x lineitem is the BIG x BIG edge, one
+    ``co_group`` exchange on orderkey. Each join group emits
     nation-keyed PARTIAL sums, so the final exchange is
     nations-sized. Revenue in cents, round-at-end (q1 rule)."""
     import ray
-
-    import pandas as pd
 
     reg = _read(sf_dir, "region").to_pandas()
     nat = _read(sf_dir, "nation").to_pandas()
@@ -2055,86 +1869,48 @@ def q5_local_supplier_volume(sf_dir: str):
     )
     dimref = ray.put((s_sorted, s_nat, c_sorted, c_nat, n_name_of))
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
+    def orders_side(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-        b = batch.filter(pa.array((od >= Q5_LO) & (od < Q5_HI)))
-        okey = b["o_orderkey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey.astype(np.int64)),
-            "aux": b["o_custkey"].cast(pa.int64()),
-            "rev": pa.array(np.zeros(len(b), np.float64)),
-            "is_build": pa.array(np.ones(len(b), bool)),
-        })
+        return batch.filter(pa.array((od >= Q5_LO) & (od < Q5_HI)))
 
-    def tag_li(batch: pa.Table) -> pa.Table:
-        okey = batch["l_orderkey"].to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
+    def li_side(batch: pa.Table) -> pa.Table:
         rev = (
             batch["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - batch["l_discount"].to_numpy(zero_copy_only=False))
         )
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "aux": batch["l_suppkey"].cast(pa.int64()),
-            "rev": pa.array(rev, pa.float64()),
-            "is_build": pa.array(np.zeros(len(batch), bool)),
-        })
+        return batch.append_column("rev", pa.array(rev, pa.float64()))
 
-    both = (
-        _read(sf_dir, "orders",
-              ["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(tag_orders, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_suppkey", "l_extendedprice",
-                   "l_discount"])
-            .map_batches(tag_li, batch_format="pyarrow")
-        )
-    )
-
-    def join_partial(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "n_name": pd.Series(dtype="object"),
-            "rev_partial": pd.Series(dtype="float64"),
-        })
+    def join_partial(o, li) -> pa.Table:
         s_s, s_n, c_s, c_n, names = ray.get(dimref)
-        build = g["is_build"].to_numpy()
-        if not build.any():
-            return empty
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk = bk[o]
-        bcust = g["aux"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        psupp = g["aux"].to_numpy()[~build]
-        prev = g["rev"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (pos < bk.size) & (bk[np.minimum(pos, bk.size - 1)] == pk)
-        if not ok.any():
-            return empty
-        cnat = c_n[np.searchsorted(c_s, bcust[pos[ok]])]
-        snat = s_n[np.searchsorted(s_s, psupp[ok])]
+        rows, hit = _join_rows(o["o_orderkey"], li["l_orderkey"])
+        cnat = c_n[np.searchsorted(c_s, o["o_custkey"][rows])]
+        snat = s_n[np.searchsorted(s_s, li["l_suppkey"][hit])]
         same = cnat == snat
-        cnat, rev = cnat[same], prev[ok][same]
+        cnat, rev = cnat[same], li["rev"][hit][same]
         keep = np.isin(
             cnat, np.fromiter(names, dtype=np.int64, count=len(names))
         )
         cnat, rev = cnat[keep], rev[keep]
-        if not cnat.size:
-            return empty
         uk, inv = np.unique(cnat, return_inverse=True)
         tot = np.zeros(uk.size, dtype=np.float64)
         np.add.at(tot, inv, rev)
-        return pd.DataFrame({
-            "n_name": [names[int(x)] for x in uk],
+        return pa.table({
+            "n_name": pa.array([names[int(x)] for x in uk], pa.string()),
             "rev_partial": tot,
         })
 
-    parts = both.groupby("ukey").map_groups(
-        join_partial, batch_format="pandas"
+    parts = co_group(
+        join_partial,
+        (_read(sf_dir, "orders",
+               ["o_orderkey", "o_custkey", "o_orderdate"]),
+         orders_side,
+         pa.schema([("o_orderkey", _I64), ("o_custkey", _I64)])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_suppkey", "l_extendedprice",
+                "l_discount"]),
+         li_side,
+         pa.schema([("l_orderkey", _I64), ("l_suppkey", _I64),
+                    ("rev", _F64)])),
     ).to_pandas()  # nations x groups rows: tiny
     agg = parts.groupby("n_name", sort=True)["rev_partial"].sum()
     return pa.table({
@@ -2174,10 +1950,10 @@ def q10_returned_items(sf_dir: str, k: int = 20):
     TPC-H Q10 shape — lost-revenue ranking of customers who returned
     items (l_returnflag = 'R') against orders in a one-year window,
     top-``k`` by revenue. Same sized-tool discipline as Q3/Q5:
-    orders x lineitem is BIG x BIG -> ONE shared coarse-orderkey
-    exchange with lineitem pre-aggregated per batch (A1 combiner);
+    orders x lineitem is BIG x BIG -> one ``co_group`` exchange on
+    orderkey with lineitem pre-aggregated per batch (A1 combiner);
     the per-group hash join emits (custkey, cents) partials, a SECOND
-    custkey-coarse exchange totals customers that span orderkey
+    ``co_group`` on custkey totals customers that span orderkey
     groups and keeps per-group top-k partials (O6 rule); the <= 64*k
     survivors merge on the driver and only the k winners hydrate
     name/balance/nation via an output-sized filtered read of the
@@ -2190,25 +1966,13 @@ def q10_returned_items(sf_dir: str, k: int = 20):
     import pyarrow.dataset as pads
     import pyarrow.parquet as pq
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
+    def orders_side(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-        b = batch.filter(pa.array((od >= Q10_LO) & (od < Q10_HI)))
-        okey = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "ckey": b["o_custkey"].cast(pa.int64()),
-            "cents": pa.array(np.zeros(len(b), np.float64)),
-            "is_build": pa.array(np.ones(len(b), bool)),
-        })
+        return batch.filter(pa.array((od >= Q10_LO) & (od < Q10_HI)))
 
     def li_partial(batch: pa.Table) -> pa.Table:
         b = batch.filter(pc.equal(batch["l_returnflag"], "R"))
-        okey = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        okey = b["l_orderkey"].to_numpy(zero_copy_only=False)
         rev = (
             b["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
@@ -2216,45 +1980,17 @@ def q10_returned_items(sf_dir: str, k: int = 20):
         uk, inv = np.unique(okey, return_inverse=True)
         part = np.zeros(uk.size, dtype=np.float64)
         np.add.at(part, inv, rev)
-        return pa.table({
-            "ukey": _ukey(uk),
-            "okey": pa.array(uk),
-            "ckey": pa.array(np.zeros(uk.size, np.int64)),
-            "cents": pa.array(part, pa.float64()),
-            "is_build": pa.array(np.zeros(uk.size, bool)),
-        })
+        return pa.table({"o_orderkey": uk, "cents": part})
 
-    def join_custkey(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "ccoarse": pd.Series(dtype="int64"),
-            "c_custkey": pd.Series(dtype="int64"),
-            "cents": pd.Series(dtype="float64"),
-        })
-        build = g["is_build"].to_numpy()
-        if not build.any() or build.all():
-            return empty
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk = bk[o]
-        bc = g["ckey"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        pv = g["cents"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (pos < bk.size) & (bk[np.minimum(pos, bk.size - 1)] == pk)
-        if not ok.any():
-            return empty
-        ck = bc[pos[ok]]
-        uc, inv = np.unique(ck, return_inverse=True)
+    def join_custkey(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["o_orderkey"], li["o_orderkey"])
+        uc, inv = np.unique(o["o_custkey"][rows], return_inverse=True)
         s = np.zeros(uc.size, dtype=np.float64)
-        np.add.at(s, inv, pv[ok])
-        return pd.DataFrame({
-            "ccoarse": uc & _COARSE_MASK,
-            "c_custkey": uc,
-            "cents": s,
-        })
+        np.add.at(s, inv, li["cents"][hit])
+        return pd.DataFrame({"c_custkey": uc, "cents": s})
 
-    def topk_partial(g: pd.DataFrame) -> pd.DataFrame:
-        a = g.groupby("c_custkey", sort=True)["cents"].sum()
+    def topk_partial(g) -> pd.DataFrame:
+        a = pd.Series(g["cents"]).groupby(g["c_custkey"], sort=True).sum()
         cents = np.round(a.to_numpy() * 100.0).astype(np.int64)
         keys = a.index.to_numpy(np.int64)
         top = np.lexsort((keys, -cents))[:k]
@@ -2263,22 +1999,20 @@ def q10_returned_items(sf_dir: str, k: int = 20):
             "revenue_cents": cents[top],
         })
 
-    parts = (
-        _read(sf_dir, "orders",
-              ["o_orderkey", "o_custkey", "o_orderdate"])
-        .map_batches(tag_orders, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_extendedprice", "l_discount",
-                   "l_returnflag"])
-            .map_batches(li_partial, batch_format="pyarrow")
-        )
-        .groupby("ukey").map_groups(join_custkey, batch_format="pandas")
-        .groupby("ccoarse").map_groups(
-            topk_partial, batch_format="pandas"
-        )
-        .to_pandas()  # <= 64*k rows: tiny driver merge
+    joined = co_group(
+        join_custkey,
+        (_read(sf_dir, "orders",
+               ["o_orderkey", "o_custkey", "o_orderdate"]),
+         orders_side,
+         pa.schema([("o_orderkey", _I64), ("o_custkey", _I64)])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_extendedprice", "l_discount",
+                "l_returnflag"]),
+         li_partial, pa.schema([("o_orderkey", _I64), ("cents", _F64)])),
     )
+    parts = co_group(topk_partial, (
+        joined, None, pa.schema([("c_custkey", _I64), ("cents", _F64)]),
+    )).to_pandas()  # <= 64*k rows: tiny driver merge
     win = parts.sort_values(
         ["revenue_cents", "c_custkey"], ascending=[False, True]
     ).head(k)
@@ -2372,7 +2106,7 @@ def events_range_join(sf_dir: str, band_us: int = RANGE_BAND_US):
     brief's named custom-operator case). Every event is emitted
     (0 when alone in its window — LEFT-join contract, NULL-free).
 
-    Shape: ONE coarse-key co-partitioning groupby (the as-of/
+    Shape: one ``co_group`` exchange on user_id (the as-of/
     sessionize discipline); inside a group the stream lexsorts once
     by (key, ts) into a 128-bit structured array and EVERY event
     resolves its band with two vectorized searchsorted calls
@@ -2383,29 +2117,14 @@ def events_range_join(sf_dir: str, band_us: int = RANGE_BAND_US):
     events count (matching the SQL BETWEEN semantics)."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["event_id", "user_id", "ts"])
-
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "key": batch["user_id"].cast(pa.int64()),
-            "ukey": _ukey(u),
-            "event_id": batch["event_id"].cast(pa.int64()),
-            "ts": batch["ts"].cast(pa.timestamp("us")),
-        })
-
     def _kt(keys: np.ndarray, ts: np.ndarray) -> np.ndarray:
         out = np.empty(keys.size, dtype=[("k", np.int64),
                                          ("t", np.int64)])
         out["k"], out["t"] = keys, ts
         return out
 
-    def band_count(g: pd.DataFrame) -> pd.DataFrame:
-        keys = g["key"].to_numpy(np.int64)
-        ts = g["ts"].to_numpy().astype("datetime64[us]").astype(
-            np.int64
-        )
-        eids = g["event_id"].to_numpy(np.int64)
+    def band_count(g) -> pd.DataFrame:
+        keys, ts, eids = g["user_id"], g["ts"].view(np.int64), g["event_id"]
         o = np.lexsort((ts, keys))
         side = _kt(keys[o], ts[o])
         lo = np.searchsorted(side, _kt(keys, ts - band_us),
@@ -2418,11 +2137,10 @@ def events_range_join(sf_dir: str, band_us: int = RANGE_BAND_US):
             "n_prior_in_band": (hi - lo - 1).astype(np.int64),
         })
 
-    return (
-        ds.map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(band_count, batch_format="pandas")
-    )
+    return co_group(band_count, (
+        _read(sf_dir, "events", ["event_id", "user_id", "ts"]),
+        None, _EVENT_SCHEMA,
+    ))
 
 
 def events_range_join_sql(band_us: int = RANGE_BAND_US) -> str:
@@ -2620,7 +2338,7 @@ def basket_part_pairs(
     Total order (count desc, part_a asc, part_b asc) so heavy tie
     plateaus stay deterministic.
 
-    Shape: ONE coarse-orderkey exchange of per-batch-DISTINCT
+    Shape: one ``co_group`` exchange on orderkey of per-batch-DISTINCT
     (order, part) rows; per-group VECTORIZED triangular pair
     expansion (segment-offset arithmetic — no per-order Python loop)
     with within-group pair pre-counts packed into ONE int64 pair
@@ -2632,30 +2350,17 @@ def basket_part_pairs(
     classic a-priori bound, not all-parts quadratic."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        t = pa.table({
-            "okey": batch["l_orderkey"].cast(pa.int64()),
-            "part": batch["l_partkey"].cast(pa.int64()),
-        }).group_by(["okey", "part"]).aggregate([])
-        ok = t["okey"].to_numpy(zero_copy_only=False)
-        return t.append_column("ukey", _ukey(ok))
+    def distinct(batch: pa.Table) -> pa.Table:
+        return batch.group_by(["l_orderkey", "l_partkey"]).aggregate([])
 
-    def pairs_of(g: pd.DataFrame) -> pd.DataFrame:
-        ok = g["okey"].to_numpy(np.int64)
-        pt = g["part"].to_numpy(np.int64)
+    def pairs_of(g) -> pd.DataFrame:
+        ok, pt = g["l_orderkey"], g["l_partkey"]
         order = np.lexsort((pt, ok))
         ok, pt = ok[order], pt[order]
         # cross-batch dedup of (order, part) (retention discipline)
         uniq = np.ones(ok.size, dtype=bool)
         uniq[1:] = (ok[1:] != ok[:-1]) | (pt[1:] != pt[:-1])
         ok, pt = ok[uniq], pt[uniq]
-        empty = pd.DataFrame({
-            "ukey2": pd.Series(dtype="int64"),
-            "pkey": pd.Series(dtype="int64"),
-            "n_partial": pd.Series(dtype="int64"),
-        })
-        if ok.size < 2:
-            return empty
         # vectorized triangular expansion: row r of an order segment
         # pairs with the (len - 1 - local_r) rows after it
         new = np.ones(ok.size, dtype=bool)
@@ -2666,8 +2371,6 @@ def basket_part_pairs(
         local = np.arange(ok.size) - starts[seg]
         reps = lens[seg] - 1 - local
         total = int(reps.sum())
-        if total == 0:
-            return empty
         first = np.repeat(np.arange(ok.size), reps)
         base = np.concatenate(([0], np.cumsum(reps)[:-1]))
         second = first + (np.arange(total) - np.repeat(base, reps)) + 1
@@ -2681,16 +2384,15 @@ def basket_part_pairs(
         pkey = (lo << 32) | hi
         uk, cnt = np.unique(pkey, return_counts=True)
         return pd.DataFrame({
-            "ukey2": ((uk ^ (uk >> 7)) & 0x3F).astype("int64"),
-            "pkey": uk.astype("int64"),
+            "phash": uk ^ (uk >> 7),  # pair-hash exchange key
+            "pkey": uk,
             "n_partial": cnt.astype("int64"),
         })
 
-    def fold_topk(g: pd.DataFrame) -> pd.DataFrame:
-        pk = g["pkey"].to_numpy(np.int64)
-        uk, inv = np.unique(pk, return_inverse=True)
+    def fold_topk(g) -> pd.DataFrame:
+        uk, inv = np.unique(g["pkey"], return_inverse=True)
         tot = np.zeros(uk.size, dtype=np.int64)
-        np.add.at(tot, inv, g["n_partial"].to_numpy(np.int64))
+        np.add.at(tot, inv, g["n_partial"])
         keep = tot >= min_support
         uk, tot = uk[keep], tot[keep]
         take = np.lexsort((uk, -tot))[: min(k, uk.size)]
@@ -2700,15 +2402,14 @@ def basket_part_pairs(
             "n_orders": tot[take],
         })
 
-    parts = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(pairs_of, batch_format="pandas")
-        .groupby("ukey2")
-        .map_groups(fold_topk, batch_format="pandas")
-        .to_pandas()  # <= k per pair-hash group: tiny driver merge
-    )
+    pairs = co_group(pairs_of, (
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]),
+        distinct, pa.schema([("l_orderkey", _I64), ("l_partkey", _I64)]),
+    ))
+    parts = co_group(fold_topk, (
+        pairs, None,
+        pa.schema([("phash", _I64), ("pkey", _I64), ("n_partial", _I64)]),
+    )).to_pandas()  # <= k per pair-hash group: tiny driver merge
     parts = _with_cols(parts, {
         "part_a": "int64", "part_b": "int64", "n_orders": "int64",
     })
@@ -2907,38 +2608,24 @@ def events_retention(sf_dir: str):
     grouped by the hour of their FIRST event (the cohort), counted
     once per later hour-offset they were active in (the classic
     product-analytics retention triangle; ES/Kibana cohort chart).
-    Shape: ONE user-co-partitioned exchange (the sessionize
-    discipline — a user's whole history lands in one group), per-group
+    Shape: one ``co_group`` exchange on user_id (a user's whole
+    history lands in one group), per-group
     vectorized first-event + distinct-(cohort, offset) fold, then the
     (cohort x offset)-sized partial counts sum in a tiny second
     groupby. No broadcast, no global sort; the wide exchange carries
     (user, hour) rows pre-deduplicated per batch."""
     import pandas as pd
 
-    ds = _read(sf_dir, "events", ["user_id", "ts"])
-
-    def add_key(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
+    def user_hours(batch: pa.Table) -> pa.Table:
         hr = pc.floor_temporal(batch["ts"], unit="hour")
-        t = pa.table({
-            "user_id": batch["user_id"].cast(pa.int64()),
-            "hour": hr,
-            "ukey": _ukey(u),
-        })
+        t = pa.table({"user_id": batch["user_id"], "hour": hr})
         # per-batch (user, hour) dedup shrinks the exchange
-        return t.group_by(["ukey", "user_id", "hour"]).aggregate([])
+        return t.group_by(["user_id", "hour"]).aggregate([])
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy(np.int64)
-        h = g["hour"].to_numpy()  # datetime64, resolution-agnostic
+    def fold(g) -> pd.DataFrame:
+        u, h = g["user_id"], g["hour"]
         order = np.lexsort((h, u))
         u, h = u[order], h[order]
-        if not u.size:
-            return pd.DataFrame({
-                "cohort": pd.Series(dtype="datetime64[us]"),
-                "offset_h": pd.Series(dtype="int64"),
-                "n_partial": pd.Series(dtype="int64"),
-            })
         # the per-batch dedup only collapses within a batch — the
         # same (user, hour) can arrive from two batches, so dedup
         # again post-sort (one boolean diff)
@@ -2961,12 +2648,10 @@ def events_retention(sf_dir: str):
             .rename("n_partial").reset_index()
         )
 
-    parts = (
-        ds.map_batches(add_key, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # (cohort x offset)-sized partials
-    )
+    parts = co_group(fold, (
+        _read(sf_dir, "events", ["user_id", "ts"]),
+        user_hours, pa.schema([("user_id", _I64), ("hour", _TS)]),
+    )).to_pandas()  # (cohort x offset)-sized partials
     agg = (
         parts.groupby(["cohort", "offset_h"], as_index=False)[
             "n_partial"
@@ -3009,82 +2694,42 @@ def q4_order_priority(sf_dir: str):
     of customers_without_big_orders' anti-join: orders ship (okey,
     priority, orderdate), lineitem pre-aggregates to per-batch MAX
     shipdate per okey (EXISTS only needs the max — the A1 combiner
-    collapses the fact side before the exchange), ONE shared
-    coarse-key groupby joins them, per-group priority counts are
+    collapses the fact side before the exchange), one ``co_group``
+    exchange on orderkey joins them, per-group priority counts are
     output-sized partials summed on the driver."""
     import pandas as pd
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
+    def orders_side(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
-        b = batch.filter(pa.array((od >= Q4_LO) & (od < Q4_HI)))
-        okey = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "odate": b["o_orderdate"],
-            "prio": b["o_orderpriority"].cast(pa.string()),
-            "is_build": pa.array(np.ones(len(b), bool)),
-        })
+        return batch.filter(pa.array((od >= Q4_LO) & (od < Q4_HI)))
 
     def li_maxship(batch: pa.Table) -> pa.Table:
-        okey = batch["l_orderkey"].to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
+        okey = batch["l_orderkey"].to_numpy(zero_copy_only=False)
         sd = batch["l_shipdate"].to_numpy(zero_copy_only=False)
         uk, inv = np.unique(okey, return_inverse=True)
         mx = np.full(uk.size, np.datetime64("1970-01-01", "us"))
         np.maximum.at(mx, inv, sd.astype("datetime64[us]"))
-        return pa.table({
-            "ukey": _ukey(uk),
-            "okey": pa.array(uk),
-            "odate": pa.array(mx, pa.timestamp("us")),
-            "prio": pa.nulls(uk.size, pa.string()),
-            "is_build": pa.array(np.zeros(uk.size, bool)),
-        })
+        return pa.table({"o_orderkey": uk, "maxship": mx})
 
-    def count_exists(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        if not build.any():
-            return pd.DataFrame({
-                "prio": pd.Series(dtype="object"),
-                "n_partial": pd.Series(dtype="int64"),
-            })
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk = bk[o]
-        bdate = g["odate"].to_numpy()[build][o]
-        bprio = g["prio"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        pmax = g["odate"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (pos < bk.size) & (bk[np.minimum(pos, bk.size - 1)] == pk)
-        late = np.zeros(bk.size, dtype=bool)
-        hit = pos[ok][pmax[ok] > bdate[pos[ok]]]
-        late[hit] = True
-        if not late.any():
-            return pd.DataFrame({
-                "prio": pd.Series(dtype="object"),
-                "n_partial": pd.Series(dtype="int64"),
-            })
+    def count_exists(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["o_orderkey"], li["o_orderkey"])
+        late = np.zeros(o["o_orderkey"].size, dtype=bool)
+        late[rows[li["maxship"][hit] > o["o_orderdate"][rows]]] = True
         return (
-            pd.DataFrame({"prio": bprio[late]})
+            pd.DataFrame({"prio": o["o_orderpriority"][late]})
             .groupby("prio").size().rename("n_partial").reset_index()
         )
 
-    parts = (
-        _read(sf_dir, "orders",
-              ["o_orderkey", "o_orderdate", "o_orderpriority"])
-        .map_batches(tag_orders, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"])
-            .map_batches(li_maxship, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(count_exists, batch_format="pandas")
-        .to_pandas()  # <= n_priorities per group: output-sized
-    )
+    parts = co_group(
+        count_exists,
+        (_read(sf_dir, "orders",
+               ["o_orderkey", "o_orderdate", "o_orderpriority"]),
+         orders_side,
+         pa.schema([("o_orderkey", _I64), ("o_orderdate", _TS),
+                    ("o_orderpriority", _STR)])),
+        (_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]),
+         li_maxship, pa.schema([("o_orderkey", _I64), ("maxship", _TS)])),
+    ).to_pandas()  # <= n_priorities per group: output-sized
     agg = (
         parts.groupby("prio")["n_partial"].sum().sort_index()
         if len(parts) else pd.Series(dtype="int64")
@@ -3299,16 +2944,12 @@ def q19_discounted_revenue(sf_dir: str, bands=Q19_BANDS):
 
     def partial(batch: pa.Table) -> pa.Table:
         keys, brands, sizes = ray.get(side)
-        lk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
         q = batch["l_quantity"].to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(keys, lk)
-        pos = np.minimum(pos, max(keys.size - 1, 0))
-        ok = keys.size > 0
-        hit = (keys[pos] == lk) if ok else np.zeros(lk.size, bool)
-        bid = np.where(hit, brands[pos], -1)
-        sz = np.where(hit, sizes[pos], -1)
+        pos, hit = sorted_lookup(keys, lk)
+        bid = np.full(lk.size, -1, np.int64)
+        sz = np.full(lk.size, -1, np.int64)
+        bid[hit], sz[hit] = brands[pos[hit]], sizes[pos[hit]]
         m = np.zeros(lk.size, dtype=bool)
         for i, (_, s_lo, s_hi, q_lo, q_hi) in enumerate(bands):
             m |= (
@@ -3352,65 +2993,36 @@ def q13_customer_distribution(sf_dir: str):
     """(c_count, custdist): the TPC-H Q13 shape — the distribution of
     per-customer order counts INCLUDING zero-order customers, i.e. a
     LEFT OUTER join aggregated twice. customer x orders is BIG x BIG:
-    both sides shuffle ONCE on the shared coarse custkey hash, orders
-    pre-collapsed per batch to (custkey, n) count partials (the A1
-    combiner — the exchange carries per-(batch, custkey) counts, not
-    raw orders). Each coarse group aligns order-count partials to its
-    customer keys with ONE searchsorted (customers missing from the
-    probe side keep count 0 — the OUTER part), then emits its LOCAL
+    one ``co_group`` exchange on custkey, orders pre-collapsed per
+    batch to (custkey, n) count partials (the A1 combiner). Each group
+    aligns order-count partials to its customer keys with one
+    ``sorted_lookup`` (customers missing from the probe side keep
+    count 0 — the OUTER part; orders of unknown customers drop), then
+    emits its LOCAL
     histogram (c_count, ncust): the second aggregate's exchange is
     histogram-sized, and the driver merge is output-sized (distinct
     count values x 64 groups)."""
     import pandas as pd
 
-    cust = _read(sf_dir, "customer", ["c_custkey"])
-    orders = _read(sf_dir, "orders", ["o_custkey"])
-
-    def tag_c(batch: pa.Table) -> pa.Table:
-        k = batch["c_custkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "cnt": pa.array(np.zeros(k.size, np.int64)),
-            "is_cust": pa.array(np.ones(k.size, bool)),
-        })
-
-    def tag_o(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+    def order_counts(batch: pa.Table) -> pa.Table:
+        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         uk, cnt = np.unique(ck, return_counts=True)
-        return pa.table({
-            "ukey": _ukey(uk),
-            "key": pa.array(uk),
-            "cnt": pa.array(cnt.astype(np.int64)),
-            "is_cust": pa.array(np.zeros(uk.size, bool)),
-        })
+        return pa.table({"key": uk, "cnt": cnt.astype(np.int64)})
 
-    both = cust.map_batches(tag_c, batch_format="pyarrow").union(
-        orders.map_batches(tag_o, batch_format="pyarrow")
-    )
-
-    def hist(g: pd.DataFrame) -> pd.DataFrame:
-        isc = g["is_cust"].to_numpy()
-        keys = g["key"].to_numpy()
-        ck = np.unique(keys[isc])
+    def hist(c, o) -> pd.DataFrame:
+        ck = np.unique(c["key"])
         counts = np.zeros(ck.size, dtype=np.int64)
-        pk = keys[~isc]
-        pv = g["cnt"].to_numpy()[~isc]
-        pos = np.searchsorted(ck, pk)
-        ok = (pos < ck.size) & (ck[np.minimum(pos, ck.size - 1)] == pk)
-        np.add.at(counts, pos[ok], pv[ok])
+        pos, hit = sorted_lookup(ck, o["key"])
+        np.add.at(counts, pos[hit], o["cnt"][hit])
         c_count, ncust = np.unique(counts, return_counts=True)
-        return pd.DataFrame({
-            "c_count": c_count.astype("int64"),
-            "ncust": ncust.astype("int64"),
-        })
+        return pd.DataFrame({"c_count": c_count, "ncust": ncust})
 
-    parts = both.groupby("ukey").map_groups(
-        hist, batch_format="pandas"
+    parts = co_group(
+        hist,
+        (_read(sf_dir, "customer", ["c_custkey"]),
+         _pick(key="c_custkey"), pa.schema([("key", _I64)])),
+        (_read(sf_dir, "orders", ["o_custkey"]),
+         order_counts, pa.schema([("key", _I64), ("cnt", _I64)])),
     ).to_pandas()  # histogram-sized partials: tiny driver merge
     parts = _with_cols(parts, {"c_count": "int64", "ncust": "int64"})
     out = (
@@ -3447,8 +3059,9 @@ def q18_large_volume_customers(
     sum_qty): the TPC-H Q18 shape — orders whose total lineitem
     quantity crosses a threshold, hydrated with their customer, top-k
     by order value. Three passes, each the sized tool: (1) lineitem
-    collapses per batch to (orderkey, qty) partials before ONE coarse
-    orderkey exchange whose groups emit only threshold-crossing orders
+    collapses per batch to (orderkey, qty) partials before one
+    ``co_group`` exchange on orderkey whose groups emit only
+    threshold-crossing orders
     (HAVING applied where the group lives — the exchange output is
     qualifying-set-sized, 46 rows at sf0.01); (2) the qualifying set
     broadcasts once and the orders scan keeps matches via sorted
@@ -3462,55 +3075,35 @@ def q18_large_volume_customers(
     import pandas as pd
 
     def li_partial(batch: pa.Table) -> pa.Table:
-        okey = batch["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        okey = batch["l_orderkey"].to_numpy(zero_copy_only=False)
         q = batch["l_quantity"].to_numpy(zero_copy_only=False)
         uk, inv = np.unique(okey, return_inverse=True)
         part = np.zeros(uk.size, dtype=np.float64)
         np.add.at(part, inv, q)
-        return pa.table({
-            "ukey": _ukey(uk),
-            "key": pa.array(uk),
-            "qty": pa.array(part, pa.float64()),
-        })
+        return pa.table({"key": uk, "qty": part})
 
-    def having(g: pd.DataFrame) -> pd.DataFrame:
-        keys = g["key"].to_numpy()
-        uk, inv = np.unique(keys, return_inverse=True)
+    def having(g) -> pd.DataFrame:
+        uk, inv = np.unique(g["key"], return_inverse=True)
         tot = np.zeros(uk.size, dtype=np.float64)
-        np.add.at(tot, inv, g["qty"].to_numpy())
+        np.add.at(tot, inv, g["qty"])
         keep = tot > qty_min
-        return pd.DataFrame({
-            "o_orderkey": uk[keep].astype("int64"),
-            "sum_qty": tot[keep],
-        })
+        return pd.DataFrame({"o_orderkey": uk[keep], "sum_qty": tot[keep]})
 
-    qual = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-        .map_batches(li_partial, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(having, batch_format="pandas")
-        .to_pandas()  # qualifying-set-sized
-    )
+    qual = co_group(having, (
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]),
+        li_partial, pa.schema([("key", _I64), ("qty", _F64)]),
+    )).to_pandas()  # qualifying-set-sized
+    qual = _with_cols(qual, {"o_orderkey": "int64", "sum_qty": "float64"})
     qk = np.sort(qual["o_orderkey"].to_numpy(np.int64))
     qv = qual.set_index("o_orderkey")["sum_qty"].reindex(qk).to_numpy()
     side = ray.put((qk, qv))
 
     def pick_orders(batch: pa.Table) -> pa.Table:
         keys, qty = ray.get(side)
-        ok = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        pos = np.searchsorted(keys, ok)
-        hit = (pos < keys.size) & (
-            keys[np.minimum(pos, max(keys.size - 1, 0))] == ok
-        ) if keys.size else np.zeros(ok.size, bool)
+        ok = batch["o_orderkey"].to_numpy(zero_copy_only=False)
+        pos, hit = sorted_lookup(keys, ok)
         b = batch.filter(pa.array(hit))
-        return b.append_column(
-            "sum_qty", pa.array(qty[pos[hit]] if keys.size else
-                                np.zeros(0), pa.float64())
-        )
+        return b.append_column("sum_qty", pa.array(qty[pos[hit]], pa.float64()))
 
     won = (
         _read(sf_dir, "orders",
@@ -3569,9 +3162,8 @@ def q22_sales_opportunity(sf_dir: str):
     country (nationkey stands in for the phone prefix). Composes three
     sized tools: (1) the scalar subquery is a one-pass two-scalar
     partial fold whose cutoff broadcasts by closure; (2) the NOT IN is
-    the co-partitioned hash ANTI-join (customers_without_big_orders
-    kernel — the probe side collapses to per-batch DISTINCT recent
-    custkeys before the ONE coarse exchange; no small-side assumption);
+    the ``co_group`` hash ANTI-join of customers_without_big_orders
+    (the probe side collapses to per-batch DISTINCT recent custkeys);
     (3) each anti group emits (nationkey, n, bal) partials so the final
     aggregate's exchange is nations-sized. Balances are 2-dp decimals:
     the exact group sum is an integer cents value, so cents rounding is
@@ -3596,52 +3188,30 @@ def q22_sales_opportunity(sf_dir: str):
     ).to_pandas()
     cutoff = float(parts["s"].sum()) / max(int(parts["n"].sum()), 1)
 
-    def tag_c(batch: pa.Table) -> pa.Table:
+    def rich(batch: pa.Table) -> pa.Table:
         bal = batch["c_acctbal"].to_numpy(zero_copy_only=False)
-        b = batch.filter(pa.array(bal > cutoff))
-        k = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "nat": b["c_nationkey"].cast(pa.int64()),
-            "bal": b["c_acctbal"].cast(pa.float64()),
-            "is_probe": pa.array(np.zeros(k.size, bool)),
-        })
+        return batch.filter(pa.array(bal > cutoff))
 
-    def tag_o(batch: pa.Table) -> pa.Table:
+    def recent(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
         ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
-        k = np.unique(ck[od >= Q22_SINCE]).astype(np.int64)
-        return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "nat": pa.array(np.zeros(k.size, np.int64)),
-            "bal": pa.array(np.zeros(k.size), pa.float64()),
-            "is_probe": pa.array(np.ones(k.size, bool)),
-        })
+        return pa.table({"c_custkey": np.unique(ck[od >= Q22_SINCE])})
 
-    both = cust.map_batches(tag_c, batch_format="pyarrow").union(
-        _read(sf_dir, "orders", ["o_custkey", "o_orderdate"])
-        .map_batches(tag_o, batch_format="pyarrow")
-    )
-
-    def anti_partial(g: pd.DataFrame) -> pd.DataFrame:
-        probe = g["is_probe"].to_numpy()
-        keys = g["key"].to_numpy()
-        seen = np.unique(keys[probe])
-        keep = ~probe & ~np.isin(keys, seen)
-        nat = g["nat"].to_numpy()[keep]
-        bal = g["bal"].to_numpy()[keep]
-        un, inv = np.unique(nat, return_inverse=True)
+    def anti_partial(c, o) -> pd.DataFrame:
+        keep = ~np.isin(c["c_custkey"], o["c_custkey"])
+        un, inv = np.unique(c["c_nationkey"][keep], return_inverse=True)
         n = np.bincount(inv, minlength=un.size).astype(np.int64)
         s = np.zeros(un.size, dtype=np.float64)
-        np.add.at(s, inv, bal)
-        return pd.DataFrame({
-            "cntrycode": un.astype("int64"), "n": n, "bal": s,
-        })
+        np.add.at(s, inv, c["c_acctbal"][keep])
+        return pd.DataFrame({"cntrycode": un, "n": n, "bal": s})
 
-    parts = both.groupby("ukey").map_groups(
-        anti_partial, batch_format="pandas"
+    parts = co_group(
+        anti_partial,
+        (cust, rich,
+         pa.schema([("c_custkey", _I64), ("c_nationkey", _I64),
+                    ("c_acctbal", _F64)])),
+        (_read(sf_dir, "orders", ["o_custkey", "o_orderdate"]),
+         recent, pa.schema([("c_custkey", _I64)])),
     ).to_pandas()  # nations x 64 partials: tiny driver merge
     parts = _with_cols(parts, {
         "cntrycode": "int64", "n": "int64", "bal": "float64",
@@ -3976,7 +3546,7 @@ def events_running_total(sf_dir: str):
     """(event_id, user_id, running): per-user CUMULATIVE value sum in
     (ts, event_id) order — the unbounded-preceding window frame the
     rolling/hopping family doesn't cover (account-balance / lifetime-
-    value scans). ONE coarse user-hash exchange; each group lexsorts
+    value scans). One ``co_group`` exchange on user_id; each group lexsorts
     once into (user, ts, event_id) order and computes every user's
     running sum with one vectorized segmented cumsum (global cumsum
     minus the value carried in from the previous segment). Rounded to
@@ -3986,22 +3556,9 @@ def events_running_total(sf_dir: str):
     summation order differing from the engine's sequential cumsum."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(u),
-            "user_id": batch["user_id"].cast(pa.int64()),
-            "event_id": batch["event_id"].cast(pa.int64()),
-            "ts": batch["ts"],
-            "value": batch["value"].cast(pa.float64()),
-        })
-
-    def run(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        e = g["event_id"].to_numpy()
-        v = g["value"].to_numpy()
-        order = np.lexsort((e, ts, u))
+    def run(g) -> pd.DataFrame:
+        u, e, v = g["user_id"], g["event_id"], g["value"]
+        order = np.lexsort((e, g["ts"].view(np.int64), u))
         u, e, v = u[order], e[order], v[order]
         cs = np.cumsum(v)
         starts = np.flatnonzero(np.diff(u, prepend=u[0] - 1))
@@ -4010,17 +3567,13 @@ def events_running_total(sf_dir: str):
         # (repeat-based, sign-agnostic)
         running = cs - np.repeat(cs[starts] - v[starts], lengths)
         return pd.DataFrame({
-            "event_id": e.astype("int64"),
-            "user_id": u.astype("int64"),
-            "running": np.round(running, 2),
+            "event_id": e, "user_id": u, "running": np.round(running, 2),
         })
 
-    return (
-        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(run, batch_format="pandas")
-    )
+    return co_group(run, (
+        _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"]),
+        None, _EVENT_SCHEMA.append(pa.field("value", _F64)),
+    ))
 
 
 def events_running_total_sql() -> str:
@@ -4045,12 +3598,12 @@ def q7_volume_shipping(sf_dir: str):
     """(supp_nation, cust_nation, yr, revenue_cents): the TPC-H Q7
     shape — bilateral shipping volume between two trade blocs by
     year. The one §2 join pyramid needing TWO SEQUENTIAL exchanges on
-    DIFFERENT keys: customer x orders is BIG x BIG on the coarse
-    CUSTKEY hash (orders leave tagged with their customer's nation —
-    the probe side never broadcasts, customers don't fit a worker at
-    100 TB), and that tagged stream unions with per-batch
-    (orderkey, supp_nation, yr) volume partials into the coarse
-    ORDERKEY exchange. supplier IS dim-sized (J1): suppkey->nation
+    DIFFERENT keys: customer x orders is BIG x BIG, a ``co_group`` on
+    CUSTKEY (orders leave tagged with their customer's nation — the
+    probe side never broadcasts, customers don't fit a worker at
+    100 TB), and that tagged stream meets per-batch
+    (orderkey, supp_nation, yr) volume partials in a ``co_group`` on
+    ORDERKEY. supplier IS dim-sized (J1): suppkey->nation
     broadcasts once. The bloc-pair predicate needs both nations, so
     each side prefilters to bloc members and the exact directional
     test runs where the pair first co-exists; final aggregate is
@@ -4069,89 +3622,39 @@ def q7_volume_shipping(sf_dir: str):
     order = np.argsort(sk)
     side = ray.put((sk[order], sn[order]))
 
-    # ---- exchange 1: orders tagged with cust_nation (custkey hash)
-    def tag_c(batch: pa.Table) -> pa.Table:
-        nat = batch["c_nationkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        b = batch.filter(pa.array(nat < 2 * Q7_BLOC))
-        k = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "val": b["c_nationkey"].cast(pa.int64()),
-            "is_build": pa.array(np.ones(k.size, bool)),
-        })
+    # ---- exchange 1: orders tagged with cust_nation (custkey)
+    def bloc_customers(batch: pa.Table) -> pa.Table:
+        nat = batch["c_nationkey"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(nat < 2 * Q7_BLOC))
 
-    def tag_o(batch: pa.Table) -> pa.Table:
-        k = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "val": batch["o_orderkey"].cast(pa.int64()),
-            "is_build": pa.array(np.zeros(k.size, bool)),
-        })
-
-    def attach_nation(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        keys = g["key"].to_numpy()
-        bk = keys[build]
-        o = np.argsort(bk, kind="stable")
-        bk, bn = bk[o], g["val"].to_numpy()[build][o]
-        pk = keys[~build]
-        okey = g["val"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (
-            (pos < bk.size) & (bk[np.minimum(pos, max(bk.size - 1, 0))]
-                               == pk)
-        ) if bk.size else np.zeros(pk.size, bool)
+    def attach_nation(c, o) -> pd.DataFrame:
+        rows, hit = _join_rows(c["c_custkey"], o["o_custkey"])
         return pd.DataFrame({
-            "okey": okey[ok].astype("int64"),
-            "cust_nation": bn[pos[ok]].astype("int64"),
+            "okey": o["o_orderkey"][hit],
+            "cust_nation": c["c_nationkey"][rows],
         })
 
-    tagged = (
-        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        .map_batches(tag_c, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
-            .map_batches(tag_o, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(attach_nation, batch_format="pandas")
+    tagged = co_group(
+        attach_nation,
+        (_read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+         bloc_customers,
+         pa.schema([("c_custkey", _I64), ("c_nationkey", _I64)])),
+        (_read(sf_dir, "orders", ["o_orderkey", "o_custkey"]),
+         None, pa.schema([("o_custkey", _I64), ("o_orderkey", _I64)])),
     )
 
-    # ---- exchange 2: tagged orders x lineitem partials (okey hash)
-    def order_side(batch: pa.Table) -> pa.Table:
-        okey = batch["okey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "nat": batch["cust_nation"],
-            "yr": pa.array(np.zeros(okey.size, np.int64)),
-            "vol": pa.array(np.zeros(okey.size), pa.float64()),
-            "is_build": pa.array(np.ones(okey.size, bool)),
-        })
-
+    # ---- exchange 2: tagged orders x lineitem partials (orderkey)
     def li_partial(batch: pa.Table) -> pa.Table:
         sd = batch["l_shipdate"].to_numpy(zero_copy_only=False)
         m = (sd >= Q7_LO) & (sd < Q7_HI)
         b = batch.filter(pa.array(m))
         keys, nats = ray.get(side)
-        lk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        pos = np.searchsorted(keys, lk)
-        pos = np.minimum(pos, max(keys.size - 1, 0))
-        supp_nat = np.where(
-            keys.size > 0, nats[pos], -1
-        ) if keys.size else np.full(lk.size, -1)
+        lk = b["l_suppkey"].to_numpy(zero_copy_only=False)
+        pos, hit = sorted_lookup(keys, lk)
+        supp_nat = np.full(lk.size, 2 * Q7_BLOC)  # unknown: no bloc
+        supp_nat[hit] = nats[pos[hit]]
         bloc = supp_nat < 2 * Q7_BLOC
-        okey = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )[bloc]
+        okey = b["l_orderkey"].to_numpy(zero_copy_only=False)[bloc]
         supp_nat = supp_nat[bloc]
         yr = (
             b["l_shipdate"].to_numpy(zero_copy_only=False)[bloc]
@@ -4166,27 +3669,15 @@ def q7_volume_shipping(sf_dir: str):
         part = np.zeros(uk.size)
         np.add.at(part, inv, vol)
         return pa.table({
-            "ukey": _ukey(uk >> 16),
-            "okey": pa.array((uk >> 16).astype(np.int64)),
-            "nat": pa.array(((uk >> 11) & 0x1F).astype(np.int64)),
-            "yr": pa.array((uk & 0x7FF).astype(np.int64) + 1990),
-            "vol": pa.array(part, pa.float64()),
-            "is_build": pa.array(np.zeros(uk.size, bool)),
+            "okey": uk >> 16,
+            "supp_nation": (uk >> 11) & 0x1F,
+            "yr": (uk & 0x7FF) + 1990,
+            "vol": part,
         })
 
-    def join_fold(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk, bnat = bk[o], g["nat"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (
-            (pos < bk.size) & (bk[np.minimum(pos, max(bk.size - 1, 0))]
-                               == pk)
-        ) if bk.size else np.zeros(pk.size, bool)
-        supp = g["nat"].to_numpy()[~build][ok]
-        cust = bnat[pos[ok]]
+    def join_fold(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["okey"], li["okey"])
+        supp, cust = li["supp_nation"][hit], o["cust_nation"][rows]
         # the exact directional bloc-pair predicate, where the pair
         # first co-exists
         keep = ((supp < Q7_BLOC) & (cust >= Q7_BLOC)
@@ -4194,31 +3685,29 @@ def q7_volume_shipping(sf_dir: str):
             (cust < Q7_BLOC) & (supp >= Q7_BLOC) & (supp < 2 * Q7_BLOC)
         )
         supp, cust = supp[keep], cust[keep]
-        yr = g["yr"].to_numpy()[~build][ok][keep]
-        vol = g["vol"].to_numpy()[~build][ok][keep]
+        yr, vol = li["yr"][hit][keep], li["vol"][hit][keep]
         key = (supp << 16) | (cust << 11) | (yr - 1990)
         uk, inv = np.unique(key, return_inverse=True)
         part = np.zeros(uk.size)
         np.add.at(part, inv, vol)
         return pd.DataFrame({
-            "supp_nation": (uk >> 16).astype("int64"),
-            "cust_nation": ((uk >> 11) & 0x1F).astype("int64"),
-            "yr": (uk & 0x7FF).astype("int64") + 1990,
+            "supp_nation": uk >> 16,
+            "cust_nation": (uk >> 11) & 0x1F,
+            "yr": (uk & 0x7FF) + 1990,
             "vol": part,
         })
 
-    parts = (
-        tagged.map_batches(order_side, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_suppkey", "l_shipdate",
-                   "l_extendedprice", "l_discount"])
-            .map_batches(li_partial, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(join_fold, batch_format="pandas")
-        .to_pandas()  # (nations^2 x years) x 64 partials: tiny
-    )
+    parts = co_group(
+        join_fold,
+        (tagged, None,
+         pa.schema([("okey", _I64), ("cust_nation", _I64)])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_suppkey", "l_shipdate",
+                "l_extendedprice", "l_discount"]),
+         li_partial,
+         pa.schema([("okey", _I64), ("supp_nation", _I64), ("yr", _I64),
+                    ("vol", _F64)])),
+    ).to_pandas()  # (nations^2 x years) x 64 partials: tiny
     parts = _with_cols(parts, {
         "supp_nation": "int64", "cust_nation": "int64",
         "yr": "int64", "vol": "float64",
@@ -4274,8 +3763,8 @@ def q9_product_type_profit(sf_dir: str):
     widget partkey->retailprice map and suppkey->nation map broadcast
     once (sorted-aligned arrays, ONE searchsorted each per batch); the
     year lives on orders, so lineitem profit partials
-    (orderkey, supp_nation) meet orders (orderkey, year) on the ONE
-    coarse orderkey exchange; final fold is (nations x years)-bounded.
+    (orderkey, supp_nation) meet orders (orderkey, year) in one
+    ``co_group`` on orderkey; final fold is (nations x years)-bounded.
     Cents at the end."""
     import ray
 
@@ -4308,22 +3797,9 @@ def q9_product_type_profit(sf_dir: str):
 
     def li_partial(batch: pa.Table) -> pa.Table:
         keys, price, skeys, snat = ray.get(side)
-        lk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        pos = np.searchsorted(keys, lk)
-        pos = np.minimum(pos, max(keys.size - 1, 0))
-        hit = (keys[pos] == lk) if keys.size else np.zeros(lk.size, bool)
+        lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
+        pos, hit = sorted_lookup(keys, lk)
         b = batch.filter(pa.array(hit))
-        if not len(b):
-            return pa.table({
-                "ukey": pa.array([], pa.int64()),
-                "okey": pa.array([], pa.int64()),
-                "nat": pa.array([], pa.int64()),
-                "yr": pa.array([], pa.int64()),
-                "profit": pa.array([], pa.int64()),
-                "is_build": pa.array([], pa.bool_()),
-            })
         cost = price[pos[hit]]
         lsk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(
             np.int64
@@ -4341,53 +3817,25 @@ def q9_product_type_profit(sf_dir: str):
             - Q9_COST_FRAC * cost
             * b["l_quantity"].to_numpy(zero_copy_only=False)
         ) * 10000.0).astype(np.int64)
-        okey = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        okey = b["l_orderkey"].to_numpy(zero_copy_only=False)
         key = (okey << 5) | nat
         uk, inv = np.unique(key, return_inverse=True)
         partial = np.zeros(uk.size, dtype=np.int64)
         np.add.at(partial, inv, profit)
         return pa.table({
-            "ukey": _ukey(uk >> 5),
-            "okey": pa.array((uk >> 5).astype(np.int64)),
-            "nat": pa.array((uk & 0x1F).astype(np.int64)),
-            "yr": pa.array(np.zeros(uk.size, np.int64)),
-            "profit": pa.array(partial, pa.int64()),
-            "is_build": pa.array(np.zeros(uk.size, bool)),
+            "okey": uk >> 5, "nat": uk & 0x1F, "profit": partial,
         })
 
     def o_side(batch: pa.Table) -> pa.Table:
-        okey = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
         yr = (
             batch["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[Y]").astype(np.int64) + 1970
         )
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "nat": pa.array(np.zeros(okey.size, np.int64)),
-            "yr": pa.array(yr),
-            "profit": pa.array(np.zeros(okey.size, np.int64)),
-            "is_build": pa.array(np.ones(okey.size, bool)),
-        })
+        return pa.table({"okey": batch["o_orderkey"], "yr": yr})
 
-    def join_fold(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk, byr = bk[o], g["yr"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (
-            (pos < bk.size) & (bk[np.minimum(pos, max(bk.size - 1, 0))]
-                               == pk)
-        ) if bk.size else np.zeros(pk.size, bool)
-        nat = g["nat"].to_numpy()[~build][ok]
-        yr = byr[pos[ok]]
-        pr = g["profit"].to_numpy()[~build][ok]
+    def join_fold(li, o) -> pd.DataFrame:
+        rows, hit = _join_rows(o["okey"], li["okey"])
+        nat, yr, pr = li["nat"][hit], o["yr"][rows], li["profit"][hit]
         key = (nat << 11) | (yr - 1990)
         uk, inv = np.unique(key, return_inverse=True)
         partial = np.zeros(uk.size, dtype=np.int64)
@@ -4398,19 +3846,16 @@ def q9_product_type_profit(sf_dir: str):
             "profit": partial,
         })
 
-    parts = (
-        _read(sf_dir, "lineitem",
-              ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
-               "l_extendedprice", "l_discount"])
-        .map_batches(li_partial, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"])
-            .map_batches(o_side, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(join_fold, batch_format="pandas")
-        .to_pandas()  # (nations x years) x 64 partials
-    )
+    parts = co_group(
+        join_fold,
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
+                "l_extendedprice", "l_discount"]),
+         li_partial,
+         pa.schema([("okey", _I64), ("nat", _I64), ("profit", _I64)])),
+        (_read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
+         o_side, pa.schema([("okey", _I64), ("yr", _I64)])),
+    ).to_pandas()  # (nations x years) x 64 partials
     parts = _with_cols(parts, {
         "supp_nation": "int64", "yr": "int64", "profit": "int64",
     })
@@ -4453,8 +3898,8 @@ def q12_shipmode_priority(sf_dir: str):
     """(l_returnflag, high_line_count, low_line_count): the TPC-H Q12
     shape — per ship-class (returnflag standing in for the absent
     l_shipmode) counts of lineitems belonging to high- vs low-priority
-    orders, over a shipdate year. orders x lineitem BIG x BIG on the
-    ONE coarse orderkey exchange; lineitem collapses per batch to
+    orders, over a shipdate year. orders x lineitem BIG x BIG in one
+    ``co_group`` on orderkey; lineitem collapses per batch to
     (orderkey, flag, n) count partials, orders ship one boolean per
     row; per-group fold emits (flag, high, low) partials and the final
     exchange is flag-domain-sized. Pure integer counts — no rounding
@@ -4462,59 +3907,28 @@ def q12_shipmode_priority(sf_dir: str):
     import pandas as pd
 
     def o_side(batch: pa.Table) -> pa.Table:
-        okey = batch["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
         hi = pc.is_in(
-            batch["o_orderpriority"],
-            value_set=pa.array(Q12_HIGH),
-        ).to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "flag": pa.nulls(okey.size, pa.string()),
-            "n": pa.array(hi.astype(np.int64)),  # 1 = high priority
-            "is_build": pa.array(np.ones(okey.size, bool)),
-        })
+            batch["o_orderpriority"], value_set=pa.array(Q12_HIGH)
+        )
+        return pa.table({"okey": batch["o_orderkey"], "high": hi})
 
     def li_partial(batch: pa.Table) -> pa.Table:
         sd = batch["l_shipdate"].to_numpy(zero_copy_only=False)
         b = batch.filter(pa.array((sd >= Q12_LO_DATE) & (sd < Q12_HI_DATE)))
         g = (
-            pa.table({
-                "okey": b["l_orderkey"].cast(pa.int64()),
-                "flag": b["l_returnflag"].cast(pa.string()),
-            })
+            pa.table({"okey": b["l_orderkey"], "flag": b["l_returnflag"]})
             .group_by(["okey", "flag"])
             .aggregate([([], "count_all")])
         )
-        g = agg_select(g, {
+        return agg_select(g, {
             "okey": "okey", "flag": "flag", "count_all": "n",
         })
-        okey = g["okey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": g["okey"],
-            "flag": g["flag"],
-            "n": g["n"].cast(pa.int64()),
-            "is_build": pa.array(np.zeros(len(g), bool)),
-        })
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk, bhi = bk[o], g["n"].to_numpy()[build][o].astype(bool)
-        pk = g["okey"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (
-            (pos < bk.size) & (bk[np.minimum(pos, max(bk.size - 1, 0))]
-                               == pk)
-        ) if bk.size else np.zeros(pk.size, bool)
-        hi = bhi[pos[ok]]
-        n = g["n"].to_numpy()[~build][ok]
-        flags = g["flag"].to_numpy()[~build][ok]
-        df = pd.DataFrame({"flag": flags, "hi": hi, "n": n})
+    def fold(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["okey"], li["okey"])
+        df = pd.DataFrame({
+            "flag": li["flag"][hit], "hi": o["high"][rows], "n": li["n"][hit],
+        })
         out = df.groupby("flag", as_index=False).apply(
             lambda x: pd.Series({
                 "high": int(x["n"][x["hi"]].sum()),
@@ -4523,18 +3937,15 @@ def q12_shipmode_priority(sf_dir: str):
         )
         return out.rename(columns={"flag": "l_returnflag"})
 
-    parts = (
-        _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
-        .map_batches(o_side, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_returnflag", "l_shipdate"])
-            .map_batches(li_partial, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # flags x 64 partials
-    )
+    parts = co_group(
+        fold,
+        (_read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]),
+         o_side, pa.schema([("okey", _I64), ("high", pa.bool_())])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_returnflag", "l_shipdate"]),
+         li_partial,
+         pa.schema([("okey", _I64), ("flag", _STR), ("n", _I64)])),
+    ).to_pandas()  # flags x 64 partials
     parts = _with_cols(parts, {
         "l_returnflag": "object", "high": "int64", "low": "int64",
     })
@@ -4717,14 +4128,11 @@ def q17_small_quantity_revenue(sf_dir: str):
 
     def rev_partial(batch: pa.Table) -> pa.Table:
         keys, th = ray.get(tref)
-        lk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        pos = np.searchsorted(keys, lk)
-        pos = np.minimum(pos, max(keys.size - 1, 0))
-        hit = (keys[pos] == lk) if keys.size else np.zeros(lk.size, bool)
+        lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
+        pos, hit = sorted_lookup(keys, lk)
         q = batch["l_quantity"].to_numpy(zero_copy_only=False)
-        small = hit & (q < np.where(hit, th[pos], 0.0))
+        small = hit.copy()
+        small[hit] = q[hit] < th[pos[hit]]
         ep = batch["l_extendedprice"].to_numpy(zero_copy_only=False)
         return pa.table({
             "n": pa.array([int(small.sum())], pa.int64()),
@@ -4773,8 +4181,8 @@ def q8_market_share(sf_dir: str):
     """(yr, mkt_share): the TPC-H Q8 shape — one supplier nation's
     share of a region's yearly volume in one product line. The Q7
     two-exchange pyramid plus a RATIO aggregate: nation (25 rows) and
-    the product partkeys broadcast; customer x orders on the coarse
-    custkey exchange keeps only in-region orders (tagged with order
+    the product partkeys broadcast; customer x orders, a ``co_group``
+    on custkey, keeps only in-region orders (tagged with order
     YEAR — the grouping key rides the build side); lineitem collapses
     per batch to (orderkey, is_target_nation) volume partials in
     EXACT int64 e-4 units (volume is a 4-decimal value, so numerator
@@ -4810,83 +4218,43 @@ def q8_market_share(sf_dir: str):
     so = np.argsort(sk)
     side = ray.put((in_region, pkeys, sk[so], sn[so]))
 
-    # exchange 1: in-region orders tagged with year (custkey hash)
-    def tag_c(batch: pa.Table) -> pa.Table:
+    # exchange 1: in-region orders tagged with year (custkey)
+    def region_customers(batch: pa.Table) -> pa.Table:
         reg, _, _, _ = ray.get(side)
-        cn = batch["c_nationkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        b = batch.filter(pa.array(np.isin(cn, reg, kind="sort")))
-        k = b["c_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "val": pa.array(np.zeros(k.size, np.int64)),
-            "is_build": pa.array(np.ones(k.size, bool)),
-        })
+        cn = batch["c_nationkey"].to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(np.isin(cn, reg, kind="sort")))
 
-    def tag_o(batch: pa.Table) -> pa.Table:
+    def window_orders(batch: pa.Table) -> pa.Table:
         od = batch["o_orderdate"].to_numpy(zero_copy_only=False)
         b = batch.filter(pa.array((od >= Q8_LO) & (od < Q8_HI)))
-        k = b["o_custkey"].to_numpy(zero_copy_only=False).astype(np.int64)
-        okey = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
         yr = (
             b["o_orderdate"].to_numpy(zero_copy_only=False)
             .astype("datetime64[Y]").astype(np.int64) + 1970
         )
         return pa.table({
-            "ukey": _ukey(k),
-            "key": pa.array(k),
-            "val": pa.array((okey << 11) | (yr - 1990)),
-            "is_build": pa.array(np.zeros(k.size, bool)),
+            "o_custkey": b["o_custkey"], "okey": b["o_orderkey"], "yr": yr,
         })
 
-    def semi(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        keys = g["key"].to_numpy()
-        seen = np.unique(keys[build])
-        keep = ~build & np.isin(keys, seen)
-        v = g["val"].to_numpy()[keep]
-        return pd.DataFrame({
-            "okey": (v >> 11).astype("int64"),
-            "yr": (v & 0x7FF).astype("int64") + 1990,
-        })
+    def semi(c, o) -> pd.DataFrame:
+        keep = np.isin(o["o_custkey"], c["c_custkey"])
+        return pd.DataFrame({"okey": o["okey"][keep], "yr": o["yr"][keep]})
 
-    tagged = (
-        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        .map_batches(tag_c, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "orders",
-                  ["o_orderkey", "o_custkey", "o_orderdate"])
-            .map_batches(tag_o, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(semi, batch_format="pandas")
+    tagged = co_group(
+        semi,
+        (_read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
+         region_customers, pa.schema([("c_custkey", _I64)])),
+        (_read(sf_dir, "orders",
+               ["o_orderkey", "o_custkey", "o_orderdate"]),
+         window_orders,
+         pa.schema([("o_custkey", _I64), ("okey", _I64), ("yr", _I64)])),
     )
 
     # exchange 2: region-order years x lineitem volume partials
-    def order_side(batch: pa.Table) -> pa.Table:
-        okey = batch["okey"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "yr": batch["yr"],
-            "tgt": pa.array(np.zeros(okey.size, np.int64)),
-            "vol": pa.array(np.zeros(okey.size, np.int64)),
-            "is_build": pa.array(np.ones(okey.size, bool)),
-        })
-
     def li_partial(batch: pa.Table) -> pa.Table:
         _, pk2, skeys, snat = ray.get(side)
-        lk = batch["l_partkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
         b = batch.filter(pa.array(np.isin(lk, pk2, kind="sort")))
-        lsk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        lsk = b["l_suppkey"].to_numpy(zero_copy_only=False)
         spos = np.minimum(np.searchsorted(skeys, lsk),
                           max(skeys.size - 1, 0))
         tgt = (snat[spos] == Q8_NATION).astype(np.int64) \
@@ -4895,58 +4263,33 @@ def q8_market_share(sf_dir: str):
             b["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))
         ) * 10000.0).astype(np.int64)  # exact 4-decimal value
-        okey = b["l_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        okey = b["l_orderkey"].to_numpy(zero_copy_only=False)
         key = (okey << 1) | tgt
         uk, inv = np.unique(key, return_inverse=True)
         part_ = np.zeros(uk.size, dtype=np.int64)
         np.add.at(part_, inv, vol)
-        return pa.table({
-            "ukey": _ukey(uk >> 1),
-            "okey": pa.array((uk >> 1).astype(np.int64)),
-            "yr": pa.array(np.zeros(uk.size, np.int64)),
-            "tgt": pa.array((uk & 1).astype(np.int64)),
-            "vol": pa.array(part_, pa.int64()),
-            "is_build": pa.array(np.zeros(uk.size, bool)),
-        })
+        return pa.table({"okey": uk >> 1, "tgt": uk & 1, "vol": part_})
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        build = g["is_build"].to_numpy()
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk, byr = bk[o], g["yr"].to_numpy()[build][o]
-        pk2 = g["okey"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk2)
-        ok = (
-            (pos < bk.size) & (bk[np.minimum(pos, max(bk.size - 1, 0))]
-                               == pk2)
-        ) if bk.size else np.zeros(pk2.size, bool)
-        yr = byr[pos[ok]]
-        tgt = g["tgt"].to_numpy()[~build][ok]
-        vol = g["vol"].to_numpy()[~build][ok]
+    def fold(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["okey"], li["okey"])
+        yr, tgt, vol = o["yr"][rows], li["tgt"][hit], li["vol"][hit]
         key = (yr - 1990) * 2 + tgt
         uk, inv = np.unique(key, return_inverse=True)
         s = np.zeros(uk.size, dtype=np.int64)
         np.add.at(s, inv, vol)
         return pd.DataFrame({
-            "yr": (uk // 2).astype("int64") + 1990,
-            "tgt": (uk % 2).astype("int64"),
-            "vol": s,
+            "yr": uk // 2 + 1990, "tgt": uk % 2, "vol": s,
         })
 
-    parts = (
-        tagged.map_batches(order_side, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_partkey", "l_suppkey",
-                   "l_extendedprice", "l_discount"])
-            .map_batches(li_partial, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # (years x 2) x 64 partials
-    )
+    parts = co_group(
+        fold,
+        (tagged, None, pa.schema([("okey", _I64), ("yr", _I64)])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_partkey", "l_suppkey",
+                "l_extendedprice", "l_discount"]),
+         li_partial,
+         pa.schema([("okey", _I64), ("tgt", _I64), ("vol", _I64)])),
+    ).to_pandas()  # (years x 2) x 64 partials
     parts = _with_cols(parts, {
         "yr": "int64", "tgt": "int64", "vol": "int64",
     })
@@ -4993,8 +4336,8 @@ def events_markov_transitions(sf_dir: str):
     over per-user event streams — counts of consecutive (from -> to)
     event-type transitions in (ts, event_id) order, with the row-
     normalized transition probability (the user-journey / sequence-
-    mining statistic behind funnel design). ONE coarse user-hash
-    exchange; each group lexsorts once and takes adjacent pairs whose
+    mining statistic behind funnel design). One ``co_group`` exchange
+    on user_id; each group lexsorts once and takes adjacent pairs whose
     successor is the SAME user (vectorized shift compare, no per-user
     loop), emitting (from, to) count partials; the final fold is
     (types^2)-sized. p = n / row_total computed from the SUMMED
@@ -5002,23 +4345,10 @@ def events_markov_transitions(sf_dir: str):
     rounding contract."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(u),
-            "user_id": batch["user_id"].cast(pa.int64()),
-            "event_id": batch["event_id"].cast(pa.int64()),
-            "ts": batch["ts"],
-            "event_type": batch["event_type"].cast(pa.string()),
-        })
-
-    def pairs(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy()
-        order = np.lexsort((
-            g["event_id"].to_numpy(), g["ts"].to_numpy(), u,
-        ))
-        u = u[order]
-        t = g["event_type"].to_numpy()[order]
+    def pairs(g) -> pd.DataFrame:
+        u = g["user_id"]
+        order = np.lexsort((g["event_id"], g["ts"].view(np.int64), u))
+        u, t = u[order], g["event_type"][order]
         same = u[1:] == u[:-1]
         df = pd.DataFrame({
             "from_type": t[:-1][same], "to_type": t[1:][same],
@@ -5026,14 +4356,10 @@ def events_markov_transitions(sf_dir: str):
         out = df.groupby(["from_type", "to_type"], as_index=False)
         return out.size().rename(columns={"size": "n"})
 
-    parts = (
-        _read(sf_dir, "events",
-              ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(pairs, batch_format="pandas")
-        .to_pandas()  # types^2 x 64 partials: tiny
-    )
+    parts = co_group(pairs, (
+        _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]),
+        None, _EVENT_SCHEMA.append(pa.field("event_type", _STR)),
+    )).to_pandas()  # types^2 x 64 partials: tiny
     parts = _with_cols(parts, {
         "from_type": "object", "to_type": "object", "n": "int64",
     })
@@ -5084,22 +4410,12 @@ def events_attribution(sf_dir: str):
     TOUCH ATTRIBUTION — each purchase attributed to the same user's
     most recent PRIOR view/click (strictly earlier ts; ties broken by
     the later event_id, NULL when no touch precedes). The as-of join
-    turned inward on one table: ONE coarse user exchange, each group
+    turned inward on one table: one ``co_group`` on user_id, each group
     lexsorts once into a 128-bit (user, ts, event_id) struct order
     and answers every purchase with one vectorized searchsorted
     against its touch subsequence — no per-user loop, no window
     materialization."""
     import pandas as pd
-
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False)
-        return pa.table({
-            "ukey": _ukey(u),
-            "user_id": batch["user_id"].cast(pa.int64()),
-            "event_id": batch["event_id"].cast(pa.int64()),
-            "ts": batch["ts"],
-            "event_type": batch["event_type"].cast(pa.string()),
-        })
 
     def _kte(k, t, e):
         out = np.empty(k.size, dtype=[("k", np.int64), ("t", np.int64),
@@ -5107,12 +4423,9 @@ def events_attribution(sf_dir: str):
         out["k"], out["t"], out["e"] = k, t, e
         return out
 
-    def attach(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy()
-        ts = g["ts"].to_numpy()
-        e = g["event_id"].to_numpy()
-        t = g["event_type"].to_numpy()
-        tsi = ts.astype("datetime64[us]").astype(np.int64)
+    def attach(g) -> pd.DataFrame:
+        u, ts, e, t = g["user_id"], g["ts"], g["event_id"], g["event_type"]
+        tsi = ts.view(np.int64)
         is_src = np.isin(t, ATTR_SOURCES)
         is_tgt = t == ATTR_TARGET
         su, stsi = u[is_src], tsi[is_src]
@@ -5128,7 +4441,8 @@ def events_attribution(sf_dir: str):
             _kte(tu, ttsi, np.full(tu.size, np.iinfo(np.int64).min)),
             side="left",
         )
-        hit = (cut > 0) & (side["k"][np.maximum(cut - 1, 0)] == tu)
+        hit = cut > 0
+        hit[hit] = side["k"][cut[hit] - 1] == tu[hit]
         src_idx = o[cut[hit] - 1]
         # id as float64-with-NaN: the SQL LEFT JOIN surfaces BIGINT
         # NULLs as float64 NaN through pandas, so the engine emits
@@ -5138,20 +4452,17 @@ def events_attribution(sf_dir: str):
         res_id[hit] = se[src_idx].astype(np.float64)
         res_ty[hit] = sty[src_idx]
         return pd.DataFrame({
-            "event_id": e[is_tgt].astype("int64"),
-            "user_id": tu.astype("int64"),
+            "event_id": e[is_tgt],
+            "user_id": tu,
             "ts": ts[is_tgt],
             "source_event_id": res_id,
             "source_type": res_ty,
         })
 
-    return (
-        _read(sf_dir, "events",
-              ["event_id", "ts", "user_id", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(attach, batch_format="pandas")
-    )
+    return co_group(attach, (
+        _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]),
+        None, _EVENT_SCHEMA.append(pa.field("event_type", _STR)),
+    ))
 
 
 def events_attribution_sql() -> str:
@@ -5258,7 +4569,7 @@ def customer_spend_gini(sf_dir: str):
     """(n_customers, total_cents, gini): the Gini concentration
     coefficient of customer spend — the inequality statistic behind
     'top x% of customers drive y% of revenue'. Per-customer totals
-    fold on ONE coarse custkey exchange (cents partials); the sorted
+    fold in one ``co_group`` on custkey (cents partials); the sorted
     rank-weighted sum G = sum((2i - n - 1) * x_(i)) / (n * sum x)
     runs on the customer-totals vector (driver-side here; the
     documented scale path replaces the exact sort with the KLL/
@@ -5270,32 +4581,22 @@ def customer_spend_gini(sf_dir: str):
     import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
-        ck = batch["o_custkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+        ck = batch["o_custkey"].to_numpy(zero_copy_only=False)
         cents = np.round(
             batch["o_totalprice"].to_numpy(zero_copy_only=False) * 100.0
         ).astype(np.int64)
         uk, inv = np.unique(ck, return_inverse=True)
         s = np.zeros(uk.size, dtype=np.int64)
         np.add.at(s, inv, cents)
-        return pa.table({
-            "ukey": _ukey(uk),
-            "c": pa.array(uk),
-            "cents": pa.array(s),
-        })
+        return pa.table({"c": uk, "cents": s})
 
-    def fold(g: pd.DataFrame) -> pd.DataFrame:
-        out = g.groupby("c", as_index=False)["cents"].sum()
-        return out
+    def fold(g) -> pd.DataFrame:
+        return pd.DataFrame(g).groupby("c", as_index=False)["cents"].sum()
 
-    totals = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(fold, batch_format="pandas")
-        .to_pandas()  # customer-sized
-    )
+    totals = co_group(fold, (
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
+        partial, pa.schema([("c", _I64), ("cents", _I64)]),
+    )).to_pandas()  # customer-sized
     totals = _with_cols(totals, {"c": "int64", "cents": "int64"})
     n, total, gini = _gini_of_totals(totals["cents"].to_numpy(np.int64))
     return pa.table({
@@ -5509,9 +4810,9 @@ def q21_suppliers_who_kept_waiting(sf_dir: str, k: int = 100):
     documented convention as q4_order_priority.
 
     Shape: orders('F') ship (okey, odate); lineitem ships (okey,
-    suppkey, shipdate); ONE shared coarse-orderkey exchange
-    co-locates each order with all its lineitems. Inside each group
-    everything is vectorized: searchsorted odate attach, packed
+    suppkey, shipdate); one ``co_group`` on orderkey co-locates each
+    order with all its lineitems. Inside each group everything is
+    vectorized: sorted-lookup odate attach, packed
     (okey<<20|supp) keys for the two distinct-supplier counts, a
     bincount per late row — no per-order Python loop. Partials are
     (suppkey, n) — at most #suppliers rows per group — and the final
@@ -5520,92 +4821,47 @@ def q21_suppliers_who_kept_waiting(sf_dir: str, k: int = 100):
     import pandas as pd
     import pyarrow.parquet as _pq
 
-    def tag_orders(batch: pa.Table) -> pa.Table:
-        st = batch["o_orderstatus"].to_numpy(zero_copy_only=False)
-        b = batch.filter(pa.array(st == "F"))
-        okey = b["o_orderkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "ship": b["o_orderdate"],  # carries odate on build rows
-            "supp": pa.array(np.full(okey.size, -1, np.int64)),
-            "is_build": pa.array(np.ones(okey.size, bool)),
-        })
+    def finished(batch: pa.Table) -> pa.Table:
+        return batch.filter(pc.equal(batch["o_orderstatus"], "F"))
 
-    def tag_lineitem(batch: pa.Table) -> pa.Table:
-        okey = batch["l_orderkey"].to_numpy(
-            zero_copy_only=False
-        ).astype(np.int64)
-        return pa.table({
-            "ukey": _ukey(okey),
-            "okey": pa.array(okey),
-            "ship": batch["l_shipdate"],
-            "supp": batch["l_suppkey"].cast(pa.int64()),
-            "is_build": pa.array(np.zeros(okey.size, bool)),
-        })
+    def _nuniq(pair, orders):
+        # distinct packed (order, supplier) pairs per order, per row
+        uo, cnt = np.unique(np.unique(pair) >> 20, return_counts=True)
+        pos, hit = sorted_lookup(uo, orders)
+        out = np.zeros(orders.size, np.int64)
+        out[hit] = cnt[pos[hit]]
+        return out
 
-    def waiting_partial(g: pd.DataFrame) -> pd.DataFrame:
-        empty = pd.DataFrame({
-            "supp": pd.Series(dtype="int64"),
-            "n_partial": pd.Series(dtype="int64"),
-        })
-        build = g["is_build"].to_numpy()
-        if not build.any() or build.all():
-            return empty
-        bk = g["okey"].to_numpy()[build]
-        o = np.argsort(bk, kind="stable")
-        bk = bk[o]
-        bdate = g["ship"].to_numpy()[build][o]
-        pk = g["okey"].to_numpy()[~build]
-        ship = g["ship"].to_numpy()[~build]
-        supp = g["supp"].to_numpy()[~build]
-        pos = np.searchsorted(bk, pk)
-        ok = (pos < bk.size) & (bk[np.minimum(pos, bk.size - 1)] == pk)
-        if not ok.any():
-            return empty
-        pk, ship, supp = pk[ok], ship[ok], supp[ok]
-        odate = bdate[pos[ok]]
+    def waiting_partial(o, li) -> pd.DataFrame:
+        rows, hit = _join_rows(o["o_orderkey"], li["l_orderkey"])
+        pk, ship = li["l_orderkey"][hit], li["l_shipdate"][hit]
+        supp = li["l_suppkey"][hit]
+        odate = o["o_orderdate"][rows]
         late = ship > odate + np.timedelta64(Q21_LATE_DAYS, "D")
         # packed (order, supplier) keys for the two distinct counts
         # (ValueError, not assert: -O must not strip the guard into
         # silent key collisions — suppkey tops 2^20 past sf~100)
-        if supp.max() >= (1 << 20) or pk.max() >= (1 << 43):
+        if pk.size and (supp.max() >= (1 << 20) or pk.max() >= (1 << 43)):
             raise ValueError("q21 pack width exceeded; widen the key")
         pair = (pk << 20) | supp
-        def _nuniq(keys, orders):
-            up = np.unique(keys)
-            if not up.size:
-                return np.zeros(orders.size, np.int64)
-            uo, cnt = np.unique(up >> 20, return_counts=True)
-            out = np.zeros(orders.size, np.int64)
-            m = np.searchsorted(uo, orders)
-            hit = (m < uo.size) & (uo[np.minimum(m, uo.size - 1)]
-                                   == orders)
-            out[hit] = cnt[m[hit]]
-            return out
         n_supp = _nuniq(pair, pk)           # distinct suppliers/order
         n_late = _nuniq(pair[late], pk)     # distinct LATE suppliers
         keep = late & (n_supp >= 2) & (n_late == 1)
-        if not keep.any():
-            return empty
         u, c = np.unique(supp[keep], return_counts=True)
         return pd.DataFrame({"supp": u, "n_partial": c.astype(np.int64)})
 
-    parts = (
-        _read(sf_dir, "orders",
-              ["o_orderkey", "o_orderdate", "o_orderstatus"])
-        .map_batches(tag_orders, batch_format="pyarrow")
-        .union(
-            _read(sf_dir, "lineitem",
-                  ["l_orderkey", "l_suppkey", "l_shipdate"])
-            .map_batches(tag_lineitem, batch_format="pyarrow")
-        )
-        .groupby("ukey")
-        .map_groups(waiting_partial, batch_format="pandas")
-        .to_pandas()  # <= n_suppliers per group: output-sized
-    )
+    parts = co_group(
+        waiting_partial,
+        (_read(sf_dir, "orders",
+               ["o_orderkey", "o_orderdate", "o_orderstatus"]),
+         finished,
+         pa.schema([("o_orderkey", _I64), ("o_orderdate", _TS)])),
+        (_read(sf_dir, "lineitem",
+               ["l_orderkey", "l_suppkey", "l_shipdate"]),
+         None,
+         pa.schema([("l_orderkey", _I64), ("l_suppkey", _I64),
+                    ("l_shipdate", _TS)])),
+    ).to_pandas()  # <= n_suppliers per group: output-sized
     if len(parts):
         agg = parts.groupby("supp")["n_partial"].sum()
     else:
@@ -5839,7 +5095,7 @@ def basket_rules(
     Shape: the pair mining reuses ``basket_part_pairs`` wholesale;
     item supports are then counted for ONLY the parts appearing in
     the top-k rule set (broadcast-needed-set, the bigram_pmi
-    discipline) in one coarse-orderkey exchange that also counts
+    discipline) in one ``co_group`` on orderkey that also counts
     distinct baskets via per-group sentinel rows (order-key space is
     partitioned by the exchange, so per-group distinct counts sum
     exactly). Ratios are single divisions of identical integer
@@ -5876,34 +5132,24 @@ def basket_rules(
         okk = np.concatenate([ok[keep], uok])
         ptt = np.concatenate([pt[keep],
                               np.full(uok.size, -1, np.int64)])
-        return pa.table({
-            "ukey": _ukey(okk),
-            "okey": pa.array(okk),
-            "part": pa.array(ptt),
-        })
+        return pa.table({"okey": okk, "part": ptt})
 
-    def support_partial(g: pd.DataFrame) -> pd.DataFrame:
-        ok = g["okey"].to_numpy(np.int64)
-        pt = g["part"].to_numpy(np.int64)
+    def support_partial(g) -> pd.DataFrame:
+        ok, pt = g["okey"], g["part"]
         order = np.lexsort((pt, ok))
         ok, pt = ok[order], pt[order]
         uniq = np.ones(ok.size, dtype=bool)
         uniq[1:] = (ok[1:] != ok[:-1]) | (pt[1:] != pt[:-1])
         ok, pt = ok[uniq], pt[uniq]
         up, cnt = np.unique(pt, return_counts=True)
-        return pd.DataFrame({
-            "part": up.astype("int64"),
-            "s_partial": cnt.astype("int64"),
-        })
+        return pd.DataFrame({"part": up, "s_partial": cnt.astype("int64")})
 
-    sup = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(support_partial, batch_format="pandas")
-        .to_pandas()  # <= needed-parts + 1 rows per group
-        .groupby("part", as_index=False)["s_partial"].sum()
-    )
+    sup = co_group(support_partial, (
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]),
+        tag, pa.schema([("okey", _I64), ("part", _I64)]),
+    )).to_pandas().groupby(  # <= needed-parts + 1 rows per group
+        "part", as_index=False
+    )["s_partial"].sum()
     smap = dict(zip(sup["part"], sup["s_partial"].astype(np.int64)))
     n_baskets = int(smap.pop(-1))
     a = np.concatenate([top["part_a"].to_numpy(np.int64),
@@ -6096,7 +5342,7 @@ def customer_cohort_ltv(sf_dir: str):
     each order attributed to its cohort at its age in months (0 =
     the acquisition month); the cumulative row-sum of revenue_cents
     is the classic LTV curve (events_retention's revenue-weighted
-    generalization). ONE coarse-custkey exchange co-locates each
+    generalization). One ``co_group`` on custkey co-locates each
     customer's orders; per group a vectorized segment-min finds every
     customer's cohort and every order self-attributes — partials are
     (cohorts x ages)-sized, the driver fold is matrix-sized. Revenue
@@ -6114,17 +5360,10 @@ def customer_cohort_ltv(sf_dir: str):
             batch["o_totalprice"].to_numpy(zero_copy_only=False)
             * 100.0
         ).astype(np.int64)
-        return pa.table({
-            "ukey": _ukey(ck),
-            "ck": pa.array(ck),
-            "mon": pa.array(mon.astype(np.int64)),
-            "cents": pa.array(cents),
-        })
+        return pa.table({"ck": ck, "mon": mon, "cents": cents})
 
-    def cohort_partial(g: pd.DataFrame) -> pd.DataFrame:
-        ck = g["ck"].to_numpy(np.int64)
-        mon = g["mon"].to_numpy(np.int64)
-        cents = g["cents"].to_numpy(np.int64)
+    def cohort_partial(g) -> pd.DataFrame:
+        ck, mon, cents = g["ck"], g["mon"], g["cents"]
         order = np.lexsort((mon, ck))
         ck, mon, cents = ck[order], mon[order], cents[order]
         new = np.ones(ck.size, dtype=bool)
@@ -6137,20 +5376,12 @@ def customer_cohort_ltv(sf_dir: str):
         n = np.bincount(inv).astype(np.int64)
         rev = np.zeros(uk.size, np.int64)
         np.add.at(rev, inv, cents)
-        return pd.DataFrame({
-            "key": uk.astype("int64"),
-            "n_partial": n,
-            "rev_partial": rev,
-        })
+        return pd.DataFrame({"key": uk, "n_partial": n, "rev_partial": rev})
 
-    parts = (
-        _read(sf_dir, "orders",
-              ["o_custkey", "o_orderdate", "o_totalprice"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(cohort_partial, batch_format="pandas")
-        .to_pandas()  # (cohorts x ages) per group: matrix-sized
-    )
+    parts = co_group(cohort_partial, (
+        _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]),
+        tag, pa.schema([("ck", _I64), ("mon", _I64), ("cents", _I64)]),
+    )).to_pandas()  # (cohorts x ages) per group: matrix-sized
     agg = parts.groupby("key", as_index=False).agg(
         n_orders=("n_partial", "sum"),
         revenue_cents=("rev_partial", "sum"),
@@ -6199,7 +5430,7 @@ def events_rolling_active_users(
     every day in the dense grid, the number of DISTINCT users with an
     event in the last ``window_days`` days (the WAU/rolling-actives
     product metric; COUNT(DISTINCT) OVER a range frame, which window
-    engines can't stream). ONE coarse user-hash exchange: within a
+    engines can't stream). One ``co_group`` on user_id: within a
     group each user's event days expand to the <= 7 window-end days
     they cover and dedup LOCALLY (user is the partition key, so
     per-user dedup IS global dedup — no second distinct exchange);
@@ -6208,30 +5439,15 @@ def events_rolling_active_users(
     keys, guarded."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
+    def user_days(batch: pa.Table) -> pa.Table:
         day = pc.cast(
             pc.floor_temporal(batch["ts"], unit="day"), pa.int64()
         ).to_numpy(zero_copy_only=False) // (86_400 * 1_000_000)
-        t = pa.table({
-            "ukey": _ukey(u),
-            "user_id": pa.array(u),
-            "day": pa.array(day.astype(np.int64)),
-        })
-        return t.group_by(
-            ["ukey", "user_id", "day"]
-        ).aggregate([])  # per-batch distinct
+        t = pa.table({"user_id": batch["user_id"], "day": day})
+        return t.group_by(["user_id", "day"]).aggregate([])  # distinct
 
-    def window_partial(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy(np.int64)
-        d = g["day"].to_numpy(np.int64)
-        if d.size == 0:
-            return pd.DataFrame({
-                "day": pd.Series(dtype="int64"),
-                "n_partial": pd.Series(dtype="int64"),
-            })
+    def window_partial(g) -> pd.DataFrame:
+        u, d = g["user_id"], g["day"]
         base = d.min()
         rel = d - base
         if rel.max() + window_days >= (1 << 16):
@@ -6244,18 +5460,12 @@ def events_rolling_active_users(
         key = np.unique((uu << 16) | wd)
         days = (key & 0xFFFF) + base
         ud, cnt = np.unique(days, return_counts=True)
-        return pd.DataFrame({
-            "day": ud.astype("int64"),
-            "n_partial": cnt.astype("int64"),
-        })
+        return pd.DataFrame({"day": ud, "n_partial": cnt.astype("int64")})
 
-    parts = (
-        _read(sf_dir, "events", ["user_id", "ts"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(window_partial, batch_format="pandas")
-        .to_pandas()  # (days x groups)-sized
-    )
+    parts = co_group(window_partial, (
+        _read(sf_dir, "events", ["user_id", "ts"]),
+        user_days, pa.schema([("user_id", _I64), ("day", _I64)]),
+    )).to_pandas()  # (days x groups)-sized
     agg = parts.groupby("day")["n_partial"].sum()
     # the data's day range defines the grid; windows ending past the
     # last observed day are not reported (the SQL grid rule)
@@ -6366,42 +5576,24 @@ def events_type_cooccurrence(sf_dir: str):
     """(type_a, type_b, n_both, n_a, n_b, jaccard): user-level
     co-engagement between event types — for each unordered type pair,
     how many distinct users did BOTH, and the Jaccard overlap
-    |A∩B| / |A∪B| (the "users who X also Y" product analytic). ONE
-    coarse user-hash exchange; within a group each user's distinct
+    |A∩B| / |A∪B| (the "users who X also Y" product analytic). One
+    ``co_group`` on user_id; within a group each user's distinct
     type set (<= n_types) expands to its triangular type pairs
     VECTORIZED (segment-offset arithmetic, no per-user loop); partials
     are (types^2 + types)-sized. Jaccard divides identical integer
     operands on both engines, 6dp."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        t = pa.table({
-            "ukey": _ukey(u),
-            "user_id": pa.array(u),
-            "event_type": batch["event_type"].cast(pa.string()),
-        })
-        return t.group_by(
-            ["ukey", "user_id", "event_type"]
-        ).aggregate([])  # per-batch distinct
+    def distinct(batch: pa.Table) -> pa.Table:
+        return batch.group_by(["user_id", "event_type"]).aggregate([])
 
-    def pair_partial(g: pd.DataFrame) -> pd.DataFrame:
-        u = g["user_id"].to_numpy(np.int64)
-        ty = g["event_type"].to_numpy().astype("O")
+    def pair_partial(g) -> pd.DataFrame:
+        u, ty = g["user_id"], g["event_type"]
         order = np.lexsort((ty, u))
         u, ty = u[order], ty[order]
         uniq = np.ones(u.size, dtype=bool)
         uniq[1:] = (u[1:] != u[:-1]) | (ty[1:] != ty[:-1])
         u, ty = u[uniq], ty[uniq]
-        empty = pd.DataFrame({
-            "type_a": pd.Series(dtype="object"),
-            "type_b": pd.Series(dtype="object"),
-            "n_partial": pd.Series(dtype="int64"),
-        })
-        if u.size == 0:
-            return empty
         # singles: (t, t) rows carry per-type distinct-user counts
         st, sc = np.unique(ty, return_counts=True)
         rows = [pd.DataFrame({
@@ -6430,13 +5622,10 @@ def events_type_cooccurrence(sf_dir: str):
             )
         return pd.concat(rows, ignore_index=True)
 
-    parts = (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(pair_partial, batch_format="pandas")
-        .to_pandas()  # (types^2)-sized per group
-    )
+    parts = co_group(pair_partial, (
+        _read(sf_dir, "events", ["user_id", "event_type"]),
+        distinct, pa.schema([("user_id", _I64), ("event_type", _STR)]),
+    )).to_pandas()  # (types^2)-sized per group
     agg = parts.groupby(["type_a", "type_b"])["n_partial"].sum()
     singles = {t: int(agg.loc[(t, t)])
                for (t, tb) in agg.index if t == tb}
@@ -6912,31 +6101,25 @@ def events_user_entropy(sf_dir: str):
     """(user_id, n_events, entropy): Shannon entropy of each user's
     event-type distribution — the behavioral-diversity signal (0 =
     single-type bots, ln(n_types) = uniform explorers; the user-level
-    sibling of textops.doc_entropy). ONE coarse user-hash exchange;
+    sibling of textops.doc_entropy). One ``co_group`` on user_id;
     per group a vectorized (user, type) count fold, then entropy =
     -sum p*ln(p) from each user's <= n_types counts. 6dp (a <= 5-term
     double sum; ulp is 1e-16, ten orders under the grid)."""
     import pandas as pd
 
-    def tag(batch: pa.Table) -> pa.Table:
-        u = batch["user_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        t = pa.table({
-            "ukey": _ukey(u),
-            "user_id": pa.array(u),
-            "event_type": batch["event_type"].cast(pa.string()),
-        })
-        g = t.group_by(["ukey", "user_id", "event_type"]).aggregate(
+    def counts(batch: pa.Table) -> pa.Table:
+        g = batch.group_by(["user_id", "event_type"]).aggregate(
             [([], "count_all")]
         )
         return agg_select(g, {
-            "ukey": "ukey", "user_id": "user_id",
-            "event_type": "event_type", "count_all": "n_partial",
+            "user_id": "user_id", "event_type": "event_type",
+            "count_all": "n_partial",
         })
 
-    def entropy_fold(g: pd.DataFrame) -> pd.DataFrame:
-        agg = g.groupby(["user_id", "event_type"])["n_partial"].sum()
+    def entropy_fold(g) -> pd.DataFrame:
+        agg = pd.DataFrame(g).groupby(["user_id", "event_type"])[
+            "n_partial"
+        ].sum()
         df = agg.reset_index()
         u = df["user_id"].to_numpy(np.int64)
         c = df["n_partial"].to_numpy(np.int64)
@@ -6957,13 +6140,12 @@ def events_user_entropy(sf_dir: str):
             "entropy": np.round(ent, 6),
         })
 
-    return (
-        _read(sf_dir, "events", ["user_id", "event_type"])
-        .map_batches(tag, batch_format="pyarrow")
-        .groupby("ukey")
-        .map_groups(entropy_fold, batch_format="pandas")
-        .select_columns(["user_id", "n_events", "entropy"])
-    )
+    return co_group(entropy_fold, (
+        _read(sf_dir, "events", ["user_id", "event_type"]),
+        counts,
+        pa.schema([("user_id", _I64), ("event_type", _STR),
+                   ("n_partial", _I64)]),
+    ))
 
 
 def events_user_entropy_sql() -> str:
@@ -6987,27 +6169,19 @@ def supplier_part_degree_hist(sf_dir: str):
     distinct parts per supplier, side 'p' = distinct suppliers per
     part) — the graph-shape statistic behind partitioning and
     hot-key decisions (a power-law side predicts skewed joins). Two
-    coarse-key exchanges (one per side, each co-locating its node's
+    ``co_group`` exchanges (one per side, each co-locating its node's
     edges); per group a vectorized distinct-neighbor fold emits
     (degree, count) partials — histogram-sized — and the driver sums.
     Edges dedup inside the exchange (lineitem repeats pairs)."""
     import pandas as pd
 
     def side_hist(key_col: str, nbr_col: str, side: str):
-        def tag(batch: pa.Table) -> pa.Table:
-            k = batch[key_col].to_numpy(zero_copy_only=False).astype(
-                np.int64
-            )
-            t = pa.table({
-                "ukey": _ukey(k),
-                "k": pa.array(k),
-                "nbr": batch[nbr_col].cast(pa.int64()),
-            })
-            return t.group_by(["ukey", "k", "nbr"]).aggregate([])
+        def edges(batch: pa.Table) -> pa.Table:
+            t = pa.table({"k": batch[key_col], "nbr": batch[nbr_col]})
+            return t.group_by(["k", "nbr"]).aggregate([])
 
-        def fold(g: pd.DataFrame) -> pd.DataFrame:
-            k = g["k"].to_numpy(np.int64)
-            nb = g["nbr"].to_numpy(np.int64)
+        def fold(g) -> pd.DataFrame:
+            k, nb = g["k"], g["nbr"]
             order = np.lexsort((nb, k))
             k, nb = k[order], nb[order]
             uniq = np.ones(k.size, dtype=bool)
@@ -7020,14 +6194,12 @@ def supplier_part_degree_hist(sf_dir: str):
                 "n_partial": cnt.astype("int64"),
             })
 
-        parts = (
-            _read(sf_dir, "lineitem", [key_col, nbr_col])
-            .map_batches(tag, batch_format="pyarrow")
-            .groupby("ukey")
-            .map_groups(fold, batch_format="pandas")
-            .to_pandas()  # histogram-sized per group
-            .groupby("degree", as_index=False)["n_partial"].sum()
-        )
+        parts = co_group(fold, (
+            _read(sf_dir, "lineitem", [key_col, nbr_col]),
+            edges, pa.schema([("k", _I64), ("nbr", _I64)]),
+        )).to_pandas().groupby(  # histogram-sized per group
+            "degree", as_index=False
+        )["n_partial"].sum()
         parts["side"] = side
         return parts
 

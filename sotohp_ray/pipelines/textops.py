@@ -23,7 +23,7 @@ import pyarrow.compute as pc
 
 from sotohp_ray.functions.hashing import minhash_params
 from sotohp_ray.functions.tokenizer import CodeTokenizer, sql_token_expr
-from sotohp_ray.utils import agg_select
+from sotohp_ray.utils import agg_select, co_group, sorted_lookup
 
 _TOK = CodeTokenizer()
 
@@ -551,10 +551,10 @@ def doc_keywords(sf_dir: str, top_n: int = 5):
     rows already keyed by a 256-way term-hash coarse bucket; ONE
     term-keyed shuffle attaches df (all rows of a term land in its
     bucket, so within-bucket row count per term IS the global df) and
-    scores tf*ln(N/df); ONE doc-keyed shuffle takes the per-doc top-n
-    (rounded-score desc, term asc — the deterministic SQL-parity
-    rank). The coarse widths (256 term / 64 doc buckets) are the
-    cluster-parallelism knob, same convention as the window ops."""
+    scores tf*ln(N/df); one ``co_group`` on doc_id takes the per-doc
+    top-n (rounded-score desc, term asc — the deterministic SQL-parity
+    rank). The 256-bucket term width is the cluster-parallelism knob
+    of the first shuffle."""
     import pandas as pd
 
     from sotohp_ray.functions.hashing import token_hash_array
@@ -584,23 +584,23 @@ def doc_keywords(sf_dir: str, top_n: int = 5):
         score = g["tf"].to_numpy() * np.log(n_docs / df.to_numpy())
         out = g[["doc_id", "term"]].copy()
         out["tfidf"] = np.round(score, 6)
-        out["dcoarse"] = out["doc_id"].to_numpy() & 0x3F
         return out
 
     scored = rows.groupby("coarse").map_groups(
         attach_score, batch_format="pandas"
     )
 
-    def top_per_doc(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
+    def top_per_doc(g) -> pd.DataFrame:
+        g = pd.DataFrame(g).sort_values(
             ["doc_id", "tfidf", "term"], ascending=[True, False, True]
         )
-        out = g.groupby("doc_id", sort=False).head(top_n)
-        return out[["doc_id", "term", "tfidf"]]
+        return g.groupby("doc_id", sort=False).head(top_n)
 
-    return scored.groupby("dcoarse").map_groups(
-        top_per_doc, batch_format="pandas"
-    )
+    return co_group(top_per_doc, (
+        scored, None,
+        pa.schema([("doc_id", pa.int64()), ("term", pa.string()),
+                   ("tfidf", pa.float64())]),
+    ))
 
 
 def doc_keywords_sql(top_n: int = 5) -> str:
@@ -988,7 +988,6 @@ DUP_GRAM_L = 16
 _DG_B1 = np.uint64(1000003)         # two independent polynomial bases:
 _DG_B2 = np.uint64(0x100000001B3)   # collision needs BOTH to collide
 _DG_COARSE = 256                    # gram-hash shuffle width
-_DG_DCOARSE = 64                    # doc-keyed shuffle width
 
 
 def _codepoints_flat(text: pa.Array) -> tuple[np.ndarray, np.ndarray]:
@@ -1060,10 +1059,10 @@ def doc_dup_grams(sf_dir: str, L: int = DUP_GRAM_L):
     Shape: one map pass hashes each batch's flat codepoint stream (L
     vectorized adds) and pre-aggregates (gram, doc) instance counts;
     ONE gram-hash coarse shuffle totals each gram globally (all rows
-    of a gram land in its bucket) and emits per-doc dup partials; the
-    doc-keyed union with the documents spine sums partials and keeps
-    zero/short docs. The 256/64 coarse widths are the parallelism
-    knob (doc_keywords convention)."""
+    of a gram land in its bucket) and emits per-doc dup partials; a
+    ``co_group`` on doc_id with the documents spine sums partials and
+    keeps zero/short docs. The 256-bucket gram width is the
+    parallelism knob (doc_keywords convention)."""
     import pandas as pd
 
     def gram_rows(batch: pa.Table) -> pa.Table:
@@ -1108,12 +1107,6 @@ def doc_dup_grams(sf_dir: str, L: int = DUP_GRAM_L):
         h2 = g["h2"].to_numpy(zero_copy_only=False)
         cnt = g["cnt"].to_numpy(zero_copy_only=False).astype(np.int64)
         doc = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if h1.size == 0:
-            z = np.zeros(0, np.int64)
-            return pa.table({
-                "dcoarse": pa.array(z), "doc_id": pa.array(z),
-                "n_grams": pa.array(z), "n_dup_grams": pa.array(z),
-            })
         order = np.lexsort((h2, h1))
         h1s, h2s, cs, ds_ = h1[order], h2[order], cnt[order], doc[order]
         new = np.empty(h1s.size, dtype=bool)
@@ -1123,47 +1116,40 @@ def doc_dup_grams(sf_dir: str, L: int = DUP_GRAM_L):
         totals = np.bincount(seg, weights=cs)
         dup = totals[seg] >= 2
         dd, inv = np.unique(ds_[dup], return_inverse=True)
-        sums = (
-            np.bincount(inv, weights=cs[dup]).astype(np.int64)
-            if dd.size else np.zeros(0, np.int64)
-        )
-        return pa.table({
-            "dcoarse": pa.array(dd & (_DG_DCOARSE - 1), pa.int64()),
-            "doc_id": pa.array(dd, pa.int64()),
-            "n_grams": pa.array(np.zeros(dd.size, np.int64)),
-            "n_dup_grams": pa.array(sums, pa.int64()),
-        })
+        sums = np.bincount(inv, weights=cs[dup]).astype(np.int64)
+        return pa.table({"doc_id": dd, "n_dup_grams": sums})
 
     def spine(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
         lens = pc.utf8_length(_text_col(batch)).to_numpy(
             zero_copy_only=False
         ).astype(np.int64)
         ng = np.maximum(lens - L + 1, 0)
-        return pa.table({
-            "dcoarse": pa.array(ids & (_DG_DCOARSE - 1), pa.int64()),
-            "doc_id": pa.array(ids, pa.int64()),
-            "n_grams": pa.array(ng, pa.int64()),
-            "n_dup_grams": pa.array(np.zeros(ids.size, np.int64)),
-        })
+        return pa.table({"doc_id": batch["doc_id"], "n_grams": ng})
 
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        return (
-            g.groupby("doc_id", sort=True)[["n_grams", "n_dup_grams"]]
-            .sum()
-            .reset_index()
+    def finalize(sp, dp) -> pd.DataFrame:
+        n = sp["doc_id"].size
+        ids, inv = np.unique(
+            np.concatenate([sp["doc_id"], dp["doc_id"]]), return_inverse=True
         )
+        n_grams = np.zeros(ids.size, np.int64)
+        n_dup = np.zeros(ids.size, np.int64)
+        np.add.at(n_grams, inv[:n], sp["n_grams"])
+        np.add.at(n_dup, inv[n:], dp["n_dup_grams"])
+        return pd.DataFrame({
+            "doc_id": ids, "n_grams": n_grams, "n_dup_grams": n_dup,
+        })
 
     docs = _docs(sf_dir, ["doc_id", "text"])
     rows = docs.map_batches(gram_rows, batch_format="pyarrow")
     partials = rows.groupby("coarse").map_groups(
         dup_partials, batch_format="pyarrow"
     )
-    sp = docs.map_batches(spine, batch_format="pyarrow")
-    return sp.union(partials).groupby("dcoarse").map_groups(
-        finalize, batch_format="pandas"
+    return co_group(
+        finalize,
+        (docs, spine,
+         pa.schema([("doc_id", pa.int64()), ("n_grams", pa.int64())])),
+        (partials, None,
+         pa.schema([("doc_id", pa.int64()), ("n_dup_grams", pa.int64())])),
     )
 
 
@@ -1414,6 +1400,9 @@ ORDER BY doc_id
 """
 
 
+_HIT_SCHEMA = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
+
+
 def _dup_gram_hits(sf_dir: str, L: int):
     """Shared pass for the exact-substring (ExactSubstr) family:
     positions of every gram instance whose L-gram occurs >= 2 times
@@ -1452,12 +1441,6 @@ def _dup_gram_hits(sf_dir: str, L: int):
         h2 = g["h2"].to_numpy(zero_copy_only=False)
         doc = g["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         pos = g["pos"].to_numpy(zero_copy_only=False).astype(np.int64)
-        if h1.size == 0:
-            z = np.zeros(0, np.int64)
-            return pa.table({
-                "dcoarse": pa.array(z), "doc_id": pa.array(z),
-                "pos": pa.array(z),
-            })
         order = np.lexsort((h2, h1))
         h1s, h2s = h1[order], h2[order]
         new = np.empty(h1s.size, dtype=bool)
@@ -1466,11 +1449,7 @@ def _dup_gram_hits(sf_dir: str, L: int):
         seg = np.cumsum(new) - 1
         totals = np.bincount(seg)
         dup = order[totals[seg] >= 2]
-        return pa.table({
-            "dcoarse": pa.array(doc[dup] & (_DG_DCOARSE - 1), pa.int64()),
-            "doc_id": pa.array(doc[dup], pa.int64()),
-            "pos": pa.array(pos[dup], pa.int64()),
-        })
+        return pa.table({"doc_id": doc[dup], "pos": pos[dup]})
 
     rows = _docs(sf_dir, ["doc_id", "text"]).map_batches(
         gram_rows, batch_format="pyarrow"
@@ -1509,47 +1488,31 @@ def doc_dup_spans(sf_dir: str, L: int = DUP_GRAM_L):
     duplicated substrings themselves.
 
     Shape: the shared ``_dup_gram_hits`` gram-hash shuffle (see its
-    scale note), then ONE doc-keyed exchange of the dup-mass-sized
-    hit stream unioned with a doc spine; per-group interval merge is
-    a single lexsort + flag diff. Counts are integers, so the SQL
+    scale note), then one ``co_group`` on doc_id of a doc spine and
+    the dup-mass-sized hit stream; per-group interval merge is a
+    single lexsort + flag diff. Counts are integers, so the SQL
     oracle hash is exact."""
     import pandas as pd
 
-    hits = _dup_gram_hits(sf_dir, L)
-
-    def spine(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "dcoarse": pa.array(ids & (_DG_DCOARSE - 1), pa.int64()),
-            "doc_id": pa.array(ids, pa.int64()),
-            "pos": pa.array(np.full(ids.size, -1, np.int64)),
-        })
-
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        doc = g["doc_id"].to_numpy(np.int64)
-        pos = g["pos"].to_numpy(np.int64)
-        real = pos >= 0
-        sd, ss, se = _merged_spans(doc[real], pos[real], L)
-        all_ids = np.unique(doc)
+    def finalize(sp, h) -> pd.DataFrame:
+        sd, ss, se = _merged_spans(h["doc_id"], h["pos"], L)
+        all_ids = np.unique(sp["doc_id"])
         n_spans = np.zeros(all_ids.size, np.int64)
         n_chars = np.zeros(all_ids.size, np.int64)
-        if sd.size:
-            di = np.searchsorted(all_ids, sd)
-            np.add.at(n_spans, di, 1)
-            np.add.at(n_chars, di, se - ss)
+        di = np.searchsorted(all_ids, sd)  # every hit doc is in the spine
+        np.add.at(n_spans, di, 1)
+        np.add.at(n_chars, di, se - ss)
         return pd.DataFrame({
             "doc_id": all_ids,
             "n_dup_spans": n_spans,
             "n_chars_removed": n_chars,
         })
 
-    sp = _docs(sf_dir, ["doc_id"]).map_batches(
-        spine, batch_format="pyarrow"
-    )
-    return sp.union(hits).groupby("dcoarse").map_groups(
-        finalize, batch_format="pandas"
+    return co_group(
+        finalize,
+        (_docs(sf_dir, ["doc_id"]), None,
+         pa.schema([("doc_id", pa.int64())])),
+        (_dup_gram_hits(sf_dir, L), None, _HIT_SCHEMA),
     )
 
 
@@ -1603,39 +1566,20 @@ def corpus_dedup_substrings(sf_dir: str, L: int = DUP_GRAM_L):
     len(text) - n_chars_removed == len(cleaned) per doc and a
     planted-shared-span fixture.
 
-    Shape: the shared ``_dup_gram_hits`` stream unioned with a
-    text-carrying doc spine, ONE doc-keyed exchange (the text ships
+    Shape: the shared ``_dup_gram_hits`` stream and a text-carrying
+    doc spine meet in one ``co_group`` on doc_id (the text ships
     once — it is the op's output anyway), per-group span merge then
     per-doc segment splice (string surgery is inherently per-doc;
     the span math above it is vectorized)."""
     import pandas as pd
 
-    hits = _dup_gram_hits(sf_dir, L)
-
-    def hit_rows(batch: pa.Table) -> pa.Table:
-        return batch.append_column(
-            "text", pa.array([None] * batch.num_rows, pa.large_string())
-        )
-
     def spine(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        return pa.table({
-            "dcoarse": pa.array(ids & (_DG_DCOARSE - 1), pa.int64()),
-            "doc_id": pa.array(ids, pa.int64()),
-            "pos": pa.array(np.full(ids.size, -1, np.int64)),
-            "text": _text_col(batch),
-        })
+        return pa.table({"doc_id": batch["doc_id"], "text": _text_col(batch)})
 
-    def finalize(g: pd.DataFrame) -> pd.DataFrame:
-        doc = g["doc_id"].to_numpy(np.int64)
-        pos = g["pos"].to_numpy(np.int64)
-        real = pos >= 0
-        sd, ss, se = _merged_spans(doc[real], pos[real], L)
-        texts = g[~real].sort_values("doc_id")
-        ids = texts["doc_id"].to_numpy(np.int64)
-        out = texts["text"].to_numpy(object).copy()
+    def finalize(sp, h) -> pd.DataFrame:
+        sd, ss, se = _merged_spans(h["doc_id"], h["pos"], L)
+        order = np.argsort(sp["doc_id"], kind="stable")
+        ids, out = sp["doc_id"][order], sp["text"][order]
         lo = np.searchsorted(sd, ids, side="left")
         hi = np.searchsorted(sd, ids, side="right")
         for i in np.flatnonzero(hi > lo):
@@ -1648,11 +1592,12 @@ def corpus_dedup_substrings(sf_dir: str, L: int = DUP_GRAM_L):
             out[i] = "".join(parts)
         return pd.DataFrame({"doc_id": ids, "text": out})
 
-    sp = _docs(sf_dir, ["doc_id", "text"]).map_batches(
-        spine, batch_format="pyarrow"
+    return co_group(
+        finalize,
+        (_docs(sf_dir, ["doc_id", "text"]), spine,
+         pa.schema([("doc_id", pa.int64()), ("text", pa.large_string())])),
+        (_dup_gram_hits(sf_dir, L), None, _HIT_SCHEMA),
     )
-    return sp.union(hits.map_batches(hit_rows, batch_format="pyarrow")) \
-        .groupby("dcoarse").map_groups(finalize, batch_format="pandas")
 
 
 def lang_guess(sf_dir: str):
@@ -1935,25 +1880,19 @@ def nb_lang_predictions(sf_dir: str, vocab_size: int = NB_VOCAB_SIZE):
 
     scores = nb_lang_scores(sf_dir, vocab_size)
 
-    def pick(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(["doc_id", "score", "lang"],
-                          ascending=[True, False, True])
+    def pick(g) -> pd.DataFrame:
+        g = pd.DataFrame(g).sort_values(["doc_id", "score", "lang"],
+                                        ascending=[True, False, True])
         top = g.groupby("doc_id", sort=False).head(1)
         return top[["doc_id", "lang"]].rename(
             columns={"lang": "lang_pred"}
         )
 
-    def bucket(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False)
-        return batch.append_column(
-            "b", pa.array(ids & 0x3F, pa.int64())
-        )
-
-    pred = (
-        scores.map_batches(bucket, batch_format="pyarrow")
-        .groupby("b")
-        .map_groups(pick, batch_format="pandas")
-    ).to_pandas()
+    pred = co_group(pick, (
+        scores, None,
+        pa.schema([("doc_id", pa.int64()), ("lang", pa.string()),
+                   ("score", pa.float64())]),
+    )).to_pandas()
     truth = _docs(sf_dir, ["doc_id", "lang"]).to_pandas().rename(
         columns={"lang": "lang_true"}
     )
@@ -2048,10 +1987,10 @@ def exact_keep_mask(sf_dir: str):
         if sha_s.size == 0:
             return np.ones(ids.size, dtype=bool)
         shas = _sha_hex_np(_text_col(batch))
-        pos = np.searchsorted(sha_s, shas)
-        pc_ = np.minimum(pos, sha_s.size - 1)
-        in_dup = (pos < sha_s.size) & (sha_s[pc_] == shas)
-        return ~(in_dup & (ids != keep_s[pc_]))
+        pos, in_dup = sorted_lookup(sha_s, shas)
+        keep = np.ones(ids.size, dtype=bool)
+        keep[in_dup] = ids[in_dup] == keep_s[pos[in_dup]]
+        return keep
 
     return mask_of
 

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import numpy as np
+import pyarrow as pa
+import pyarrow.compute as pc
+
 
 def agg_select(t, mapping: dict[str, str]):
     """Rename + reorder a ``pa.Table.group_by().aggregate()`` output BY
@@ -10,8 +14,6 @@ def agg_select(t, mapping: dict[str, str]):
     aggregate output has differed across versions, so a positional
     ``rename_columns`` can silently swap keys with sums on an upgrade;
     selecting by name fails loudly (KeyError) instead."""
-    import pyarrow as pa
-
     return pa.table({new: t[old] for old, new in mapping.items()})
 
 
@@ -31,3 +33,92 @@ def actor_pool_size(max_frac: float = 1.0, cap: int = 64) -> tuple[int, int]:
         cpus = 4
     hi = max(2, min(cap, int(cpus * max_frac)))
     return (1, hi)
+
+
+COARSE_GROUPS = 64  # width of every coarse-key co-partitioned exchange
+
+
+def sorted_lookup(keys, probe):
+    """Exact-match lookup of ``probe`` in the ascending array ``keys``.
+
+    Returns ``(pos, hit)``: ``hit[i]`` is True when ``probe[i]`` occurs
+    in ``keys``, and then ``keys[pos[i]] == probe[i]`` (the first such
+    index). Where ``hit`` is False ``pos`` is only the insertion point,
+    so index with ``pos[hit]``. An empty ``keys`` misses every probe."""
+    pos = np.searchsorted(keys, probe)
+    if len(keys) == 0:
+        return pos, np.zeros(np.shape(probe), dtype=bool)
+    return pos, keys[np.minimum(pos, len(keys) - 1)] == probe
+
+
+def co_group(fold, *sides):
+    """One co-partitioned exchange over one or more datasets.
+
+    Each side is ``(dataset, project, schema)``: ``project(batch)``
+    maps a pyarrow batch of ``dataset`` to a ``pa.Table`` of
+    ``schema`` (cast to it when the types differ; ``None`` when the
+    batch already holds the schema's columns), whose FIRST field is
+    the int64 join key. Every projected row is routed to coarse group
+    ``key & (COARSE_GROUPS - 1)``, so rows of every side that share a
+    key meet in the same group — one shuffle for the whole join, each row moved once, and
+    no side has to be small enough to broadcast. Inside a group the
+    fold answers every key at once with vectorized sorted kernels
+    (``sorted_lookup``, lexsort runs), instead of paying per-key
+    pandas overhead.
+
+    The helper tags each row with its side and pads all sides to one
+    schema (fields are shared by name; a name must keep one type
+    across sides; the other sides' fields are null), so the exchange
+    is one ``groupby().map_groups()`` over the union. ``fold`` is
+    called once per non-empty group with one dict of numpy columns
+    per side, in ``sides`` order; a side with no rows in the group
+    gets empty arrays of its schema's dtypes (no empty-side guards in
+    the fold). ``fold`` returns any ``map_groups`` batch (DataFrame,
+    ``pa.Table`` or dict of numpy columns) and the result is the
+    dataset of those batches."""
+    schemas = [schema for _, _, schema in sides]
+    fields: dict = {}
+    for schema in schemas:
+        if schema.field(0).type != pa.int64():
+            raise TypeError("co_group: the first field must be the int64 key")
+        for f in schema:
+            if fields.setdefault(f.name, f.type) != f.type:
+                raise TypeError(f"co_group: field {f.name!r} changes type")
+    wide = pa.schema([("__group", pa.int64()), ("__side", pa.int8())]
+                     + list(fields.items()))
+
+    def padder(i, project, schema):
+        def pad(batch: pa.Table) -> pa.Table:
+            t = project(batch) if project else batch
+            if not t.schema.equals(schema):
+                t = t.select(schema.names).cast(schema)
+            n = t.num_rows
+            cols = [
+                pc.bit_wise_and(t.column(0), COARSE_GROUPS - 1),
+                pa.array(np.full(n, i, np.int8)),
+            ]
+            for name, typ in fields.items():
+                own = schema.get_field_index(name) >= 0
+                cols.append(t[name] if own else pa.nulls(n, typ))
+            return pa.Table.from_arrays(cols, schema=wide)
+
+        return pad
+
+    union = None
+    for i, (ds, project, schema) in enumerate(sides):
+        part = ds.map_batches(padder(i, project, schema),
+                              batch_format="pyarrow")
+        union = part if union is None else union.union(part)
+
+    def per_group(g: pa.Table):
+        args = []
+        for i, schema in enumerate(schemas):
+            sub = g if len(schemas) == 1 else g.filter(
+                pc.equal(g["__side"], i)
+            )
+            args.append({f.name: sub[f.name].to_numpy() for f in schema})
+        return fold(*args)
+
+    return union.groupby("__group").map_groups(
+        per_group, batch_format="pyarrow"
+    )

@@ -792,3 +792,116 @@ def test_holt_oracle_single_hour_degenerate_row(tmp_path):
     assert out.to_pylist() == [{"hr": out["hr"][0].as_py(), "n": 2,
                                 "level": 2.0, "trend": 0.0}]
     _engine_vs_duckdb(out, d, events_hourly_holt_sql())
+
+
+# ---- dangling keys: coarse groups that hold rows of only one side ----
+#
+# Every two-sided op routes rows to coarse group key & 63. Customers
+# 1-3 sit in groups 1-3; custkey 70 (group 6) has orders and events but
+# no customer row, and custkey 130 (group 2) shares a group with
+# customer 2 without matching it. Customer 3 has no orders, and user 4
+# (group 4) has events but no orders.
+
+
+def _write_dangling(tmp_path) -> str:
+    d = tmp_path / "sf"
+    d.mkdir(exist_ok=True)
+    pq.write_table(pa.table({
+        "c_custkey": pa.array([1, 2, 3], pa.int64()),
+        "c_acctbal": pa.array([10.5, -3.25, 7.0], pa.float64()),
+        "c_mktsegment": pa.array(["AUTO", "BUILDING", "AUTO"]),
+    }), str(d / "customer.parquet"))
+    ts = [pd.Timestamp(t) for t in (
+        "2026-03-01", "2026-03-03", "2026-03-02", "2026-03-05",
+        "2026-03-04", "2026-03-06",
+    )]
+    pq.write_table(pa.table({
+        "o_orderkey": pa.array([10, 11, 12, 13, 14, 15], pa.int64()),
+        "o_custkey": pa.array([1, 1, 2, 70, 70, 130], pa.int64()),
+        "o_totalprice": pa.array(
+            [500_000.0, 100.0, 20.0, 400_000.0, 1.0, 900_000.0],
+            pa.float64()),
+        "o_orderdate": pa.array(ts, pa.timestamp("us")),
+    }), str(d / "orders.parquet"))
+    _write_events(tmp_path, [
+        (1, "2026-03-02 00:00", "view"),
+        (1, "2026-03-03 00:00", "click"),   # ties order 11's date (<=)
+        (2, "2026-02-01 00:00", "view"),    # before any order of user 2
+        (4, "2026-03-04 00:00", "view"),    # user with no orders at all
+        (70, "2026-03-05 12:00", "view"),
+    ])
+    return str(d)
+
+
+def _matches_duckdb(out, sf_dir: str, sql: str) -> None:
+    """The engine's rows equal the DuckDB oracle's as multisets (the
+    join ops promise no row order)."""
+    import duckdb
+
+    con = duckdb.connect()
+    for t in ("customer", "orders", "events"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'")
+    want = sorted(con.sql(sql).fetchall())
+    df = out.to_pandas() if hasattr(out, "to_pandas") else out
+    got = sorted(tuple(r) for r in df.itertuples(index=False))
+    assert got == want
+
+
+def test_q13_dangling_order_keys_match_duckdb(tmp_path):
+    """Orders of custkey 70 land in a coarse group with no customer at
+    all; the LEFT OUTER count must drop them, not index into an empty
+    build side."""
+    from sotohp_ray.pipelines.relational import (
+        q13_customer_distribution,
+        q13_customer_distribution_sql,
+    )
+
+    d = _write_dangling(tmp_path)
+    out = q13_customer_distribution(d)
+    # custdist DESC, c_count DESC
+    assert out.to_pylist() == [
+        {"c_count": 2, "custdist": 1}, {"c_count": 1, "custdist": 1},
+        {"c_count": 0, "custdist": 1},
+    ]
+    _matches_duckdb(out, d, q13_customer_distribution_sql())
+
+
+def test_orders_with_segment_dangling_keys_match_duckdb(tmp_path):
+    from sotohp_ray.pipelines.relational import (
+        orders_with_segment,
+        orders_with_segment_sql,
+    )
+
+    d = _write_dangling(tmp_path)
+    out = orders_with_segment(d).to_pandas()
+    assert sorted(out["o_orderkey"]) == [10, 11, 12]
+    _matches_duckdb(out, d, orders_with_segment_sql())
+
+
+def test_customers_without_big_orders_dangling_keys_match_duckdb(tmp_path):
+    """Big orders of custkeys 70 and 130 sit in groups holding no
+    matching customer; they must neither fail nor knock anyone out."""
+    from sotohp_ray.pipelines.relational import (
+        customers_without_big_orders,
+        customers_without_big_orders_sql,
+    )
+
+    d = _write_dangling(tmp_path)
+    out = customers_without_big_orders(d).to_pandas()
+    assert sorted(out["c_custkey"]) == [2, 3]
+    _matches_duckdb(out, d, customers_without_big_orders_sql())
+
+
+def test_events_asof_orders_dangling_keys_match_duckdb(tmp_path):
+    """Users with orders and no events (130) and with events and no
+    orders (4) both sit alone in their coarse groups."""
+    from sotohp_ray.pipelines.relational import (
+        events_asof_orders,
+        events_asof_orders_sql,
+    )
+
+    d = _write_dangling(tmp_path)
+    out = events_asof_orders(d).to_pandas().sort_values("event_id")
+    assert out["n_prior_orders"].tolist() == [1, 2, 0, 0, 2]
+    assert out["last_order_gap_us"].tolist()[2:4] == [-1, -1]
+    _matches_duckdb(out, d, events_asof_orders_sql())

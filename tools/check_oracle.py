@@ -1,13 +1,20 @@
 """Local simulation of the driver's correctness gate: run every
 queries() entry and its oracle_sql() side-by-side over one sf dir,
-compare row count, column names, and order-insensitive values.
+compare row count, column names, and order-insensitive values. Each
+line carries the op's wall time (the engine side only, not the oracle).
 
-Usage: PYTHONPATH=/root/repo python tools/check_oracle.py [sf_dir]
+Usage: PYTHONPATH=. python tools/check_oracle.py SF_DIR [--only REGEX]
+
+``--only REGEX`` runs just the entries whose name matches REGEX
+(``re.search``), e.g. ``--only '^q1[38]_|asof'``.
 """
 
 from __future__ import annotations
 
+import argparse
+import re
 import sys
+import time
 
 import numpy as np
 import pandas as pd
@@ -65,7 +72,12 @@ def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
 
 
 def main():
-    sf_dir = sys.argv[1] if len(sys.argv) > 1 else "/root/testdata/sf0.001"
+    ap = argparse.ArgumentParser()
+    ap.add_argument("sf_dir", help="directory of the sf parquet tables")
+    ap.add_argument("--only", default=None, metavar="REGEX",
+                    help="run only the entries whose name matches")
+    args = ap.parse_args()
+    sf_dir = args.sf_dir
     import duckdb
     import ray
 
@@ -89,14 +101,18 @@ def main():
     qs, oracles = e.queries(), e.oracle_sql()
     n_fail = 0
     for name, fn in qs.items():
+        if args.only and not re.search(args.only, name):
+            continue
+        t0 = time.perf_counter()
         try:
             ray_df = to_pandas(fn(sf_dir))
         except Exception as ex:
             print(f"FAIL {name}: query raised {type(ex).__name__}: {ex}")
             n_fail += 1
             continue
+        wall = f"[{time.perf_counter() - t0:.3f}s]"
         if name not in oracles:
-            print(f"ok   {name}: rows-only ({len(ray_df)} rows)")
+            print(f"ok   {name}: rows-only ({len(ray_df)} rows) {wall}")
             continue
         try:
             sql_df = con.sql(oracles[name]).df()
@@ -107,9 +123,9 @@ def main():
         errs = compare(name, ray_df, sql_df)
         if errs:
             n_fail += 1
-            print(f"FAIL {name}: " + "; ".join(errs))
+            print(f"FAIL {name}: " + "; ".join(errs) + f" {wall}")
         else:
-            print(f"OK   {name}: {len(ray_df)} rows match oracle")
+            print(f"OK   {name}: {len(ray_df)} rows match oracle {wall}")
     print(f"\n{'ALL OK' if n_fail == 0 else f'{n_fail} FAILURES'}")
     ray.shutdown()
     sys.exit(1 if n_fail else 0)
