@@ -14,6 +14,8 @@ comparison possible — see ``sql_token_expr`` below.
 
 from __future__ import annotations
 
+import re
+
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -26,6 +28,10 @@ _CAMEL1 = (r"([a-z0-9])([A-Z])", r"\1 \2")
 _CAMEL2 = (r"([A-Z]+)([A-Z][a-z])", r"\1 \2")
 _SPLIT = r"[^a-z0-9]+"
 _DROP = r"^[0-9]*$"  # empty or pure-number tokens
+# the same patterns for Python ``re`` (``tokens_of`` on ASCII text)
+_CAMEL1_RE = re.compile(_CAMEL1[0])
+_CAMEL2_RE = re.compile(_CAMEL2[0])
+_SPLIT_RE = re.compile(_SPLIT)
 
 
 class CodeTokenizer:
@@ -42,6 +48,10 @@ class CodeTokenizer:
             if self.rules.stopwords
             else None
         )
+        # rewritings are RE2 patterns and replacements, which Python
+        # ``re`` need not read the same way: only the Arrow chain runs
+        # them
+        self._re_ok = not self.rules.rewritings
 
     # ---- core chain -------------------------------------------------
 
@@ -168,9 +178,31 @@ class CodeTokenizer:
         return row_r, code_r, tf.astype(np.int64), d.dictionary, occ_pos
 
     def tokens_of(self, text: str) -> list[str]:
-        """Single-string convenience (query parsing, tests)."""
-        lists = self.token_lists(pa.array([text], type=pa.large_string()))
-        return lists[0].as_py()
+        """Single-string analysis (query parsing, tests): the tokens
+        ``token_lists`` gives for ``[text]``.
+
+        An ASCII string under rules without rewritings is analyzed with
+        Python ``re`` in place of the eleven or so Arrow kernel calls
+        of the batch chain, which cost about 200 us a query. The result
+        is identical: the camelCase and split patterns are the same and
+        both engines match leftmost-first, ``str.lower`` equals
+        ``utf8_lower`` on ASCII, an empty or ``isdigit`` token is
+        exactly one matching ``^[0-9]*$``, and the mapping and the
+        stopwords run in ``_filter_map``'s order. Every other string
+        takes the Arrow chain: outside ASCII the two lowercasings
+        differ (Arrow lowercases ``'İstanbul'`` to ``'istanbul'``,
+        ``str.lower`` to ``'i\\u0307stanbul'``, which splits into
+        ``['i', 'stanbul']``)."""
+        if not (self._re_ok and text.isascii()):
+            lists = self.token_lists(pa.array([text], type=pa.large_string()))
+            return lists[0].as_py()
+        s = _CAMEL2_RE.sub(_CAMEL2[1], _CAMEL1_RE.sub(_CAMEL1[1], text))
+        toks = [
+            t for t in _SPLIT_RE.split(s.lower()) if t and not t.isdigit()
+        ]
+        if self._mapping:
+            toks = [self._mapping.get(t, t) for t in toks]
+        return [t for t in toks if t not in self.rules.stopwords]
 
     # ---- helpers ----------------------------------------------------
 

@@ -3338,16 +3338,14 @@ def bm25_fuzzy_topk(
     eng2orig = _eng2orig(index_dir, s.space)
     rows = []
     for qi, q in enumerate(queries):
-        scores = np.zeros(s.space, dtype=np.float64)
-        for t, w in sorted(Counter(s.tok.tokens_of(q)).items()):
-            for e in s.fuzzy_terms(t):
-                d, f = s._decode_full(e)
-                scores[d] += s._contrib(
-                    float(w), int(s._dfs[s._row[e]]),
-                    f.astype(np.float64), s.doc_len[d],
-                )
-        if s._tomb is not None:
-            scores[s._tomb] = 0.0
+        # one TAAT row per (query term, expansion), in that order
+        scores = s._taat_scores_terms([
+            (e, float(w))
+            for t, w in sorted(Counter(s.tok.tokens_of(q)).items())
+            for e in s.fuzzy_terms(t)
+        ])
+        if scores is None:
+            continue
         nz = np.flatnonzero(scores > 0.0)
         ranked = sorted(
             ((int(eng2orig[d]), round(float(scores[d]), 4)) for d in nz),

@@ -92,6 +92,14 @@ def _top_order(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     return np.lexsort((ids, -scores))[:k]
 
 
+def _charge(entry: list) -> int:
+    """A ``Searcher._dec_cache`` entry's charge against its budget, in
+    postings of 16 bytes: its postings, twice over once it holds
+    impacts (impacts and their top prefix add at most 16 bytes a
+    posting)."""
+    return entry[0].size * (1 if entry[2] is None else 2)
+
+
 def _rank(
     ids: np.ndarray, scores: np.ndarray, k: int
 ) -> list[tuple[int, float]]:
@@ -766,9 +774,15 @@ class Searcher(_Operators):
         self._tf0 = t["tf0"].to_numpy(zero_copy_only=False)
         self._rec_cache: dict[str, dict] = {}
         # decoded-postings cache (the serving-side block cache every
-        # production engine keeps): term -> (doc_ids, tfs), bounded by
-        # total cached postings; insertion-order eviction
-        self._dec_cache: dict[str, tuple] = {}
+        # production engine keeps): term -> [doc_ids, tfs, impacts,
+        # top], filled by ``_decode_full`` with impacts and top None.
+        # ``_impacts`` sets impacts, the term's BM25 contributions at
+        # qw = 1.0 (float64, one per posting); ``_kth_impact`` sets top,
+        # the largest impacts in descending order, as many as the
+        # largest k asked. Bounded by ``dec_cache_budget`` postings of
+        # 16 bytes (a doc id and a tf; ``_charge``); insertion-order
+        # eviction.
+        self._dec_cache: dict[str, list] = {}
         # decoded-positions cache (phrase/proximity serving): bounded
         # by entry count; positions are ~1 value per occurrence
         self._pos_cache: dict[str, tuple] = {}
@@ -931,7 +945,7 @@ class Searcher(_Operators):
     def _decode_full(self, term: str) -> tuple[np.ndarray, np.ndarray]:
         hit = self._dec_cache.get(term)
         if hit is not None:
-            return hit
+            return hit[0], hit[1]
         r = self._record(term)
         if r.get("docs") is not None:
             return r["docs"], r["tfs"]
@@ -943,17 +957,72 @@ class Searcher(_Operators):
             block_counts=counts, gap_offs=r["block_gap_offs"],
             tf_offs=r["block_tf_offs"], codec=self.config.codec,
         )
-        n = out[0].size
-        if n <= self.dec_cache_budget:
-            while (
-                self._dec_cache_postings + n > self.dec_cache_budget
-                and self._dec_cache
-            ):
-                old = next(iter(self._dec_cache))
-                self._dec_cache_postings -= self._dec_cache.pop(old)[0].size
-            self._dec_cache[term] = out
-            self._dec_cache_postings += n
+        self._dec_cache_put(term, [out[0], out[1], None, None])
         return out
+
+    def _dec_cache_put(self, term: str, entry: list) -> None:
+        """Cache ``entry`` under ``term``, evicting the oldest entries
+        until its charge fits the budget; an entry larger than the
+        whole budget is not cached."""
+        n = _charge(entry)
+        if n > self.dec_cache_budget:
+            return
+        while (
+            self._dec_cache_postings + n > self.dec_cache_budget
+            and self._dec_cache
+        ):
+            self._dec_cache_postings -= _charge(
+                self._dec_cache.pop(next(iter(self._dec_cache))))
+        self._dec_cache[term] = entry
+        self._dec_cache_postings += n
+
+    def _impacts(self, term: str) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, impacts) over the term's full postings, impacts being
+        its BM25 contributions at qw = 1.0, kept in its decode-cache
+        entry. They come from the one ``_contrib`` expression, and
+        ``1.0 * idf`` is ``idf`` exactly, so they are bit-identical to
+        contributions computed per query."""
+        d, f = self._decode_full(term)
+        e = self._dec_cache.get(term)
+        if e is not None and e[2] is not None:
+            return d, e[2]
+        c = self._scored(term, 1.0, d, f)
+        if e is not None:
+            # re-charged with its impacts, as the newest entry
+            self._dec_cache_postings -= _charge(self._dec_cache.pop(term))
+            e[2] = c
+            self._dec_cache_put(term, e)
+        return d, c
+
+    def _kth_impact(self, term: str, k: int) -> float:
+        """The k-th largest cached impact of ``term``; 0.0 when its
+        impacts are not cached or it is in fewer than k docs."""
+        e = self._dec_cache.get(term)
+        if e is None or e[2] is None or not 0 < k <= e[2].size:
+            return 0.0
+        if e[3] is None or e[3].size < k:
+            c = e[2]
+            e[3] = np.sort(np.partition(c, c.size - k)[c.size - k:])[::-1]
+        return float(e[3][k - 1])
+
+    def _impact_floor(
+        self, qterms: list[tuple[str, float]], k: int
+    ) -> float:
+        """theta0 of a top-k over [(term, qw)]: the largest cached k-th
+        impact among the qw = 1.0 terms, or 0.0 with tombstones. A
+        lower bound on the k-th live score (Kane & Tompa's initial
+        threshold, SIGIR 2018): Lucene idf is > 0 and tf >= 1, so every
+        contribution is positive; adding a non-negative float never
+        rounds below either addend, so a doc's score is at least each
+        of its contributions; so the k docs with the top impacts of one
+        term all score >= theta0. A tombstoned doc may be among those
+        k, so the bound then does not hold."""
+        if self._tomb is not None:
+            return 0.0
+        return max(
+            (self._kth_impact(t, k) for t, qw in qterms if qw == 1.0),
+            default=0.0,
+        )
 
     def _positions_of(self, term: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(docs, tfs, occ_positions): absolute token positions of
@@ -1001,6 +1070,16 @@ class Searcher(_Operators):
         denom = tf + k1 * (1.0 - b + b * dl / self.avgdl)
         return qw * idf * (tf * (k1 + 1.0)) / denom
 
+    def _scored(
+        self, term: str, qw: float, d: np.ndarray, f: np.ndarray
+    ) -> np.ndarray:
+        """``_contrib`` of ``term`` at weight ``qw`` for its postings
+        (``d``, ``f``)."""
+        return self._contrib(
+            qw, int(self._dfs[self._row[term]]), f.astype(np.float64),
+            self.doc_len[d.view(np.intp)],
+        )
+
     # ---- exact (term-at-a-time) ------------------------------------
 
     def _taat_scores(
@@ -1033,14 +1112,9 @@ class Searcher(_Operators):
         other in qi order (tombstoned and ``mask``-excluded docs
         zeroed)."""
         scores = np.zeros(self.space, dtype=np.float64)
-        for _, term, qw, d, f in postings:
-            # one intp copy serves the gather and both halves of the
-            # scatter-add; a uint64 index is converted on every use
-            d = d.astype(np.intp)
-            scores[d] += self._contrib(
-                qw, int(self._dfs[self._row[term]]), f.astype(np.float64),
-                self.doc_len[d],
-            )
+        for _, _, _, d, c in postings:
+            # an intp view: a uint64 index is converted on every use
+            scores[d.view(np.intp)] += c
         if self._tomb is not None:
             scores[self._tomb] = 0.0
         if mask is not None:
@@ -1052,19 +1126,26 @@ class Searcher(_Operators):
         theta: float = 0.0,
     ) -> list[tuple[int, float]]:
         """Top-k live docs by the BM25 sums of ``_interval_postings``
-        rows, ranking only positive sums >= ``theta`` (a caller passes
-        a theta that at least k docs reach). The full searcher
-        accumulates into a dense array; a shard group must never
-        allocate a doc-id-SPACE-sized one (8 B/doc = ~8 GB per actor at
-        10^9 docs), so it sums sparse contributions with the fan-out
-        merge kernel instead. Both add in qi order, so the scores are
+        rows, ranking only positive sums >= max(``theta``, theta0) (a
+        caller passes a theta that at least k docs reach; theta0 is the
+        rows' ``_impact_floor``, 0.0 under a ``mask``, which may hide
+        the docs it counts on). The full searcher accumulates into a
+        dense array; a shard group must never allocate a
+        doc-id-SPACE-sized one (8 B/doc = ~8 GB per actor at 10^9
+        docs), so it sums sparse contributions with the fan-out merge
+        kernel instead. Both add in qi order, so the scores are
         bit-identical. The full searcher keeps the dense array because
-        it is the faster of the two there: on the 24k-doc benchmark
-        index, the median ``_top_k`` over one query mix took 0.97-1.20
-        ms dense against 2.64-3.03 ms with the sparse sums (five passes
-        each, one CPU of a shared VM)."""
+        it is the faster of the two there (in the A/B that chose it,
+        on the 24k-doc benchmark index, the median ``_top_k`` over one
+        query mix took 0.97-1.20 ms dense against 2.64-3.03 ms with the
+        sparse sums, one CPU of a shared VM). Without theta0 a warm
+        query ranked every doc with a nonzero score there, ~20k of
+        24k; with it, the docs at or above a term's k-th impact."""
         if not postings:
             return []
+        if mask is None:
+            theta = max(theta, self._impact_floor(
+                [(t, qw) for _, t, qw, _, _ in postings], k))
         if self.shard_range is not None:
             got = self._merge_contribs(*self._contribs(postings))
             if got is None:
@@ -1129,17 +1210,10 @@ class Searcher(_Operators):
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(doc_ids:int64[], qi:int64[], contrib:float64[]) rows of
         ``_interval_postings`` output, qi-major."""
-        rows = []
-        for qi, term, qw, d, f in postings:
-            di = d.astype(np.int64)
-            rows.append((
-                di, np.full(di.size, qi, dtype=np.int64),
-                self._contrib(
-                    qw, int(self._dfs[self._row[term]]),
-                    f.astype(np.float64), self.doc_len[di],
-                ),
-            ))
-        return _concat_rows(rows)
+        return _concat_rows([
+            (d.view(np.int64), np.full(d.size, qi, dtype=np.int64), c)
+            for qi, _, _, d, c in postings
+        ])
 
     # ---- the four primitives, answered in-process (one group) -------
 
@@ -1175,8 +1249,8 @@ class Searcher(_Operators):
         postings = self._interval_postings(qterms)
         if docs is not None:
             postings = [
-                (qi, t, qw, *_slice_runs(d, f, docs, docs))
-                for qi, t, qw, d, f in postings
+                (qi, t, qw, *_slice_runs(d, c, docs, docs))
+                for qi, t, qw, d, c in postings
             ]
         return self._contribs(postings)
 
@@ -1287,10 +1361,11 @@ class Searcher(_Operators):
         self, qterms: list[tuple[str, float]], theta: float = 0.0,
         iv: tuple[np.ndarray, np.ndarray] | None = None,
     ) -> list[tuple[int, str, float, np.ndarray, np.ndarray]]:
-        """[(qi, term, qw, docs, tfs)] — the postings every BM25 path
-        scores, for the present terms of ``qterms`` (qi = the term's
-        index in ``qterms``), restricted to the ``_block_intervals``
-        (``iv``, computed when not given) whose bound is >= ``theta``.
+        """[(qi, term, qw, docs, contribs)] — the postings every BM25
+        path scores, with their BM25 contributions, for the present
+        terms of ``qterms`` (qi = the term's index in ``qterms``),
+        restricted to the ``_block_intervals`` (``iv``, computed when
+        not given) whose bound is >= ``theta``.
 
         A doc in a kept interval keeps the postings of every term, so
         its sum is exact; a doc in a dropped interval scores below
@@ -1299,14 +1374,17 @@ class Searcher(_Operators):
         skips the interval work. Per term: a cached term is sliced; a
         term whose every block is kept is decoded through
         ``_decode_full`` (which fills the cache); otherwise only the
-        kept blocks are decoded."""
+        kept blocks are decoded. A qw = 1.0 term decoded whole takes
+        its contributions from its cached ``_impacts``; any other
+        computes them for the postings it keeps."""
         rows = [
             (qi, t, float(qw))
             for qi, (t, qw) in enumerate(qterms) if t in self._row
         ]
         if theta <= 0.0:
             return [
-                (qi, t, qw, *self._decode_full(t)) for qi, t, qw in rows
+                (qi, t, qw, *self._full_contribs(t, qw))
+                for qi, t, qw in rows
             ]
         if not rows:
             return []
@@ -1326,14 +1404,26 @@ class Searcher(_Operators):
             b = b[b < r["block_last"].size]
             if b.size == 0:
                 continue
-            if b.size == r["block_last"].size or t in self._dec_cache:
-                d, f = self._decode_full(t)
+            if b.size < r["block_last"].size and t not in self._dec_cache:
+                d, f = _slice_runs(
+                    *self._decode_blocks(r, b), run_lo, run_hi)
+                c = self._scored(t, qw, d, f)
             else:
-                d, f = self._decode_blocks(r, b)
-            d, f = _slice_runs(d, f, run_lo, run_hi)
+                d, c = _slice_runs(
+                    *self._full_contribs(t, qw), run_lo, run_hi)
             if d.size:
-                out.append((qi, t, qw, d, f))
+                out.append((qi, t, qw, d, c))
         return out
+
+    def _full_contribs(
+        self, term: str, qw: float
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(docs, contribs) over the term's full postings at weight
+        ``qw``: its cached ``_impacts`` at qw = 1.0."""
+        if qw == 1.0:
+            return self._impacts(term)
+        d, f = self._decode_full(term)
+        return d, self._scored(term, qw, d, f)
 
     def search_wand(
         self, query: str, k: int = 10
@@ -1366,9 +1456,10 @@ class Searcher(_Operators):
 
         1. seed theta with the exact, live-only k-th score over the
            highest-bound intervals that together cover at least
-           ``_WAND_SEED_IDS_PER_HIT`` * k doc ids (0 when they hold
-           fewer than k positive scores) — the seeded threshold of SAP
-           (ICDE 2018);
+           ``_WAND_SEED_IDS_PER_HIT`` * k doc ids — the seeded
+           threshold of SAP (ICDE 2018) — or, when fewer than k of
+           them clear ``_top_k``'s floor, with that floor, the
+           ``_impact_floor`` (0.0 without cached impacts);
         2. keep every interval whose bound is >= theta (ties stay);
         3. score the kept intervals with ``search_exact``'s per-term
            accumulation and rank the docs scoring >= theta. Every doc
@@ -1386,7 +1477,12 @@ class Searcher(_Operators):
         seed = self._top_k(
             self._interval_postings(qterms, float(bound[order[j]]), iv), k
         )
-        theta = seed[-1][1] if len(seed) == k > 0 else 0.0
+        # fewer than k seeds clear theta0 when theta0 exceeds the
+        # seed intervals' k-th score; theta0 is then the better theta
+        theta = (
+            seed[-1][1] if len(seed) == k > 0
+            else self._impact_floor(qterms, k)
+        )
         return self._top_k(
             self._interval_postings(qterms, theta, iv), k, theta=theta
         )

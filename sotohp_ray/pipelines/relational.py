@@ -3595,7 +3595,7 @@ Q7_BLOC = 8
 
 
 def q7_volume_shipping(sf_dir: str):
-    """(supp_nation, cust_nation, yr, revenue_cents): the TPC-H Q7
+    """(supp_nation, cust_nation, yr, revenue_e4): the TPC-H Q7
     shape — bilateral shipping volume between two trade blocs by
     year. The one §2 join pyramid needing TWO SEQUENTIAL exchanges on
     DIFFERENT keys: customer x orders is BIG x BIG, a ``co_group`` on
@@ -3607,7 +3607,9 @@ def q7_volume_shipping(sf_dir: str):
     broadcasts once. The bloc-pair predicate needs both nations, so
     each side prefilters to bloc members and the exact directional
     test runs where the pair first co-exists; final aggregate is
-    (25 x 25 x years)-bounded partials, cents at the end."""
+    (25 x 25 x years)-bounded partials. Volumes are EXACT int64 e-4
+    units per item, as in q8/q9, so every sum is integer-exact and
+    neither side rounds a float sum."""
     import ray
 
     import pandas as pd
@@ -3660,13 +3662,13 @@ def q7_volume_shipping(sf_dir: str):
             b["l_shipdate"].to_numpy(zero_copy_only=False)[bloc]
             .astype("datetime64[Y]").astype(np.int64) + 1970
         )
-        vol = (
+        vol = np.round((
             b["l_extendedprice"].to_numpy(zero_copy_only=False)[bloc]
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False)[bloc])
-        )
+        ) * 10000.0).astype(np.int64)  # exact 4-decimal value
         key = (okey << 16) | (supp_nat << 11) | (yr - 1990)
         uk, inv = np.unique(key, return_inverse=True)
-        part = np.zeros(uk.size)
+        part = np.zeros(uk.size, dtype=np.int64)
         np.add.at(part, inv, vol)
         return pa.table({
             "okey": uk >> 16,
@@ -3688,7 +3690,7 @@ def q7_volume_shipping(sf_dir: str):
         yr, vol = li["yr"][hit][keep], li["vol"][hit][keep]
         key = (supp << 16) | (cust << 11) | (yr - 1990)
         uk, inv = np.unique(key, return_inverse=True)
-        part = np.zeros(uk.size)
+        part = np.zeros(uk.size, dtype=np.int64)
         np.add.at(part, inv, vol)
         return pd.DataFrame({
             "supp_nation": uk >> 16,
@@ -3706,11 +3708,11 @@ def q7_volume_shipping(sf_dir: str):
                 "l_extendedprice", "l_discount"]),
          li_partial,
          pa.schema([("okey", _I64), ("supp_nation", _I64), ("yr", _I64),
-                    ("vol", _F64)])),
+                    ("vol", _I64)])),
     ).to_pandas()  # (nations^2 x years) x 64 partials: tiny
     parts = _with_cols(parts, {
         "supp_nation": "int64", "cust_nation": "int64",
-        "yr": "int64", "vol": "float64",
+        "yr": "int64", "vol": "int64",
     })
     out = (
         parts.groupby(["supp_nation", "cust_nation", "yr"],
@@ -3721,9 +3723,7 @@ def q7_volume_shipping(sf_dir: str):
         "supp_nation": pa.array(out["supp_nation"].to_numpy(np.int64)),
         "cust_nation": pa.array(out["cust_nation"].to_numpy(np.int64)),
         "yr": pa.array(out["yr"].to_numpy(np.int64)),
-        "revenue_cents": pa.array(
-            np.round(out["vol"].to_numpy() * 100.0).astype(np.int64)
-        ),
+        "revenue_e4": pa.array(out["vol"].to_numpy(np.int64)),
     })
 
 
@@ -3732,8 +3732,8 @@ def q7_volume_shipping_sql() -> str:
     return f"""
 SELECT s_nationkey AS supp_nation, c_nationkey AS cust_nation,
        CAST(extract(year FROM l_shipdate) AS BIGINT) AS yr,
-       CAST(round(sum(l_extendedprice * (1.0 - l_discount)) * 100.0)
-            AS BIGINT) AS revenue_cents
+       CAST(sum(CAST(round(l_extendedprice * (1.0 - l_discount)
+                           * 10000.0) AS BIGINT)) AS BIGINT) AS revenue_e4
 FROM supplier
 JOIN lineitem ON s_suppkey = l_suppkey
 JOIN orders ON o_orderkey = l_orderkey
@@ -3765,7 +3765,8 @@ def q9_product_type_profit(sf_dir: str):
     year lives on orders, so lineitem profit partials
     (orderkey, supp_nation) meet orders (orderkey, year) in one
     ``co_group`` on orderkey; final fold is (nations x years)-bounded.
-    Cents at the end."""
+    A lineitem whose suppkey names no supplier drops out, as in the
+    SQL inner join."""
     import ray
 
     import pandas as pd
@@ -3797,16 +3798,15 @@ def q9_product_type_profit(sf_dir: str):
 
     def li_partial(batch: pa.Table) -> pa.Table:
         keys, price, skeys, snat = ray.get(side)
-        lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-        pos, hit = sorted_lookup(keys, lk)
+        pos, hit = sorted_lookup(
+            keys, batch["l_partkey"].to_numpy(zero_copy_only=False))
+        # an unknown suppkey is dropped (inner join)
+        spos, shit = sorted_lookup(
+            skeys, batch["l_suppkey"].to_numpy(zero_copy_only=False))
+        hit &= shit
         b = batch.filter(pa.array(hit))
         cost = price[pos[hit]]
-        lsk = b["l_suppkey"].to_numpy(zero_copy_only=False).astype(
-            np.int64
-        )
-        spos = np.minimum(np.searchsorted(skeys, lsk),
-                          max(skeys.size - 1, 0))
-        nat = snat[spos]
+        nat = snat[spos[hit]]
         # per-item profit is an EXACT 4-decimal value (2dp x 2dp and
         # 0.6 x 2dp x int), so round to int64 e-4 units per ITEM: all
         # downstream sums are integer-exact and the group totals can
@@ -4253,12 +4253,12 @@ def q8_market_share(sf_dir: str):
     def li_partial(batch: pa.Table) -> pa.Table:
         _, pk2, skeys, snat = ray.get(side)
         lk = batch["l_partkey"].to_numpy(zero_copy_only=False)
-        b = batch.filter(pa.array(np.isin(lk, pk2, kind="sort")))
-        lsk = b["l_suppkey"].to_numpy(zero_copy_only=False)
-        spos = np.minimum(np.searchsorted(skeys, lsk),
-                          max(skeys.size - 1, 0))
-        tgt = (snat[spos] == Q8_NATION).astype(np.int64) \
-            if skeys.size else np.zeros(lsk.size, np.int64)
+        # an unknown suppkey is dropped (inner join)
+        spos, hit = sorted_lookup(
+            skeys, batch["l_suppkey"].to_numpy(zero_copy_only=False))
+        hit &= np.isin(lk, pk2, kind="sort")
+        b = batch.filter(pa.array(hit))
+        tgt = (snat[spos[hit]] == Q8_NATION).astype(np.int64)
         vol = np.round((
             b["l_extendedprice"].to_numpy(zero_copy_only=False)
             * (1.0 - b["l_discount"].to_numpy(zero_copy_only=False))

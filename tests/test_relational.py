@@ -905,3 +905,68 @@ def test_events_asof_orders_dangling_keys_match_duckdb(tmp_path):
     assert out["n_prior_orders"].tolist() == [1, 2, 0, 0, 2]
     assert out["last_order_gap_us"].tolist()[2:4] == [-1, -1]
     _matches_duckdb(out, d, events_asof_orders_sql())
+
+
+# ---- dangling suppkeys: lineitems naming no supplier ----
+#
+# Suppliers 10, 20 and 30. Lineitem suppkeys 5, 25 and 35 name none of
+# them; each sits next to a supplier (5 before 10, whose nation is
+# q8's target) that a clamped nearest-key lookup would take instead.
+
+
+def _write_dangling_suppliers(tmp_path) -> str:
+    d = tmp_path / "sf"
+    d.mkdir(exist_ok=True)
+    tables = {
+        "nation": {"n_nationkey": [1, 2, 3, 4, 9],
+                   "n_regionkey": [1, 1, 1, 2, 2]},
+        "customer": {"c_custkey": [1, 2, 3], "c_nationkey": [1, 2, 9]},
+        "supplier": {"s_suppkey": [10, 20, 30],
+                     "s_nationkey": [3, 2, 4]},
+        "part": {"p_partkey": [1, 2],
+                 "p_name": ["blue widget", "red gadget"],
+                 "p_type": ["STANDARD", "STANDARD"],
+                 "p_retailprice": [10.0, 20.0]},
+        "orders": {"o_orderkey": [100, 101, 102], "o_custkey": [1, 2, 3],
+                   "o_orderdate": [np.datetime64(t, "us") for t in (
+                       "1996-06-01", "1997-03-01", "1996-09-01")]},
+    }
+    li = [  # (orderkey, partkey, suppkey)
+        (100, 1, 10), (100, 1, 5), (100, 2, 20), (101, 1, 25),
+        (101, 1, 20), (101, 2, 35), (102, 1, 10), (102, 1, 5),
+        (102, 2, 30),
+    ]
+    tables["lineitem"] = {
+        "l_orderkey": [r[0] for r in li],
+        "l_partkey": [r[1] for r in li],
+        "l_suppkey": [r[2] for r in li],
+        "l_quantity": [float(1 + i) for i in range(len(li))],
+        "l_extendedprice": [100.25 + 7.5 * i for i in range(len(li))],
+        "l_discount": [0.01 * (i % 4) for i in range(len(li))],
+        "l_shipdate": [np.datetime64("1996-10-02", "us")] * len(li),
+    }
+    for name, cols in tables.items():
+        pq.write_table(pa.table(cols), str(d / f"{name}.parquet"))
+    return str(d)
+
+
+@pytest.mark.parametrize("op", ["q7_volume_shipping", "q8_market_share",
+                                "q9_product_type_profit"])
+def test_dangling_suppkeys_match_duckdb(tmp_path, op):
+    """An unknown suppkey drops its lineitem (the inner join), and never
+    takes a neighbouring supplier's nation."""
+    import duckdb
+
+    from sotohp_ray.pipelines import relational
+
+    d = _write_dangling_suppliers(tmp_path)
+    got = sorted(tuple(r.values())
+                 for r in getattr(relational, op)(d).to_pylist())
+    con = duckdb.connect()
+    for t in ("nation", "customer", "supplier", "part", "orders",
+              "lineitem"):
+        con.sql(f"CREATE VIEW {t} AS SELECT * FROM '{d}/{t}.parquet'")
+    want = sorted(con.sql(getattr(relational, f"{op}_sql")()).fetchall())
+    assert got and len(got) == len(want), (got, want)
+    for g, w in zip(got, want):
+        assert g == pytest.approx(w, rel=1e-12, abs=0), (got, want)

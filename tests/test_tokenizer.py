@@ -108,3 +108,65 @@ def test_geo_kernels():
     d = haversine_km(np.array([48.8566]), np.array([2.3522]), 51.5074, -0.1278)
     assert 330 < float(d[0]) < 350
     assert float(haversine_km(np.array([10.0]), np.array([20.0]), 10.0, 20.0)[0]) == 0.0
+
+
+# ---- tokens_of's Python-``re`` path against the Arrow chain ----------
+
+from hypothesis import given, settings  # noqa: E402
+from hypothesis import strategies as st  # noqa: E402
+
+# camelCase runs, acronyms, digits, separators and punctuation, plus any
+# printable ASCII character
+_ASCII_CODE = st.lists(
+    st.one_of(
+        st.sampled_from([
+            "foo", "Bar", "XML", "Http", "parse", "HTTPServer", "v2",
+            "42", "007", "a1B", "x", "Z", "the", "colour", "_", "-", " ",
+            ".", "()", "'", '"', "\n", "\t", "::", "=", "$", "#",
+        ]),
+        st.characters(min_codepoint=0, max_codepoint=127),
+    ),
+    max_size=16,
+).map("".join)
+
+_RULES = TokenizerRules(
+    mappings=(("colour", "color"), ("http", "web"), ("foo", "42")),
+    stopwords=frozenset({"the", "bar", "web"}),
+)
+
+
+def _arrow_tokens(t: CodeTokenizer, text: str) -> list[str]:
+    return t.token_lists(pa.array([text], type=pa.large_string()))[0].as_py()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_ASCII_CODE)
+def test_tokens_of_equals_token_lists(text):
+    """On ASCII text, under default rules and under mappings plus
+    stopwords (a mapping to a number is kept: the number drop runs
+    first), ``tokens_of`` equals the batch chain."""
+    for rules in (TokenizerRules(), _RULES):
+        t = CodeTokenizer(rules)
+        assert t.tokens_of(text) == _arrow_tokens(t, text), rules
+
+
+@settings(max_examples=100, deadline=None)
+@given(_ASCII_CODE)
+def test_tokens_of_equals_duckdb(text):
+    import duckdb
+
+    from sotohp_ray.functions.tokenizer import sql_token_expr
+
+    (want,), = duckdb.connect().execute(
+        f"select {sql_token_expr('?')}", [text]).fetchall()
+    assert CodeTokenizer().tokens_of(text) == want
+
+
+def test_tokens_of_non_ascii_stays_on_arrow():
+    """Outside ASCII Python and Arrow lowercase differently: Arrow gives
+    one token for 'İstanbul', ``str.lower`` a dotted i that splits."""
+    t = CodeTokenizer()
+    assert t.tokens_of("İstanbul") == _arrow_tokens(t, "İstanbul") \
+        == ["istanbul"]
+    # RE2's [A-Z] does not hold 'İ': no camelCase cut before it
+    assert t.tokens_of("parseİstanbulHTTP") == ["parseistanbul", "http"]

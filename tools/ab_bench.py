@@ -1,22 +1,26 @@
-"""Interleaved A/B of two commits on the headline bench (index build
-throughput + serving), the adjudication harness for cross-round
-perf comparisons on a host with drifting throughput windows.
+"""Interleaved A/B of two commits on the benchmark (``perfbench/run.py``).
 
 Usage:
-    python tools/ab_bench.py <refA> <refB> [--rounds 3] [--cpus 32]
+    python tools/ab_bench.py PARENT CHANGE [--pairs 10] \\
+        [--workload query] [--seconds 8] [--seed 611] [--work DIR]
 
-Method: each (refA, refB) round runs ADJACENT IN TIME, each level a
-fresh subprocess (its own Ray session) executing that commit's own
-bench.py with SOTOHP_BENCH_MODE=headline inside a git worktree. The
-bench corpus is shared (generator output is version-stable); the
-serve-index cache is wiped on every ref switch so no run reads an
-index built by the other commit's code. The reported statistic is the
-MEDIAN adjacent-pair ratio — the estimator that cancels this box's
-multi-minute drift windows (BASELINE.md's standing methodology).
+PARENT and CHANGE are git refs, exported with ``git archive`` into their
+own directories under ``--work`` (a fresh temporary directory by
+default), or directories that already hold a checkout. Pair i runs both
+checkouts' own ``perfbench/run.py`` on seed ``--seed`` + i, one after the
+other, the parent first in even pairs and the change first in odd ones:
+a shared host's speed drifts over minutes, and adjacent runs in
+alternating order cancel most of it. The first run of each checkout also
+generates its corpora, so pair 0's ``setup_s`` is larger on both sides.
 
-A host probe runs before every round; rounds taken while the box is
-degraded (effective cores < half, or the numpy probe > 5x nominal)
-are marked and the final verdict excludes them unless none are clean.
+Prints one JSON line per pair (every end-to-end metric of both runs,
+their failed/attempted operations and the run's allocation probe), then
+a table: per metric, each side's q1/median/q3 over the pairs, the pairs
+the change won (ties count for neither) and whether the gain claim rule
+holds — the change wins at least 9 in 10 pairs and its median is better
+than the parent's by more than the parent's interquartile range. Failed
+runs and failed operations are reported per side; a pair with a failed
+run counts for neither side.
 """
 
 from __future__ import annotations
@@ -24,113 +28,115 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import shutil
-import statistics
 import subprocess
 import sys
-import time
+import tempfile
+
+import numpy as np
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SIDES = ("parent", "change")
 
 
-def probe_host() -> dict:
-    """Cheap health probe: visible cores + a 100M-element numpy sum
-    (~0.2 s nominal on this box when healthy)."""
-    import numpy as np
-
-    ncpu = os.cpu_count() or 0
-    t0 = time.perf_counter()
-    np.arange(100_000_000, dtype=np.float64).sum()
-    t = time.perf_counter() - t0
-    return {"cores": ncpu, "numpy_100m_sec": round(t, 3),
-            "healthy": ncpu >= 16 and t < 1.0}
-
-
-def ensure_worktree(ref: str) -> str:
-    safe = ref.replace("/", "_")
-    path = f"/tmp/ab_wt_{safe}"
-    want = subprocess.run(
-        ["git", "-C", REPO, "rev-parse", f"{ref}^{{commit}}"],
-        check=True, capture_output=True, text=True,
-    ).stdout.strip()
-    if not os.path.isdir(path):
-        subprocess.run(
-            ["git", "-C", REPO, "worktree", "add", "--detach", path, want],
-            check=True, capture_output=True,
-        )
-    else:
-        # a stale checkout (e.g. 'HEAD' or a branch that moved since
-        # the last sweep) would silently benchmark old code
-        have = subprocess.run(
-            ["git", "-C", path, "rev-parse", "HEAD"],
-            check=True, capture_output=True, text=True,
-        ).stdout.strip()
-        if have != want:
-            subprocess.run(
-                ["git", "-C", path, "checkout", "--detach", want],
-                check=True, capture_output=True,
-            )
-    return path
-
-
-def run_ref(ref: str, cpus: int) -> dict:
-    wt = ensure_worktree(ref)
-    # never let one commit's searcher read the other commit's index
-    shutil.rmtree("/tmp/sotohp_serve_index", ignore_errors=True)
-    shutil.rmtree("/tmp/sotohp_bench_index", ignore_errors=True)
-    env = dict(
-        os.environ,
-        RAY_GRAFT_CPUS=str(cpus),
-        SOTOHP_BENCH_MODE="headline",
-        PYTHONPATH=wt,
-    )
-    out = subprocess.run(
-        [sys.executable, os.path.join(wt, "bench.py")],
-        env=env, capture_output=True, text=True, check=True, cwd=wt,
+def checkout(ref: str, dest: str) -> str:
+    """A directory holding ``ref``: ``ref`` itself when it is one, else
+    a ``git archive`` export of the commit into ``dest``."""
+    if os.path.isdir(ref):
+        return os.path.abspath(ref)
+    os.makedirs(dest)
+    archive = subprocess.run(
+        ["git", "-C", REPO, "archive", "--format=tar", ref],
+        check=True, capture_output=True,
     ).stdout
-    q = json.loads(out.strip().splitlines()[-1])["queries"]
-    keep = {
-        k: q.get(k)
-        for k in (
-            "index_build_sec", "index_build_docs_per_sec",
-            "t_merge_sec", "serve_qps", "serve_fanout_qps",
-            "query_wand_p50_ms", "query_wand_p99_ms",
-            "query_exact_p99_ms", "fanout_wand_p50_ms",
-            "fanout_wand_p99_ms", "n_docs",
-        )
-    }
-    return keep
+    subprocess.run(["tar", "-x", "-C", dest], input=archive, check=True)
+    return dest
+
+
+def run_one(tree: str, workload: str, seed: int, seconds: float) -> dict:
+    """One benchmark run in ``tree``: its result JSON (the last stdout
+    line) plus the run's allocation probe, or an ``error``."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds)],
+        cwd=tree, env=env, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        return {"error": f"exit {proc.returncode}: "
+                         f"{proc.stderr.strip()[-300:]}"}
+    out = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("context "):
+            out["alloc_probe_ms"] = json.loads(
+                line[len("context "):]).get("alloc_probe_ms")
+    out["metrics"] = {k: v["value"] for k, v in out["metrics"].items()}
+    return out
+
+
+def quartiles(xs) -> tuple[float, float, float]:
+    q1, med, q3 = np.percentile(np.asarray(xs, dtype=np.float64),
+                                [25, 50, 75])
+    return float(q1), float(med), float(q3)
+
+
+def summarize(pairs: list[dict], better: dict) -> list[str]:
+    """The per-metric table over the pairs where both runs succeeded."""
+    ok = [p for p in pairs if all("error" not in p[s] for s in SIDES)]
+    lines = [f"{len(ok)}/{len(pairs)} pairs with both runs complete"]
+    for s in SIDES:
+        runs = [p[s] for p in pairs]
+        lines.append(
+            f"{s}: failed runs {sum('error' in r for r in runs)}, "
+            f"failed ops {sum(r.get('failed', 0) for r in runs)}/"
+            f"{sum(r.get('attempted', 0) for r in runs)}")
+    if not ok:
+        return lines
+    lines.append(f"{'metric':28s} {'parent q1/med/q3':>30s} "
+                 f"{'change q1/med/q3':>30s} {'wins':>6s} claim")
+    for name, direction in better.items():
+        a = [p["parent"]["metrics"][name] for p in ok]
+        b = [p["change"]["metrics"][name] for p in ok]
+        sign = 1.0 if direction == "lower" else -1.0
+        wins = sum(sign * (y - x) < 0 for x, y in zip(a, b))
+        qa, qb = quartiles(a), quartiles(b)
+        claim = (wins >= 0.9 * len(ok)
+                 and sign * (qa[1] - qb[1]) > qa[2] - qa[0])
+        lines.append(
+            f"{name:28s} {'/'.join(f'{v:.4g}' for v in qa):>30s} "
+            f"{'/'.join(f'{v:.4g}' for v in qb):>30s} "
+            f"{wins:>3d}/{len(ok):<2d} {'yes' if claim else 'no'}")
+    return lines
 
 
 def main() -> None:
-    ap = argparse.ArgumentParser()
-    ap.add_argument("ref_a")
-    ap.add_argument("ref_b")
-    ap.add_argument("--rounds", type=int, default=3)
-    ap.add_argument("--cpus", type=int, default=32)
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("parent")
+    ap.add_argument("change")
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--workload", default="query")
+    ap.add_argument("--seconds", type=float, default=8.0)
+    ap.add_argument("--seed", type=int, default=611)
+    ap.add_argument("--work", default=None)
     args = ap.parse_args()
 
-    rounds = []
-    for i in range(args.rounds):
-        p = probe_host()
-        a = run_ref(args.ref_a, args.cpus)
-        b = run_ref(args.ref_b, args.cpus)
-        rec = {"round": i, "probe": p, args.ref_a: a, args.ref_b: b,
-               "build_ratio_b_over_a": round(
-                   b["index_build_sec"] / a["index_build_sec"], 3)}
-        rounds.append(rec)
+    work = args.work or tempfile.mkdtemp(prefix="ab_bench_")
+    trees = {s: checkout(ref, os.path.join(work, s))
+             for s, ref in zip(SIDES, (args.parent, args.change))}
+    with open(os.path.join(REPO, "BENCHMARK.json")) as f:
+        better = {m["name"]: m["better"]
+                  for m in json.load(f)["end_to_end"]}
+    pairs = []
+    for i in range(args.pairs):
+        seed = args.seed + i
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        rec = {"pair": i, "seed": seed, "first": order[0]}
+        for s in order:
+            rec[s] = run_one(trees[s], args.workload, seed, args.seconds)
+        pairs.append(rec)
         print(json.dumps(rec), flush=True)
-    usable = [r for r in rounds if r["probe"]["healthy"]] or rounds
-    med = statistics.median(
-        r["build_ratio_b_over_a"] for r in usable
-    )
-    print(json.dumps({
-        "metric": "ab_build_ratio_median",
-        "refs": [args.ref_a, args.ref_b],
-        "value": med,
-        "clean_rounds": sum(r["probe"]["healthy"] for r in rounds),
-        "rounds": len(rounds),
-    }), flush=True)
+    for line in summarize(pairs, better):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
