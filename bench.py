@@ -230,8 +230,9 @@ def run_headline(ncpu: int) -> dict:
 def run_sf_pipelines(sf_dir: str) -> dict:
     """Per-pipeline wall times over the testdata tables."""
     from sotohp_ray.pipelines import ann, multimodal, relational, textops
+    from sotohp_ray import cache
     from sotohp_ray.pipelines.fulltext import (
-        _cache_dir, bm25_topk, contains_search, suggest_terms,
+        bm25_topk, contains_search, suggest_terms,
     )
 
     out = {}
@@ -248,7 +249,7 @@ def run_sf_pipelines(sf_dir: str) -> dict:
     # every bench run measures the same cold->warm story — first
     # consumer pays the build, second consumers show the cache wins
     # (near_dup_dedup, similarity_components) inside the same record
-    shutil.rmtree("/tmp/sotohp_ray_cache", ignore_errors=True)
+    shutil.rmtree(cache.ROOT, ignore_errors=True)
     # the analyzed-tokens sidecar timed as its own entry so the ~10
     # token ops that ride it get clean attribution
     timed("tokens_sidecar_build", lambda: textops._docs_tokens(sf_dir))

@@ -28,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 import pyarrow as pa
 
+from sotohp_ray import cache
 from sotohp_ray.utils import actor_pool_size as _pool
 
 DEFAULT_QUERY_IDS = (0, 1, 2, 3, 4)
@@ -1607,18 +1608,17 @@ ORDER BY a.vec_id
 ANN_INDEX_VERSION = 1
 
 
+def _ann_index_key(sf_dir: str, n_centroids: int, m: int, ksub: int):
+    return (
+        "annidx", f"{sf_dir}/embeddings.parquet",
+        (n_centroids, m, ksub, ANN_INDEX_VERSION),
+    )
+
+
 def _ann_index_dir(
     sf_dir: str, n_centroids: int, m: int, ksub: int
 ) -> str:
-    import hashlib
-    import os
-
-    st = os.stat(f"{sf_dir}/embeddings.parquet")
-    key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}:"
-        f"c{n_centroids}:m{m}:k{ksub}:v{ANN_INDEX_VERSION}".encode()
-    ).hexdigest()[:12]
-    return os.path.join("/tmp", "sotohp_ray_cache", f"annidx-{key}")
+    return cache.path(*_ann_index_key(sf_dir, n_centroids, m, ksub))
 
 
 class _IndexEncoder:
@@ -1674,14 +1674,11 @@ def build_ann_index(
     coarse cell: a query touching n_probe of n_centroids cells reads
     ONLY those directories off disk — at 100 TB the pruning happens at
     the STORAGE layer, not after a full scan), plus ``centroids.npy``
-    / ``books.npy`` / ``meta.json``. Fingerprint-keyed under the
-    shared /tmp cache family (corpus identity + params + format
-    version), atomic tmp+rename, concurrent-builder safe — the same
-    discipline as the analyzed-tokens sidecar."""
+    / ``books.npy`` / ``meta.json``. Published by
+    ``cache.artifact`` (corpus identity + params + format version in
+    the key; atomic staging rename, concurrent-builder safe)."""
     import json
     import os
-    import shutil
-    import tempfile
 
     import ray
 
@@ -1689,36 +1686,10 @@ def build_ann_index(
         # codes persist as uint8 (the FAISS 8-bit layout); a larger
         # ksub would wrap silently on assignment
         raise ValueError("persisted index requires ksub <= 256")
-    d = _ann_index_dir(sf_dir, n_centroids, m, ksub)
-    if os.path.isdir(d):
-        return d
-    C = _train_centroids(sf_dir, n_centroids)
-    books = _train_residual_books(sf_dir, C, m=m, ksub=ksub)
-    os.makedirs(os.path.dirname(d), exist_ok=True)
-    # evict stale artifacts of the SAME corpus path + params whose
-    # fingerprint changed (the tokens-sidecar .src-tag sweep — without
-    # it every corpus rewrite would orphan an index forever)
-    import glob
 
-    tag = (f"{os.path.abspath(sf_dir)}|annidx"
-           f"|c{n_centroids}|m{m}|k{ksub}")
-    for srcf in glob.glob(
-        os.path.join(os.path.dirname(d), "annidx-*.src")
-    ):
-        if srcf == d + ".src":
-            continue
-        try:
-            with open(srcf) as f:
-                if f.read() != tag:
-                    continue
-            shutil.rmtree(srcf[: -len(".src")], ignore_errors=True)
-            os.remove(srcf)
-        except OSError:
-            pass
-    tmp = tempfile.mkdtemp(
-        dir=os.path.dirname(d), prefix=os.path.basename(d) + ".tmp-"
-    )
-    try:
+    def build(staging: str) -> None:
+        C = _train_centroids(sf_dir, n_centroids)
+        books = _train_residual_books(sf_dir, C, m=m, ksub=ksub)
         ref = ray.put((C, books))
         _emb(sf_dir).map_batches(
             _IndexEncoder,
@@ -1726,26 +1697,20 @@ def build_ann_index(
             concurrency=_pool(),
             batch_format="pyarrow",
         ).write_parquet(
-            os.path.join(tmp, "vectors"), partition_cols=["cluster"]
+            os.path.join(staging, "vectors"), partition_cols=["cluster"]
         )
-        np.save(os.path.join(tmp, "centroids.npy"), C)
-        np.save(os.path.join(tmp, "books.npy"), books)
-        with open(os.path.join(tmp, "meta.json"), "w") as f:
+        np.save(os.path.join(staging, "centroids.npy"), C)
+        np.save(os.path.join(staging, "books.npy"), books)
+        with open(os.path.join(staging, "meta.json"), "w") as f:
             json.dump({
                 "version": ANN_INDEX_VERSION,
                 "n_centroids": int(C.shape[0]), "m": int(m),
                 "ksub": int(ksub), "dim": int(C.shape[1]),
             }, f)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    try:
-        os.rename(tmp, d)
-        with open(d + ".src", "w") as f:
-            f.write(tag)
-    except OSError:  # concurrent builder won
-        shutil.rmtree(tmp, ignore_errors=True)
-    return d
+
+    return cache.artifact(
+        *_ann_index_key(sf_dir, n_centroids, m, ksub), build
+    )
 
 
 class _IndexScorer:

@@ -10,7 +10,6 @@ returned ``score`` column is the rounded value.
 
 from __future__ import annotations
 
-import hashlib
 import os
 
 import numpy as np
@@ -20,6 +19,7 @@ import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
+from sotohp_ray import cache
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.functions.tokenizer import CodeTokenizer, sql_token_expr
 
@@ -93,14 +93,15 @@ def _corpus_from_documents(sf_dir: str, corpus_dir: str, n_parts: int = 4):
     )
 
 
-def _cache_dir(sf_dir: str) -> str:
+def _index_artifact(kind: str, sf_dir: str, params: tuple, build) -> str:
+    """A ``cache.artifact`` of the documents table, keyed on the index
+    format too: a format bump invalidates every index copy."""
     from sotohp_ray.config import INDEX_FORMAT
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:fmt{INDEX_FORMAT}".encode()
-    ).hexdigest()[:12]
-    return os.path.join("/tmp", "sotohp_ray_cache", key)
+    return cache.artifact(
+        kind, f"{sf_dir}/documents.parquet", (f"fmt{INDEX_FORMAT}", *params),
+        build,
+    )
 
 
 def documents_index(sf_dir: str) -> str:
@@ -108,14 +109,14 @@ def documents_index(sf_dir: str) -> str:
     returns the index dir."""
     from sotohp_ray.pipelines.build_index import build_index
 
-    root = _cache_dir(sf_dir)
-    corpus_dir = os.path.join(root, "corpus")
-    index_dir = os.path.join(root, "index")
-    marker = os.path.join(index_dir, "_MERGE_DONE.json")
-    if not os.path.exists(marker):
+    def build(staging: str) -> None:
+        corpus_dir = os.path.join(staging, "corpus")
         _corpus_from_documents(sf_dir, corpus_dir)
-        build_index(corpus_dir, index_dir, config=IndexConfig())
-    return index_dir
+        build_index(
+            corpus_dir, os.path.join(staging, "index"), config=IndexConfig()
+        )
+
+    return os.path.join(_index_artifact("index", sf_dir, (), build), "index")
 
 
 def _eng2orig(index_dir: str, space: int, dm: pa.Table | None = None) -> np.ndarray:
@@ -3641,26 +3642,14 @@ def deleted_documents_index(
 
     from sotohp_ray.pipelines.delete import compact_index, delete_docs
 
-    base = documents_index(sf_dir)
-    key = hashlib.sha256(
-        ("del:" + ",".join(str(i) for i in deleted_ids)).encode()
-    ).hexdigest()[:8]
-    index_dir = os.path.join(_cache_dir(sf_dir), f"index-del-{key}")
-    marker = os.path.join(index_dir, "_DELETE_DONE.json")
-    if os.path.exists(marker):
-        return index_dir
-    if os.path.isdir(index_dir):
-        shutil.rmtree(index_dir)
-    shutil.copytree(base, index_dir)
-    n = delete_docs(
-        index_dir, paths=[f"{i:010d}" for i in deleted_ids]
-    )
-    compact_index(index_dir)
-    import json as _json
+    def build(staging: str) -> None:
+        shutil.copytree(documents_index(sf_dir), staging, dirs_exist_ok=True)
+        delete_docs(staging, paths=[f"{i:010d}" for i in deleted_ids])
+        compact_index(staging)
 
-    with open(marker, "w") as f:
-        _json.dump({"deleted": list(deleted_ids), "tombstoned": n}, f)
-    return index_dir
+    return _index_artifact(
+        "index-del", sf_dir, tuple(int(i) for i in deleted_ids), build
+    )
 
 
 def bm25_topk_deleted(
@@ -3905,40 +3894,33 @@ def updated_documents_index(
 
     from sotohp_ray.pipelines.update import sync_changed_docs
 
-    base = documents_index(sf_dir)
-    key = hashlib.sha256(
-        ("upd:" + ",".join(str(i) for i in updated_ids) + suffix).encode()
-    ).hexdigest()[:8]
-    index_dir = os.path.join(_cache_dir(sf_dir), f"index-upd-{key}")
-    marker = os.path.join(index_dir, "_SYNC_DONE.json")
-    if os.path.exists(marker):
-        return index_dir
-    if os.path.isdir(index_dir):
-        shutil.rmtree(index_dir)
-    shutil.copytree(base, index_dir)
+    def build(staging: str) -> None:
+        shutil.copytree(documents_index(sf_dir), staging, dirs_exist_ok=True)
+        t = pq.read_table(f"{sf_dir}/documents.parquet")
+        ids = t["doc_id"].to_numpy(zero_copy_only=False)
+        texts = t["text"].to_pylist()
+        upd = set(int(i) for i in updated_ids)
+        texts = [
+            (x + suffix) if int(i) in upd else x
+            for i, x in zip(ids, texts)
+        ]
+        incoming = pa.table({
+            "repo": pa.array(["docs"] * len(ids)),
+            "path": pa.array([f"{int(d):010d}" for d in ids]),
+            "commit": pa.array(["0"] * len(ids)),
+            "lang": t["lang"].combine_chunks().cast(pa.string()),
+            "content": pa.array(texts, pa.large_string()),
+        })
+        out = sync_changed_docs(staging, incoming)
+        if out["changed"] != len(upd):
+            raise RuntimeError(
+                f"sync changed {out['changed']} docs, expected {len(upd)}"
+            )
 
-    t = pq.read_table(f"{sf_dir}/documents.parquet")
-    ids = t["doc_id"].to_numpy(zero_copy_only=False)
-    texts = t["text"].to_pylist()
-    upd = set(int(i) for i in updated_ids)
-    texts = [
-        (x + suffix) if int(i) in upd else x for i, x in zip(ids, texts)
-    ]
-    incoming = pa.table({
-        "repo": pa.array(["docs"] * len(ids)),
-        "path": pa.array([f"{int(d):010d}" for d in ids]),
-        "commit": pa.array(["0"] * len(ids)),
-        "lang": t["lang"].combine_chunks().cast(pa.string()),
-        "content": pa.array(texts, pa.large_string()),
-    })
-    out = sync_changed_docs(index_dir, incoming)
-    assert out["changed"] == len(upd), out
-    import json as _json
-
-    with open(marker, "w") as f:
-        _json.dump({"updated": sorted(upd), **{
-            k: v for k, v in out.items() if k != "stats"}}, f)
-    return index_dir
+    return _index_artifact(
+        "index-upd", sf_dir, (tuple(int(i) for i in updated_ids), suffix),
+        build,
+    )
 
 
 def bm25_topk_updated(

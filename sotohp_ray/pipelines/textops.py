@@ -21,6 +21,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sotohp_ray import cache
 from sotohp_ray.functions.hashing import minhash_params
 from sotohp_ray.functions.tokenizer import CodeTokenizer, sql_token_expr
 from sotohp_ray.utils import agg_select, co_group, sorted_lookup
@@ -47,15 +48,15 @@ def _text_col(batch: pa.Table) -> pa.Array:
 # ---- shared analyzed-tokens artifact (one tokenize pass per corpus) --
 
 
-def _tokens_cache_dir(sf_dir: str) -> str:
-    import os
+def _tokens_key(sf_dir: str):
+    return (
+        "tokens", f"{sf_dir}/documents.parquet",
+        (f"tok{_TOK.rules.version_hash()}",),
+    )
 
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}:"
-        f"tok{_TOK.rules.version_hash()}".encode()
-    ).hexdigest()[:12]
-    return os.path.join("/tmp", "sotohp_ray_cache", f"tokens-{key}")
+
+def _tokens_cache_dir(sf_dir: str) -> str:
+    return cache.path(*_tokens_key(sf_dir))
 
 
 def _docs_tokens(sf_dir: str):
@@ -68,61 +69,27 @@ def _docs_tokens(sf_dir: str):
     #6). The key covers corpus identity AND the tokenizer config hash
     (M8 discipline: a config change invalidates, never silently mixes
     two tokenizations); sidecars of a rewritten corpus are evicted by
-    the .src-tag rule the other /tmp caches use. Written partitioned
-    by Ray (one file per block), read back streaming — never a driver
-    materialization."""
-    import glob
-    import os
-    import shutil
-    import tempfile
-
+    ``cache.publish``. Written partitioned by Ray (one file per
+    block), read back streaming — never a driver materialization."""
     import ray.data
 
-    d = _tokens_cache_dir(sf_dir)
-    if not os.path.isdir(d):
-        def tok_batch(batch: pa.Table) -> pa.Table:
-            lists = _TOK.token_lists(_text_col(batch))
-            return pa.table({
-                "doc_id": batch["doc_id"],
-                "lang": batch["lang"],
-                "toks": lists,
-                "n_tokens": pc.list_value_length(lists).cast(pa.int64()),
-            })
+    def tok_batch(batch: pa.Table) -> pa.Table:
+        lists = _TOK.token_lists(_text_col(batch))
+        return pa.table({
+            "doc_id": batch["doc_id"],
+            "lang": batch["lang"],
+            "toks": lists,
+            "n_tokens": pc.list_value_length(lists).cast(pa.int64()),
+        })
 
-        os.makedirs(os.path.dirname(d), exist_ok=True)
-        tag = (
-            f"{os.path.abspath(sf_dir)}|tok{_TOK.rules.version_hash()}"
-        )
-        for srcf in glob.glob(
-            os.path.join(os.path.dirname(d), "tokens-*.src")
-        ):
-            if srcf == d + ".src":
-                continue
-            try:
-                with open(srcf) as f:
-                    if f.read() != tag:
-                        continue
-                shutil.rmtree(srcf[: -len(".src")], ignore_errors=True)
-                os.remove(srcf)
-            except OSError:
-                pass
-        tmp = tempfile.mkdtemp(
-            dir=os.path.dirname(d), prefix=os.path.basename(d) + ".tmp-"
-        )
-        try:
-            _docs(sf_dir, ["doc_id", "lang", "text"]).map_batches(
-                tok_batch, batch_format="pyarrow"
-            ).write_parquet(tmp)
-            with open(d + ".src", "w") as f:
-                f.write(tag)
-        except BaseException:
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        try:
-            os.rename(tmp, d)
-        except OSError:  # concurrent builder won
-            shutil.rmtree(tmp, ignore_errors=True)
-    return ray.data.read_parquet(d)
+    def build(staging: str) -> None:
+        _docs(sf_dir, ["doc_id", "lang", "text"]).map_batches(
+            tok_batch, batch_format="pyarrow"
+        ).write_parquet(staging)
+
+    return ray.data.read_parquet(
+        cache.artifact(*_tokens_key(sf_dir), build)
+    )
 
 
 def _toklists_of(batch: pa.Table) -> pa.Array:
@@ -2319,146 +2286,44 @@ def _minhash_band_index(sf_dir: str, num_perm: int = 64, bands: int = 16):
     (doc, band) — tiny next to the corpus). This is the artifact a
     production dedup pipeline persists: signature computation is the
     expensive pass, every candidate/verify consumer is a cheap scan
-    over it. Atomic dir rename = idempotent under concurrent builds."""
-    import os
-    import shutil
-
+    over it. Published by ``cache.artifact`` (private staging dir,
+    atomic rename: idempotent under concurrent builds)."""
     import ray.data
 
-    cache = _band_cache_dir(sf_dir, num_perm, bands)
-    if not os.path.isdir(cache):
-        _evict_stale_band_caches(
-            sf_dir, num_perm, bands, os.path.basename(cache)
-        )
-        def stage(batch: pa.Table) -> pa.Table:
-            return MinHashStage.for_worker(num_perm, bands)(batch)
+    def stage(batch: pa.Table) -> pa.Table:
+        return MinHashStage.for_worker(num_perm, bands)(batch)
 
-        # PRIVATE staging dir per builder (a shared fixed tmp path let
-        # two concurrent builders interleave writes and promote a dir
-        # with duplicated band rows); only the rename is shared state
-        import tempfile
+    def build(staging: str) -> None:
+        _docs(sf_dir, ["doc_id", "text"]).map_batches(
+            stage, batch_format="pyarrow"
+        ).write_parquet(staging)
 
-        os.makedirs(os.path.dirname(cache), exist_ok=True)
-        tmp = tempfile.mkdtemp(
-            dir=os.path.dirname(cache),
-            prefix=os.path.basename(cache) + ".tmp-",
-        )
-        try:
-            _docs(sf_dir, ["doc_id", "text"]).map_batches(
-                stage, batch_format="pyarrow"
-            ).write_parquet(tmp)
-        except BaseException:
-            # failed write must not leak a uniquely-named staging dir
-            # (nothing else ever reclaims it)
-            shutil.rmtree(tmp, ignore_errors=True)
-            raise
-        try:
-            os.rename(tmp, cache)
-        except OSError:  # concurrent builder won the rename
-            shutil.rmtree(tmp, ignore_errors=True)
-        # sidecar records which (corpus, params) this key belongs to,
-        # so a later rebuild after the corpus changes can evict it
-        with open(cache + ".src", "w") as f:
-            f.write(_band_src_tag(sf_dir, num_perm, bands))
-    return ray.data.read_parquet(cache)
-
-
-def _band_src_tag(sf_dir: str, num_perm: int, bands: int) -> str:
-    import os
-
-    return f"{os.path.abspath(sf_dir)}\nmh{num_perm}-{bands}"
-
-
-def _evict_stale_band_caches(
-    sf_dir: str, num_perm: int, bands: int, current_base: str
-) -> None:
-    """Drop band/member cache dirs left by EARLIER versions of this
-    (corpus, params) — the key embeds the corpus file's size+mtime, so
-    every corpus rewrite would otherwise leak a full band-rows +
-    members copy on disk forever (ADVICE r2). Only dirs whose sidecar
-    records the SAME corpus path and params are touched; caches for
-    other corpora or other (num_perm, bands) settings stay."""
-    import glob
-    import os
-    import shutil
-
-    root = os.path.join("/tmp", "sotohp_ray_cache")
-    cur_tag = _band_src_tag(sf_dir, num_perm, bands)
-    for src in glob.glob(os.path.join(root, "bands-*.src")):
-        base = os.path.basename(src)[: -len(".src")]
-        if base == current_base:
-            continue
-        try:
-            with open(src) as f:
-                tag = f.read()
-        except OSError:
-            continue
-        if tag != cur_tag:
-            continue  # different corpus or params: still valid
-        shutil.rmtree(os.path.join(root, base), ignore_errors=True)
-        shutil.rmtree(os.path.join(root, base + "-members"),
-                      ignore_errors=True)
-        for p in glob.glob(os.path.join(root, base + "-pairs-*")):
-            try:
-                os.remove(p)
-            except OSError:
-                pass
-        try:
-            os.remove(src)
-        except OSError:
-            pass
-
-
-def _band_cache_dir(sf_dir: str, num_perm: int, bands: int) -> str:
-    import hashlib as _hl
-    import os
-
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = _hl.sha256(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}:"
-        f"mh{num_perm}-{bands}".encode()
-    ).hexdigest()[:12]
-    return os.path.join("/tmp", "sotohp_ray_cache", f"bands-{key}")
+    return ray.data.read_parquet(cache.artifact(
+        "bands", f"{sf_dir}/documents.parquet", (num_perm, bands), build
+    ))
 
 
 def _minhash_members(sf_dir: str, num_perm: int = 64, bands: int = 16):
     """Band rows restricted to dup buckets: (doc_id, band, band_hash,
     bkey, coarse) for every (doc, band) whose bucket has >1 member.
-    Cached next to the band index (pure function of it): the dup-count
+    Cached like the band index (a pure function of it): the dup-count
     groupby + membership filter run once per corpus, and both
-    minhash_candidates and near_dup_pairs stream the result."""
+    minhash_candidates and near_dup_pairs stream the result. An empty
+    artifact means the corpus has no dup buckets."""
     import os
-    import shutil
-    import tempfile
 
     import ray.data
 
-    band_cache = _band_cache_dir(sf_dir, num_perm, bands)
-    mem_cache = band_cache + "-members"
-    if os.path.isdir(mem_cache):
-        names = os.listdir(mem_cache)
-        if not names:  # no dup buckets in this corpus
-            return None
-        return ray.data.read_parquet(mem_cache)
-    ds = _minhash_band_index(sf_dir, num_perm, bands)
-    members, _ = _dup_members(ds)
-    tmp = tempfile.mkdtemp(
-        dir=os.path.dirname(mem_cache),
-        prefix=os.path.basename(mem_cache) + ".tmp-",
-    )
-    try:
+    def build(staging: str) -> None:
+        members, _ = _dup_members(_minhash_band_index(sf_dir, num_perm, bands))
         if members is not None:
-            members.write_parquet(tmp)
-    except BaseException:
-        shutil.rmtree(tmp, ignore_errors=True)
-        raise
-    try:
-        os.rename(tmp, mem_cache)
-    except OSError:  # concurrent builder won
-        shutil.rmtree(tmp, ignore_errors=True)
-    if members is None:
-        return None
-    return ray.data.read_parquet(mem_cache)
+            members.write_parquet(staging)
+
+    d = cache.artifact(
+        "band-members", f"{sf_dir}/documents.parquet", (num_perm, bands),
+        build,
+    )
+    return ray.data.read_parquet(d) if os.listdir(d) else None
 
 
 def minhash_candidates(sf_dir: str, num_perm: int = 64, bands: int = 16):
@@ -2690,35 +2555,27 @@ def near_dup_pairs(sf_dir: str, threshold: float = 0.6, shingle_n: int = 3):
     the expensive shingle + verify pass runs ONCE per (corpus,
     threshold, shingle_n) and every downstream consumer —
     near_dup_dedup, corpus_dedup_near, repeated pair queries — streams
-    the cached table (same /tmp cache family as the band index, same
-    stale-eviction discipline). The table is pair-set-sized (output),
-    so caching it costs what the caller materializes anyway."""
+    the cached table (a ``cache.artifact`` like the band index). The
+    table is pair-set-sized (output), so caching it costs what the
+    caller materializes anyway."""
+    return _cached_table(
+        "ndpairs", sf_dir, (threshold, shingle_n),
+        lambda: _near_dup_pairs_compute(sf_dir, threshold, shingle_n),
+    )
+
+
+def _cached_table(kind: str, sf_dir: str, params: tuple, compute):
+    """The ``compute()`` table of the corpus, published once as the
+    ``kind`` artifact and read back from it."""
     import os
-    import tempfile
 
     import pyarrow.parquet as pq
 
-    cache = _band_cache_dir(sf_dir, 64, 16) + (
-        f"-pairs-{threshold}-{shingle_n}.parquet"
-    )
-    if os.path.exists(cache):
-        return pq.read_table(cache)
-    out = _near_dup_pairs_compute(sf_dir, threshold, shingle_n)
-    os.makedirs(os.path.dirname(cache), exist_ok=True)
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(cache),
-        prefix=os.path.basename(cache) + ".tmp-",
-    )
-    os.close(fd)
-    try:
-        pq.write_table(out, tmp)
-        os.replace(tmp, cache)  # atomic; concurrent builders converge
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-    return out
+    def build(staging: str) -> None:
+        pq.write_table(compute(), os.path.join(staging, "table.parquet"))
+
+    d = cache.artifact(kind, f"{sf_dir}/documents.parquet", params, build)
+    return pq.read_table(os.path.join(d, "table.parquet"))
 
 
 def _near_dup_pairs_compute(
@@ -2969,29 +2826,6 @@ def _near_dup_pairs_compute(
 SETJOIN_TELEMETRY: dict = {}  # last compute's kernel + shipping stats
 
 
-def _setjoin_cache_path(
-    sf_dir: str, threshold: float, shingle_n: int, top_freq: int,
-    max_shingles: int | None,
-) -> str:
-    """Durable verified-pair cache location for the exact join — the
-    same /tmp cache family + stat-keyed discipline as the near-dup
-    band/pair caches: the key covers corpus identity (path+size+mtime)
-    and every SEMANTIC parameter. The kernel choice is deliberately
-    NOT in the key: both kernels compute the identical exact pair set
-    (pytest-gated invariance), so a result computed by either serves
-    every consumer."""
-    import os
-
-    st = os.stat(f"{sf_dir}/documents.parquet")
-    key = hashlib.sha256(
-        f"{os.path.abspath(sf_dir)}:{st.st_size}:{st.st_mtime_ns}:"
-        f"sj{threshold}-{shingle_n}-{top_freq}-{max_shingles}".encode()
-    ).hexdigest()[:12]
-    return os.path.join(
-        "/tmp", "sotohp_ray_cache", f"setjoin-{key}.parquet"
-    )
-
-
 def set_similarity_join(
     sf_dir: str,
     threshold: float = 0.6,
@@ -3032,11 +2866,14 @@ def set_similarity_join(
       kernel is chosen. Both kernels produce the identical exact pair
       set (pytest-gated), so the choice is pure performance.
 
-    The result is served from a DURABLE pair cache (stat-keyed, like
-    the near-dup family's): the expensive shingle+verify pass runs
-    once per (corpus, threshold, shingle_n, top_freq, max_shingles)
-    and every downstream consumer — ``similarity_components``,
-    repeated join calls — streams the cached table. Shipped-volume
+    The result is served from a DURABLE pair cache (a
+    ``cache.artifact``, like the near-dup pair table): the expensive
+    shingle+verify pass runs once per (corpus, threshold, shingle_n,
+    top_freq, max_shingles) and every downstream consumer —
+    ``similarity_components``, repeated join calls — streams the
+    cached table. ``kernel`` is deliberately NOT in the key: both
+    kernels compute the identical exact pair set, so a result computed
+    by either serves every consumer. Shipped-volume
     telemetry for each compute lands in ``SETJOIN_TELEMETRY`` and the
     module log.
 
@@ -3049,59 +2886,12 @@ def set_similarity_join(
     Reference analog: grouped duplicate detection
     (GoogleTakeoutTooling.scala:49-95), upgraded from exact-key
     equality to threshold similarity."""
-    import os
-    import tempfile
-
-    import pyarrow.parquet as pq
-
-    cache = _setjoin_cache_path(
-        sf_dir, threshold, shingle_n, top_freq, max_shingles
+    return _cached_table(
+        "setjoin", sf_dir, (threshold, shingle_n, top_freq, max_shingles),
+        lambda: _set_similarity_join_compute(
+            sf_dir, threshold, shingle_n, top_freq, max_shingles, kernel
+        ),
     )
-    if os.path.exists(cache):
-        return pq.read_table(cache)
-    out = _set_similarity_join_compute(
-        sf_dir, threshold, shingle_n, top_freq, max_shingles, kernel
-    )
-    os.makedirs(os.path.dirname(cache), exist_ok=True)
-    # evict caches of PRIOR VERSIONS of this same corpus+params (the
-    # key embeds mtime/size, so a rewritten corpus would otherwise
-    # leave its old pair table on disk forever — the band-cache
-    # eviction discipline, ADVICE r2)
-    import glob
-
-    tag = (
-        f"{os.path.abspath(sf_dir)}|"
-        f"sj{threshold}-{shingle_n}-{top_freq}-{max_shingles}"
-    )
-    for srcf in glob.glob(
-        os.path.join(os.path.dirname(cache), "setjoin-*.src")
-    ):
-        if srcf == cache + ".src":
-            continue
-        try:
-            with open(srcf) as f:
-                if f.read() != tag:
-                    continue
-            os.remove(srcf)
-            os.remove(srcf[: -len(".src")])
-        except OSError:
-            pass
-    fd, tmp = tempfile.mkstemp(
-        dir=os.path.dirname(cache),
-        prefix=os.path.basename(cache) + ".tmp-",
-    )
-    os.close(fd)
-    try:
-        pq.write_table(out, tmp)
-        with open(cache + ".src", "w") as f:
-            f.write(tag)
-        os.replace(tmp, cache)  # atomic; concurrent builders converge
-    except OSError:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-    return out
 
 
 _SETJOIN_L_SWITCH = 512  # est. p95 shingles above which basic kernel wins

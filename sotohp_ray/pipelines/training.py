@@ -26,9 +26,10 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+from sotohp_ray import cache
 from sotohp_ray.functions.tokenizer import sql_token_expr
 from sotohp_ray.pipelines.textops import (
-    _TOK, _docs, _docs_tokens, _text_col, _toklists_of,
+    _TOK, _docs, _docs_tokens, _text_col, _tokens_key, _toklists_of,
 )
 
 _MIX_MUL = 2654435761  # Knuth multiplicative hash (public constant)
@@ -750,115 +751,78 @@ def _lm_model(sf_dir: str, vocab_size: int):
     """(v, vocab_terms, bigram_counts, start_counts) of the add-one
     bigram LM — trained ONCE per (corpus, tokenizer-config,
     vocab_size) and served from an in-process memo plus a durable
-    .npz under the shared /tmp cache family (tokens-sidecar
-    discipline, atomic tmp+rename): doc_lm_score, training_curriculum
-    and any future LM consumer share the two training passes instead
-    of each re-running them."""
+    .npz published by ``cache.artifact``: doc_lm_score,
+    training_curriculum and any future LM consumer share the two
+    training passes instead of each re-running them."""
     import os
-    import tempfile
 
     import ray
     from ray.data.aggregate import Sum
 
-    from sotohp_ray.pipelines.textops import _tokens_cache_dir
-
-    key = (
-        os.path.basename(_tokens_cache_dir(sf_dir))
-        + f"-v{vocab_size}"
-    )
+    _, src, tok_params = _tokens_key(sf_dir)
+    params = (*tok_params, vocab_size)
+    key = f"{os.path.basename(cache.path('lm', src, params))}-v{vocab_size}"
     if key in _LM_MEMO:
         return _LM_MEMO[key]
-    root = os.path.join("/tmp", "sotohp_ray_cache")
-    path = os.path.join(root, f"lm-{key}.npz")
-    if os.path.exists(path):
-        z = np.load(path, allow_pickle=False)
-        out = (int(z["v"]), list(z["terms"]), z["bc"], z["uc"])
-        _LM_MEMO[key] = out
-        return out
 
-    from sotohp_ray.pipelines.textops import _term_count_rows
+    def build(staging: str) -> None:
+        from sotohp_ray.pipelines.textops import _term_count_rows
 
-    def counts(batch: pa.Table) -> pa.Table:
-        return _term_count_rows(batch, "term", "cnt", pa.string())
+        def counts(batch: pa.Table) -> pa.Table:
+            return _term_count_rows(batch, "term", "cnt", pa.string())
 
-    top = (
-        _docs_tokens(sf_dir)
-        .map_batches(counts, batch_format="pyarrow")
-        .groupby("term")
-        .aggregate(Sum("cnt", alias_name="cf"))
-        .to_pandas()
-        .sort_values(["cf", "term"], ascending=[False, True])
-        .head(vocab_size)
-    )
-    v = len(top)  # actual vocabulary size (may be < vocab_size)
-    terms = [str(t) for t in top["term"].tolist()]
-    vref = ray.put(pa.array(terms, pa.large_string()))
-
-    def bpartial(batch: pa.Table) -> pa.Table:
-        lists = _toklists_of(batch)
-        flat = pc.list_flatten(lists)
-        parents = pc.list_parent_indices(lists).to_numpy(
-            zero_copy_only=False
+        top = (
+            _docs_tokens(sf_dir)
+            .map_batches(counts, batch_format="pyarrow")
+            .groupby("term")
+            .aggregate(Sum("cnt", alias_name="cf"))
+            .to_pandas()
+            .sort_values(["cf", "term"], ascending=[False, True])
+            .head(vocab_size)
         )
-        ids = pc.fill_null(
-            pc.index_in(flat, value_set=ray.get(vref)), v
-        ).to_numpy(zero_copy_only=False).astype(np.int64)
-        if ids.size < 2:
+        v = len(top)  # actual vocabulary size (may be < vocab_size)
+        terms = [str(t) for t in top["term"].tolist()]
+        vref = ray.put(pa.array(terms, pa.large_string()))
+
+        def bpartial(batch: pa.Table) -> pa.Table:
+            lists = _toklists_of(batch)
+            flat = pc.list_flatten(lists)
+            parents = pc.list_parent_indices(lists).to_numpy(
+                zero_copy_only=False
+            )
+            ids = pc.fill_null(
+                pc.index_in(flat, value_set=ray.get(vref)), v
+            ).to_numpy(zero_copy_only=False).astype(np.int64)
+            if ids.size < 2:
+                return pa.table({
+                    "key": pa.array([], pa.int64()),
+                    "n_partial": pa.array([], pa.int64()),
+                })
+            same = parents[:-1] == parents[1:]
+            keys = ids[:-1][same] * (v + 1) + ids[1:][same]
+            uk, cnt = np.unique(keys, return_counts=True)
             return pa.table({
-                "key": pa.array([], pa.int64()),
-                "n_partial": pa.array([], pa.int64()),
+                "key": pa.array(uk, pa.int64()),
+                "n_partial": pa.array(cnt, pa.int64()),
             })
-        same = parents[:-1] == parents[1:]
-        keys = ids[:-1][same] * (v + 1) + ids[1:][same]
-        uk, cnt = np.unique(keys, return_counts=True)
-        return pa.table({
-            "key": pa.array(uk, pa.int64()),
-            "n_partial": pa.array(cnt, pa.int64()),
-        })
 
-    model = (
-        _docs_tokens(sf_dir)
-        .map_batches(bpartial, batch_format="pyarrow")
-        .groupby("key")
-        .aggregate(Sum("n_partial", alias_name="n"))
-        .to_pandas()
-    )
-    bc = np.zeros((v + 1) * (v + 1), dtype=np.float64)
-    if len(model):
-        bc[model["key"].to_numpy()] = model["n"].to_numpy()
-    uc = bc.reshape(v + 1, v + 1).sum(axis=1)
-    os.makedirs(root, exist_ok=True)
-    # .src-tag sweep (tokens-sidecar discipline): evict stale models
-    # of the same corpus path + vocab whose fingerprint changed
-    import glob
-
-    tag = f"{os.path.abspath(sf_dir)}|lm|v{vocab_size}"
-    for srcf in glob.glob(os.path.join(root, "lm-*.src")):
-        if srcf == path + ".src":
-            continue
-        try:
-            with open(srcf) as f:
-                if f.read() != tag:
-                    continue
-            stale = srcf[: -len(".src")]
-            if os.path.exists(stale):
-                os.remove(stale)
-            os.remove(srcf)
-        except OSError:
-            pass
-    fd, tmp = tempfile.mkstemp(dir=root, suffix=".tmp.npz")
-    os.close(fd)
-    try:
-        np.savez(tmp, v=np.int64(v),
+        model = (
+            _docs_tokens(sf_dir)
+            .map_batches(bpartial, batch_format="pyarrow")
+            .groupby("key")
+            .aggregate(Sum("n_partial", alias_name="n"))
+            .to_pandas()
+        )
+        bc = np.zeros((v + 1) * (v + 1), dtype=np.float64)
+        if len(model):
+            bc[model["key"].to_numpy()] = model["n"].to_numpy()
+        uc = bc.reshape(v + 1, v + 1).sum(axis=1)
+        np.savez(os.path.join(staging, "model.npz"), v=np.int64(v),
                  terms=np.array(terms, dtype=np.str_), bc=bc, uc=uc)
-        os.replace(tmp, path)
-        with open(path + ".src", "w") as f:
-            f.write(tag)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-    out = (v, terms, bc, uc)
+
+    z = np.load(os.path.join(cache.artifact("lm", src, params, build),
+                             "model.npz"), allow_pickle=False)
+    out = (int(z["v"]), [str(t) for t in z["terms"]], z["bc"], z["uc"])
     _LM_MEMO[key] = out
     return out
 
