@@ -106,7 +106,10 @@ class IndexConfig:
         collapses under full-width faulting (see
         tools/host_probe.py — the bench VM drops 45x above ~10 GB of
         concurrent fresh faults), raising this to 2.0 halves the
-        reduce width per node. Default 1.0: a 4-round adjacent
+        reduce width per node. It also sizes the merge: the shard
+        ranges are ``cluster CPUs / merge_num_cpus`` tasks (at most one
+        per shard, ``utils.map_items``), so 2.0 also halves the number
+        of merge tasks. Default 1.0: a 4-round adjacent
         interleaved A/B on the bench host read cap-2/cap-1 build
         ratios of 2.56/0.87/1.44/0.58 (median ~1.2) — the host's
         minute-scale drift swamps any real effect, so the knob stays

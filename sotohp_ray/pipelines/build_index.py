@@ -1,14 +1,23 @@
 """Index build orchestration — two Ray Data phases + tiny driver-side
 metadata steps.
 
+Both phases run as ``utils.map_items`` stages: one Ray Data task per
+CPU slot of the cluster (at most one per item), each task working
+through a contiguous run of the items, so the fixed per-task cost of
+Ray Data (tens of ms of CPU, half of it in the driver) is paid once per
+slot, not once per partition or shard.
+
 Phase 1 (embarrassingly parallel, resumable per input partition):
   a Dataset of partition descriptors -> task-pool ``map_batches``
-  (per-worker cached indexer state). Each call reads ONE input Parquet
+  (per-worker cached indexer state). Each task indexes its run of
+  partitions one at a time, in order: it reads ONE input Parquet
   partition, runs the vectorized SPIMI stage (stages/spimi.py),
   atomically writes ``docmeta/partition-P/`` and — as the WRITE SIDE of
   the merge shuffle — ``partials/partition-P/data.parquet`` sorted by
   ``term_shard`` with one parquet row group per shard plus an
-  ``rgmap.json`` sidecar, then the lineage record. Already-done
+  ``rgmap.json`` sidecar, then the lineage record, before it starts
+  the next partition; a task that fails midway keeps the lineage of
+  the partitions it finished. Already-done
   partitions (lineage fingerprint + config match) are skipped before
   the Dataset is even built — the resume filter
   (MediaServiceLive.scala:1522 analog).
@@ -24,10 +33,11 @@ Phase 1 (embarrassingly parallel, resumable per input partition):
 Phase 2 (the merge — a bucketed shuffle with NO exchange): because the
   shuffle key (``term_shard = hash(term) % S``) is known at write time,
   phase 1 already co-located each shard's partials into dedicated row
-  groups; the merge is independent per-shard-range tasks, each reading
-  exactly its buckets by row-group index (one batched
-  ``read_row_groups`` per partition file) and writing
-  ``dictionary/shard-SSSSS.parquet``. This replaces a generic
+  groups; the merge is independent per-shard-range tasks, each merging
+  its shards one at a time from exactly their buckets (one
+  ``read_row_groups`` per partition file and shard) into
+  ``dictionary.merging/shard-SSSSS.parquet``; the finished directory
+  then replaces ``dictionary`` whole. This replaces a generic
   ``groupby(term_shard)`` exchange — measured 2x faster at 32 CPUs on
   small data, and at cluster scale it is the classic bucketed shuffle
   write whose reduce side scales linearly with shards. Hot-term
@@ -38,10 +48,11 @@ Phase 2 (the merge — a bucketed shuffle with NO exchange): because the
 
 ``commit_lineage`` is the one step between the two phases, and the
 only caller of the merge: it aggregates the global stats (N, total
-tokens, avgdl) from the done lineage records (tiny, in-process) into
-``stats.json`` — the A2-style partial+final multi-aggregate
-(Statistics.scala:49-135 analog) — and runs the merge iff the marker
-is stale. ``update.sync_changed_docs`` (and its crash repair) and
+tokens, avgdl) from the done lineage records (tiny, in-process) — the
+A2-style partial+final multi-aggregate (Statistics.scala:49-135
+analog) — runs the merge iff the marker is stale, and writes
+``stats.json`` after the new dictionary is in place.
+``update.sync_changed_docs`` (and its crash repair) and
 ``delete.compact_index`` go through the same step, so every path from
 lineage to a servable index decides staleness the same way. Before
 phase 1 a build retires every partition that no corpus file backs,
@@ -65,6 +76,7 @@ from sotohp_ray.config import IndexConfig
 from sotohp_ray.sources.corpus import corpus_files
 from sotohp_ray.stages.spimi import index_partition_table
 from sotohp_ray.state import lineage as lin
+from sotohp_ray.utils import map_items
 
 
 def _config_fingerprint(config: IndexConfig) -> str:
@@ -75,13 +87,15 @@ class PartitionIndexer:
     """Per-worker indexing state: tokenizer + parsed config, built once
     per (worker process, config) and cached in ``for_worker`` — the
     init-once-per-process discipline of the reference's memoized model
-    allocators (MediaServiceLive.scala:1879-1891). Runs as a TASK-pool
-    ``map_batches`` stage, not an actor pool: the state here is cheap
-    (regex strings), and tasks reuse the session's long-lived warm
-    workers, while a dedicated actor pool would pay a fresh process
-    spawn + module import (~2 s) on every build. Actor pools are
-    reserved for stages whose per-actor state is genuinely expensive
-    (model scorers, loaded dictionary shards)."""
+    allocators (MediaServiceLive.scala:1879-1891). Called once per
+    task on that task's whole run of partition descriptors, which it
+    indexes one by one (``_index_one``: outputs, then lineage). Runs
+    as a TASK-pool ``map_batches`` stage, not an actor pool: the state
+    here is cheap (regex strings), and tasks reuse the session's
+    long-lived warm workers, while a dedicated actor pool would pay a
+    fresh process spawn + module import (~2 s) on every build. Actor
+    pools are reserved for stages whose per-actor state is genuinely
+    expensive (model scorers, loaded dictionary shards)."""
 
     _cache: dict[tuple, "PartitionIndexer"] = {}
 
@@ -166,16 +180,15 @@ def build_index(
     corpus_dir: str,
     index_dir: str,
     config: IndexConfig | None = None,
-    concurrency: int | tuple | None = None,
     only_partitions: list[int] | None = None,
 ) -> dict:
     """Full build (phase 1 + stats + phase 2). Re-entrant: finished
     partitions are skipped via lineage; the merge is redone only when
     phase-1 output changed. ``only_partitions`` restricts phase 1 (used
-    by the resume tests to simulate an interrupted build)."""
-    import ray
-    import ray.data
-
+    by the resume tests to simulate an interrupted build). The returned
+    stats add, to those of ``stats.json``, the sizes of the index and
+    the Ray Data task counts of both phases (``phase1_tasks``,
+    ``merge_tasks``; 0 for a phase that ran nothing)."""
     config = config or IndexConfig()
     cfg_fp = _config_fingerprint(config)
     os.makedirs(index_dir, exist_ok=True)
@@ -223,23 +236,13 @@ def build_index(
     ]
 
     t0 = time.perf_counter()
-    if todo:
-        cfg_json = config.to_json()
+    cfg_json = config.to_json()
 
-        def _index_batch(batch: dict) -> dict:
-            ix = PartitionIndexer.for_worker(cfg_json, index_dir)
-            return ix(batch)
+    def _index_batch(batch: dict) -> dict:
+        ix = PartitionIndexer.for_worker(cfg_json, index_dir)
+        return ix(batch)
 
-        extra = {} if concurrency is None else {"concurrency": concurrency}
-        ds = ray.data.from_items(todo)
-        metrics_ds = ds.map_batches(
-            _index_batch,
-            batch_size=1,
-            batch_format="numpy",
-            num_cpus=1,
-            **extra,
-        )
-        metrics_ds.materialize()
+    _, phase1_tasks = map_items(_index_batch, todo)
     t_phase1 = time.perf_counter() - t0
 
     fields = {
@@ -256,12 +259,14 @@ def build_index(
     if fields["partitions_done"] < len(files):
         # simulated interrupt (only_partitions): phase 1 incomplete,
         # nothing to commit
-        return {**fields, "merged": False}
+        return {**fields, "merged": False, "phase1_tasks": phase1_tasks}
 
     t1 = time.perf_counter()
-    stats, merged = commit_lineage(index_dir, config, fields)
+    stats, merge_tasks = commit_lineage(index_dir, config, fields)
     stats["merged"] = True
-    if merged:
+    stats["phase1_tasks"] = phase1_tasks
+    stats["merge_tasks"] = merge_tasks or 0
+    if merge_tasks is not None:
         stats["t_phase1_sec"] = round(t_phase1, 3)
         stats["t_merge_sec"] = round(time.perf_counter() - t1, 3)
     else:
@@ -290,15 +295,21 @@ def _merge_marker(index_dir: str) -> str:
 
 def commit_lineage(
     index_dir: str, config: IndexConfig, fields: dict
-) -> tuple[dict, bool]:
+) -> tuple[dict, int | None]:
     """The one step that turns lineage into a servable index, shared by
     build, sync, crash repair and compaction. Global stats (N, total
     tokens, avgdl) are summed from the done lineage records
     (tiny, in-process; the partial+final multi-aggregate of
-    Statistics.scala:49-135) and written atomically to ``stats.json``
-    together with the caller's ``fields``; then the merge runs unless
-    ``_MERGE_DONE.json`` already names this config and lineage
-    fingerprint. Idempotent. Returns (stats, whether it merged)."""
+    Statistics.scala:49-135) together with the caller's ``fields``.
+    The merge runs unless ``_MERGE_DONE.json`` already names this
+    config and lineage fingerprint; it builds the new dictionary
+    beside the live one and swaps it in whole, and only then are
+    ``stats.json`` and the marker written (in that order). A merge
+    that fails leaves the previous dictionary, stats and marker, so the
+    index keeps answering as before and the next commit merges again.
+    Idempotent. Returns (stats, the merge's task count, or None when
+    the dictionary already reflected this lineage)."""
+    lin.restore_dir(os.path.join(index_dir, "dictionary"))
     records = lin.done_records(index_dir)
     n_docs = sum(r["doc_count"] for r in records)
     total_tokens = sum(r["token_count"] for r in records)
@@ -309,17 +320,18 @@ def commit_lineage(
         "total_postings": sum(r["posting_count"] for r in records),
         "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
     }
-    lin.write_stats(index_dir, stats)
-    lineage_fp = lin.lineage_fingerprint(records)
+    want = {"config": _config_fingerprint(config),
+            "lineage": lin.lineage_fingerprint(records)}
     marker = _merge_marker(index_dir)
     if os.path.exists(marker):
         with open(marker) as f:
-            if json.load(f) == {
-                "config": _config_fingerprint(config), "lineage": lineage_fp
-            }:
-                return stats, False  # dictionary reflects this lineage
-    merge_phase(index_dir, config, n_docs, stats["avgdl"], lineage_fp)
-    return stats, True
+            if json.load(f) == want:  # dictionary reflects this lineage
+                lin.write_stats(index_dir, stats)
+                return stats, None
+    merge_tasks = merge_phase(index_dir, config, n_docs, stats["avgdl"])
+    lin.write_stats(index_dir, stats)
+    lin.write_json(marker, want)
+    return stats, merge_tasks
 
 
 def merge_phase(
@@ -327,29 +339,27 @@ def merge_phase(
     config: IndexConfig,
     n_docs: int,
     avgdl: float,
-    lineage_fp: str,
-) -> None:
+) -> int:
     """Phase 2, run only by ``commit_lineage``: shuffle-free bucketed
-    merge of all partials into dictionary shards, then the merge
-    metrics + done marker."""
-    import ray
-    import ray.data
-
+    merge of all partials into dictionary shards, written to
+    ``dictionary.merging`` and swapped in for ``dictionary``
+    (``lin.replace_dir``) once every shard is written, then the merge
+    metrics. Returns the number of merge tasks."""
     from sotohp_ray.stages.merge import merge_shard
 
     partials_dir = os.path.join(index_dir, "partials")
     dict_dir = os.path.join(index_dir, "dictionary")
-    if os.path.isdir(dict_dir):
-        shutil.rmtree(dict_dir)
-    os.makedirs(dict_dir, exist_ok=True)
+    staging = dict_dir + ".merging"
+    shutil.rmtree(staging, ignore_errors=True)
+    os.makedirs(staging)
 
     # shuffle-free merge: phase 1 already bucketed partials by
-    # term_shard (sorted, one row group per shard), so the merge is S
-    # independent tasks, each reading only its bucket's row groups via
-    # filter pushdown. This replaces groupby(term_shard).map_groups —
-    # the generic exchange paid 2x wall time at 32 CPUs on small data
-    # and would pay an all-to-all at cluster scale; with a write-side
-    # bucketed shuffle the reduce side scales linearly with shards.
+    # term_shard (sorted, one row group per shard, ``rgmap.json``), so
+    # each shard is merged on its own from exactly its row groups. This
+    # replaces groupby(term_shard).map_groups — the generic exchange
+    # paid 2x wall time at 32 CPUs on small data and would pay an
+    # all-to-all at cluster scale; with a write-side bucketed shuffle
+    # the reduce side scales linearly with shards.
     cols = [
         "term_shard", "term", "salt", "count",
         "doc0", "tf0", "dl0",
@@ -364,92 +374,78 @@ def merge_phase(
         if d.startswith("partition-")
     )
 
-    # task granularity: one task per contiguous RANGE of shards, sized
-    # so tasks >= plausible executor widths while keeping the per-task
-    # fixed cost (one footer parse + ONE batched read_row_groups call
-    # per partition file) amortized over several shards. Hash-sharded
-    # terms spread the hot-term postings volume across ranges.
-    S = config.num_term_shards
-    n_tasks = min(S, max(32, S // 4))
-    per = (S + n_tasks - 1) // n_tasks
-    ranges = [
-        (lo, min(S, lo + per)) for lo in range(0, S, per)
-    ]
-
+    # task granularity: the shard ids are the items of ``map_items``,
+    # so each task merges one contiguous RANGE of shards, one task per
+    # CPU slot (reduce width: see IndexConfig.merge_num_cpus). A task
+    # parses each partition file's rgmap and footer once, then reads
+    # and merges ONE shard at a time, so its memory is one shard's
+    # partials however wide its range. Hash-sharded terms spread the
+    # hot-term postings volume evenly across ranges.
     def _merge_range(batch: dict) -> dict:
         cfg = IndexConfig.from_json(config_json)
-        out_shards, out_rows = [], []
-        for lo, hi in zip(batch["lo"], batch["hi"]):
-            lo, hi = int(lo), int(hi)
-            pieces: dict[int, list] = {s: [] for s in range(lo, hi)}
-            for pdir in part_dirs:
-                with open(os.path.join(pdir, "rgmap.json")) as f:
-                    rg_shards = json.load(f)["shards"]
-                idxs = [
-                    i for i, s in enumerate(rg_shards) if lo <= s < hi
-                ]
-                if not idxs:
-                    continue
-                pf = pq.ParquetFile(os.path.join(pdir, "data.parquet"))
-                t = pf.read_row_groups(idxs, columns=cols)
-                off = 0
-                for i in idxs:
-                    nrg = pf.metadata.row_group(i).num_rows
-                    pieces[rg_shards[i]].append(t.slice(off, nrg))
-                    off += nrg
-            for s in range(lo, hi):
-                if not pieces[s]:
-                    continue
-                group = pa.concat_tables(pieces[s])
-                merged = merge_shard(group, n_docs, avgdl, cfg)
-                if merged.num_rows:
-                    lin.atomic_write_table(
-                        merged,
-                        os.path.join(dict_dir, f"shard-{s:05d}.parquet"),
-                    )
-                out_shards.append(s)
-                out_rows.append(merged.num_rows)
+        parts = []  # (partition file, shard -> its row-group indexes)
+        for pdir in part_dirs:
+            with open(os.path.join(pdir, "rgmap.json")) as f:
+                rgs: dict[int, list] = {}
+                for i, x in enumerate(json.load(f)["shards"]):
+                    rgs.setdefault(x, []).append(i)
+            parts.append(
+                (pq.ParquetFile(os.path.join(pdir, "data.parquet")), rgs)
+            )
+        out = {"term_shard": [], "n_terms": [], "seconds": []}
+        for s in batch["term_shard"].tolist():
+            t0 = time.perf_counter()
+            pieces = [
+                pf.read_row_groups(rgs[s], columns=cols)
+                for pf, rgs in parts if s in rgs
+            ]
+            if not pieces:
+                continue
+            merged = merge_shard(pa.concat_tables(pieces), n_docs, avgdl, cfg)
+            if merged.num_rows:
+                lin.atomic_write_table(
+                    merged, os.path.join(staging, f"shard-{s:05d}.parquet")
+                )
+            out["term_shard"].append(s)
+            out["n_terms"].append(merged.num_rows)
+            out["seconds"].append(time.perf_counter() - t0)
         return {
-            "term_shard": np.asarray(out_shards, dtype=np.int64),
-            "n_terms": np.asarray(out_rows, dtype=np.int64),
+            "term_shard": np.asarray(out["term_shard"], dtype=np.int64),
+            "n_terms": np.asarray(out["n_terms"], dtype=np.int64),
+            "seconds": np.asarray(out["seconds"], dtype=np.float64),
         }
 
-    shard_ds = ray.data.from_items(
-        [{"lo": lo, "hi": hi} for lo, hi in ranges]
-    )
-    merge_metrics = shard_ds.map_batches(
-        _merge_range, batch_size=1, batch_format="numpy",
-        # bandwidth-aware reduce width: see IndexConfig.merge_num_cpus
-        num_cpus=config.merge_num_cpus,
-    ).to_pandas()  # 1 row/shard — tiny; forces execution
+    try:
+        metrics, n_tasks = map_items(
+            _merge_range,
+            [{"term_shard": s} for s in range(config.num_term_shards)],
+            num_cpus=config.merge_num_cpus,
+        )
+        lin.replace_dir(staging, dict_dir)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
     # per-stage metrics alongside the per-partition lineage: term count
-    # per dictionary shard (skew observability for the salting knobs)
-    if len(merge_metrics):
-        lin.write_json(
-            os.path.join(index_dir, "merge_metrics.json"),
-            {
-                "n_shards": int(len(merge_metrics)),
-                "total_terms": int(merge_metrics["n_terms"].sum()),
-                "max_shard_terms": int(merge_metrics["n_terms"].max()),
-                "min_shard_terms": int(merge_metrics["n_terms"].min()),
-                "terms_per_shard": {
-                    str(int(s)): int(n)
-                    for s, n in zip(
-                        merge_metrics["term_shard"], merge_metrics["n_terms"]
-                    )
-                },
-            },
-        )
-    else:  # empty corpus: still a valid (empty) index
-        lin.write_json(
-            os.path.join(index_dir, "merge_metrics.json"),
-            {"n_shards": 0, "total_terms": 0, "max_shard_terms": 0,
-             "min_shard_terms": 0, "terms_per_shard": {}},
-        )
+    # and merge seconds per dictionary shard (skew observability for
+    # the salting knobs); an empty corpus is still a valid empty index
+    rows = sorted(zip(
+        metrics["term_shard"], metrics["n_terms"], metrics["seconds"]
+    )) if len(metrics) else []
+    n_terms = [int(n) for _, n, _ in rows]
     lin.write_json(
-        _merge_marker(index_dir),
-        {"config": _config_fingerprint(config), "lineage": lineage_fp},
+        os.path.join(index_dir, "merge_metrics.json"),
+        {
+            "n_shards": len(rows),
+            "total_terms": sum(n_terms),
+            "max_shard_terms": max(n_terms, default=0),
+            "min_shard_terms": min(n_terms, default=0),
+            "terms_per_shard": {str(int(s)): int(n) for s, n, _ in rows},
+            "seconds_per_shard": {
+                str(int(s)): round(float(t), 4) for s, _, t in rows
+            },
+        },
     )
+    return n_tasks
 
 
 def _main() -> None:

@@ -10,9 +10,12 @@ two-phase form every LSM-ish store uses):
   of surviving docs keep using the pre-delete collection stats until
   compaction (documented stale-stats window, exactly like a deleted-
   but-not-merged segment in Lucene).
-- ``compact_index``: physical rewrite. Per-partition Ray tasks drop
-  tombstoned postings from partials and rows from docmeta (decode ->
-  filter -> re-encode, vectorized per blob), lineage metrics are
+- ``compact_index``: physical rewrite. One Ray Data task per CPU slot
+  (``utils.map_items``), each over a contiguous run of partitions,
+  drops tombstoned postings from partials and rows from docmeta
+  (decode -> filter -> re-encode, vectorized per blob, one partition
+  at a time; partitions without a deleted doc are decided from
+  docmeta alone), lineage metrics are
   updated, and the merge phase reruns so df / N / avgdl and every
   block-max are exact for the surviving corpus — after compaction,
   search results are identical to an index freshly built without the
@@ -33,6 +36,7 @@ import pyarrow.parquet as pq
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.functions import codec as pcodec
 from sotohp_ray.state import lineage as lin
+from sotohp_ray.utils import map_items
 
 
 def tombstones_dir(index_dir: str) -> str:
@@ -242,7 +246,6 @@ def compact_index(index_dir: str) -> dict:
     import shutil
 
     import ray
-    import ray.data
 
     from sotohp_ray.pipelines.build_index import (
         _merge_marker,
@@ -272,9 +275,7 @@ def compact_index(index_dir: str) -> dict:
                 out[k].append(m[k])
         return {k: np.asarray(v, dtype=np.int64) for k, v in out.items()}
 
-    res = ray.data.from_items(items).map_batches(
-        _one, batch_size=1, batch_format="numpy", num_cpus=1
-    ).to_pandas()
+    res, _ = map_items(_one, items)
 
     # fold removals into lineage (so stats recompute consistently and a
     # resumed build keeps the post-delete state for unchanged inputs)

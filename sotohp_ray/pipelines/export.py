@@ -9,9 +9,10 @@ contract for a 100 TB pipeline:
   run can skip individually;
 - a crash mid-run leaves only complete shards (atomic rename) and no
   manifest; the re-run skips every finished shard and writes the rest;
-- each shard task reads ONLY its rows via parquet predicate pushdown
+- each shard reads ONLY its rows via parquet predicate pushdown
   (`doc_id` range filter against row-group statistics) — no task
-  touches the whole table.
+  touches the whole table. Shards run as one Ray Data task per CPU
+  slot, each over a contiguous run of shards (`utils.map_items`).
 
 The keep rule is the SAME broadcast mask the cleaned-corpus queries
 use (`textops.exact_keep_mask` / `near_keep_mask`), so the exported
@@ -33,6 +34,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from sotohp_ray.state.lineage import atomic_write_table, write_json
+from sotohp_ray.utils import map_items
 
 
 def _doc_id_bounds(path: str) -> tuple[int, int]:
@@ -67,9 +69,6 @@ def export_cleaned_corpus(
     shards; returns the manifest table (shard_id, lo, hi, n_rows).
     Re-running with the same arguments skips finished shards (resume);
     a completed export short-circuits on the manifest."""
-    import ray
-    import ray.data
-
     if mode == "exact":
         from sotohp_ray.pipelines.textops import exact_keep_mask
 
@@ -147,12 +146,8 @@ def export_cleaned_corpus(
         })
         return manifest
 
-    counts = (
-        ray.data.from_items(shards)
-        .map_batches(write_shard, batch_format="pyarrow", batch_size=1)
-        .to_pandas()  # one row per shard: output-sized
-        .sort_values("shard_id")
-    )
+    counts, _ = map_items(write_shard, shards, batch_format="pyarrow")
+    counts = counts.sort_values("shard_id")  # one row per shard
     manifest = pa.table({
         "shard_id": pa.array(counts["shard_id"].to_numpy(), pa.int64()),
         "lo": pa.array([sh["lo"] for sh in shards], pa.int64()),

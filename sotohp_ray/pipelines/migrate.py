@@ -6,7 +6,9 @@ physical format in place, resumably, without touching semantics).
 the current codec to a new one (e.g. varint -> pfor). Scale/safety
 shape:
 
-- one Ray task per shard file (embarrassingly parallel, no shuffle);
+- shard files are re-encoded independently (embarrassingly parallel,
+  no shuffle), one Ray Data task per CPU slot over a contiguous run of
+  them (``utils.map_items``);
 - migrated shards land in a staging dir (``dictionary.migrating-X/``)
   with per-shard atomic writes; a re-run SKIPS shards already staged,
   so an interrupted migration resumes where it stopped;
@@ -32,6 +34,7 @@ import pyarrow.parquet as pq
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.functions import codec as pcodec
 from sotohp_ray.state import lineage as lin
+from sotohp_ray.utils import map_items
 
 
 def _migrate_shard(path: str, out_path: str, old_codec: str,
@@ -123,9 +126,6 @@ def _dict_fingerprint(dict_dir: str) -> str:
 def migrate_codec(index_dir: str, new_codec: str) -> dict:
     """Rewrite the final index's posting codec in place. Resumable;
     no-op if the index already uses ``new_codec``."""
-    import ray
-    import ray.data
-
     if new_codec not in pcodec.CODECS:
         raise ValueError(f"unknown codec {new_codec!r}")
     _recover_interrupted_swap(index_dir)
@@ -180,14 +180,8 @@ def migrate_codec(index_dir: str, new_codec: str) -> dict:
             ))
         return {"migrated_terms": np.asarray(out, dtype=np.int64)}
 
-    n_terms = 0
-    if todo:
-        res = ray.data.from_items(
-            [{"name": n} for n in todo]
-        ).map_batches(
-            _one, batch_size=1, batch_format="numpy", num_cpus=1
-        ).to_pandas()
-        n_terms = int(res["migrated_terms"].sum())
+    res, _ = map_items(_one, [{"name": n} for n in todo])
+    n_terms = int(res["migrated_terms"].sum()) if len(res) else 0
 
     # crash-safe swap. Steps (each an atomic rename): (1) the NEW
     # config lands as config.json.next FIRST — it is the intent record
@@ -288,9 +282,12 @@ def _recover_interrupted_swap(index_dir: str) -> None:
             os.remove(next_cfg)
         # killed before (2) with both dirs intact: leave next_cfg for
         # the caller's normal path (it rewrites it after staging)
-    if os.path.isdir(old_dir) and not os.path.exists(next_cfg):
+    if not os.path.exists(next_cfg):
+        # a merge's dictionary swap (lin.replace_dir) killed between
+        # its renames parks the live dictionary at the same .old path
+        lin.restore_dir(dict_dir)
         # killed between (4) and (5)
-        shutil.rmtree(old_dir)
+        shutil.rmtree(old_dir, ignore_errors=True)
 
 
 def _main() -> None:

@@ -1,10 +1,12 @@
 """Merge stage: partial postings -> final docID-sorted, block-compressed
 posting lists + per-shard sorted dictionary.
 
-Runs under ``partials.groupby("term_shard").map_groups(...)`` — THE big
-shuffle of the build (SURVEY.md §7.4). One group = one dictionary
-shard; inside the group everything is vectorized numpy (decode all
-partial blobs, lexsort by (term, doc), segment, block-encode).
+Called once per dictionary shard by the merge tasks of
+``build_index.merge_phase`` — the reduce side of the build's one
+shuffle (SURVEY.md §7.4), whose map side wrote each shard's partials
+to its own row groups. One call = one dictionary shard; inside it
+everything is vectorized numpy (decode all partial blobs, lexsort by
+(term, doc), segment, block-encode).
 
 Because df, N and avgdl are all known at merge time, exact per-posting
 BM25 scores are computed here and the per-block MAX (rounded up to

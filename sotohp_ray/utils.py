@@ -17,22 +17,59 @@ def agg_select(t, mapping: dict[str, str]):
     return pa.table({new: t[old] for old, new in mapping.items()})
 
 
+def cpu_slots(num_cpus: float = 1.0) -> int:
+    """How many tasks that each reserve ``num_cpus`` CPUs the cluster
+    runs at once: its CPU count, read from ``ray.cluster_resources()``
+    (initialising Ray first, as Ray Data's first execution would),
+    divided by ``num_cpus``; at least 1. The one place that sizes a
+    stage by the cluster."""
+    import ray
+
+    if not ray.is_initialized():
+        ray.init()
+    cpus = float(ray.cluster_resources().get("CPU", 1.0))
+    return max(1, int(cpus // num_cpus))
+
+
 def actor_pool_size(max_frac: float = 1.0, cap: int = 64) -> tuple[int, int]:
     """Autoscaling ``concurrency=(min, max)`` for an actor-pool
-    ``map_batches`` stage, derived from the cluster's CPU count instead
-    of a hardcoded constant (a fixed pool of 2 starves the stage at 32
-    CPUs and worse on a cluster; a fixed pool of 32 deadlocks a small
-    test session when two pools chain). min=1 lets Ray's streaming
-    executor grow the pool only while the stage is the bottleneck.
+    ``map_batches`` stage, derived from the cluster's CPU count
+    (``cpu_slots``) instead of a hardcoded constant (a fixed pool of 2
+    starves the stage at 32 CPUs and worse on a cluster; a fixed pool
+    of 32 deadlocks a small test session when two pools chain). min=1
+    lets Ray's streaming executor grow the pool only while the stage is
+    the bottleneck.
     """
-    try:
-        import ray
-
-        cpus = int(ray.cluster_resources().get("CPU", 4)) if ray.is_initialized() else 4
-    except Exception:
-        cpus = 4
-    hi = max(2, min(cap, int(cpus * max_frac)))
+    hi = max(2, min(cap, int(cpu_slots() * max_frac)))
     return (1, hi)
+
+
+def map_items(fn, items: list, num_cpus: float = 1.0,
+              batch_format: str = "numpy"):
+    """Run ``fn`` over ``items`` as ``min(len(items), slots)`` Ray Data
+    tasks, ``slots = cpu_slots(num_cpus)``. Each task calls ``fn`` ONCE
+    on a batch holding a contiguous run of the items, in order, so a
+    stage pays Ray Data's fixed per-task cost (tens of ms of CPU,
+    about half of it in the driver) once per CPU slot, not once per
+    item. Items are rows of similar cost (input partitions of equal
+    size, hash-spread term shards), so equal runs balance without
+    finer splitting.
+
+    Returns ``(frame, n_tasks)``: the concatenated outputs of ``fn`` as
+    a pandas DataFrame (row order across tasks is not kept) and the
+    number of tasks. An empty ``items`` runs nothing and returns an
+    empty frame and 0."""
+    import pandas as pd
+    import ray.data
+
+    if not items:
+        return pd.DataFrame(), 0
+    n_tasks = min(len(items), cpu_slots(num_cpus))
+    ds = ray.data.from_items(items, override_num_blocks=n_tasks)
+    frame = ds.map_batches(
+        fn, batch_size=None, batch_format=batch_format, num_cpus=num_cpus
+    ).to_pandas()
+    return frame, n_tasks
 
 
 COARSE_GROUPS = 64  # width of every coarse-key co-partitioned exchange
