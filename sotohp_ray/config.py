@@ -92,11 +92,6 @@ class IndexConfig:
         frame-of-reference bit packing; ~30% smaller postings than
         varint AND faster vectorized full decode) or "varint"
         (delta + LEB128).
-    partials_codec: codec for the TRANSIENT phase-1 partial postings.
-        Partials are encode-bound (millions of tiny per-term blobs,
-        one encode call each) and die after the merge, so they default
-        to varint (cheapest per-call encode); the final index is
-        size/decode-bound and defaults to pfor.
     merge_num_cpus: logical CPUs RESERVED per merge reduce task (an
         execution knob, deliberately NOT part of the config fingerprint
         or the on-disk config — changing it never invalidates an
@@ -129,7 +124,6 @@ class IndexConfig:
     salt_rows: int = 65536
     merge_num_cpus: float = 1.0
     codec: str = "pfor"
-    partials_codec: str = "varint"
     path_include: str | None = None
     path_ignore: str | None = None
     tokenizer: TokenizerRules = field(default_factory=TokenizerRules)
@@ -143,7 +137,6 @@ class IndexConfig:
                 "block_size": self.block_size,
                 "salt_rows": self.salt_rows,
                 "codec": self.codec,
-                "partials_codec": self.partials_codec,
                 "path_include": self.path_include,
                 "path_ignore": self.path_ignore,
                 "tokenizer_version": self.tokenizer.version_hash(),
@@ -178,7 +171,6 @@ class IndexConfig:
             block_size=cj["block_size"],
             salt_rows=cj["salt_rows"],
             codec=cj["codec"],
-            partials_codec=cj.get("partials_codec", "varint"),
             path_include=cj.get("path_include"),
             path_ignore=cj.get("path_ignore"),
             tokenizer=tok,

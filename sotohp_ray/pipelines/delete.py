@@ -127,7 +127,7 @@ def _compact_partition(
     from sotohp_ray.pipelines.build_index import write_partials
 
     cfg = IndexConfig.from_json(config_json)
-    enc, dec = pcodec.CODECS[cfg.partials_codec]
+    enc, dec = pcodec.varint_encode, pcodec.varint_decode
 
     dm_path = os.path.join(
         index_dir, "docmeta", f"partition-{pid:05d}", "data.parquet"

@@ -14,7 +14,7 @@ import os
 
 import numpy as np
 
-from sotohp_ray.utils import actor_pool_size as _pool, sorted_lookup
+from sotohp_ray.utils import actor_pool_size as _pool, combine, sorted_lookup
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -2258,8 +2258,8 @@ def bm25_facets(sf_dir: str, queries=DOC_QUERIES) -> pa.Table:
     The facet join is DISTRIBUTED: matched-id arrays (posting-sized,
     sorted) broadcast once via ``ray.put``; each docmeta batch counts
     its members per (query, lang) with a searchsorted membership test
-    + an Arrow group_by, and the driver sums the output-sized
-    partials. The earlier shape — a corpus-sized docmeta read plus a
+    + an Arrow group_by, and ``combine`` sums the partials. The
+    earlier shape — a corpus-sized docmeta read plus a
     doc-id-SPACE-sized codes gather on the driver — is exactly what
     does not survive 10^9 docs."""
     import ray
@@ -2276,13 +2276,10 @@ def bm25_facets(sf_dir: str, queries=DOC_QUERIES) -> pa.Table:
         ids = s.search_boolean(q, mode="or")
         if ids.size:
             match[qi] = np.sort(ids.astype(np.int64))
-    empty = pa.table({
-        "query_id": pa.array([], pa.int64()),
-        "lang": pa.array([], pa.string()),
-        "n_matches": pa.array([], pa.int64()),
-    })
+    schema = pa.schema([("query_id", pa.int64()), ("lang", pa.string()),
+                        ("n_matches", pa.int64())])
     if not match:
-        return empty
+        return schema.empty_table()
     mref = ray.put(match)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2304,38 +2301,17 @@ def bm25_facets(sf_dir: str, queries=DOC_QUERIES) -> pa.Table:
                     np.full(g.num_rows, qi, dtype=np.int64)
                 ),
                 "lang": g["lang"],
-                "n_partial": g["count_all"],
+                "n_matches": g["count_all"],
             }))
-        if not parts:
-            return pa.table({
-                "query_id": pa.array([], pa.int64()),
-                "lang": pa.array([], pa.string()),
-                "n_partial": pa.array([], pa.int64()),
-            })
-        return pa.concat_tables(parts)
+        return pa.concat_tables(parts) if parts else pa.table({})
 
-    cand = (
+    return combine(
         ray.data.read_parquet(
             os.path.join(index_dir, "docmeta"),
             columns=["doc_id", "lang"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # (queries x langs) rows per block: output-sized
+        ).map_batches(partial, batch_format="pyarrow"),
+        ["query_id", "lang"], ["n_matches"], schema,
     )
-    if not len(cand):
-        return empty
-    agg = (
-        cand.groupby(["query_id", "lang"], as_index=False)["n_partial"]
-        .sum()
-        .sort_values(["query_id", "lang"])
-    )
-    return pa.table({
-        "query_id": pa.array(agg["query_id"].to_numpy(), pa.int64()),
-        "lang": pa.array(agg["lang"].astype(str).to_numpy(), pa.string()),
-        "n_matches": pa.array(
-            agg["n_partial"].to_numpy().astype(np.int64), pa.int64()
-        ),
-    })
 
 
 def bm25_facets_sql(queries=DOC_QUERIES) -> str:
@@ -2366,8 +2342,8 @@ def bm25_length_facets(
     histogram/range aggregation on a query's hits, the numeric sibling
     of bm25_facets' term facet). Same distributed shape: matched-id
     arrays (mapped to original ids) broadcast once; each documents
-    batch buckets its members vectorized and the driver sums
-    output-sized (queries x buckets) partials."""
+    batch buckets its members vectorized into (queries x buckets)
+    partials for ``combine``."""
     import ray
     import ray.data
 
@@ -2381,13 +2357,10 @@ def bm25_length_facets(
         ids = s.search_boolean(q, mode="or")
         if ids.size:
             match[qi] = np.sort(eng2orig[ids].astype(np.int64))
-    empty = pa.table({
-        "query_id": pa.array([], pa.int64()),
-        "bucket_lo": pa.array([], pa.int64()),
-        "n_matches": pa.array([], pa.int64()),
-    })
+    schema = pa.schema([("query_id", pa.int64()), ("bucket_lo", pa.int64()),
+                        ("n_matches", pa.int64())])
     if not match:
-        return empty
+        return schema.empty_table()
     mref = ray.put(match)
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -2408,38 +2381,19 @@ def bm25_length_facets(
             qs.append(np.full(ub.size, qi, dtype=np.int64))
             bs.append(ub)
             ns.append(cnt.astype(np.int64))
-        if not qs:
-            return empty
         return pa.table({
-            "query_id": pa.array(np.concatenate(qs), pa.int64()),
-            "bucket_lo": pa.array(np.concatenate(bs), pa.int64()),
-            "n_matches": pa.array(np.concatenate(ns), pa.int64()),
+            "query_id": np.concatenate(qs + [np.zeros(0, np.int64)]),
+            "bucket_lo": np.concatenate(bs + [np.zeros(0, np.int64)]),
+            "n_matches": np.concatenate(ns + [np.zeros(0, np.int64)]),
         })
 
-    cand = (
+    return combine(
         ray.data.read_parquet(
             os.path.join(sf_dir, "documents.parquet"),
             columns=["doc_id", "n_chars"],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # (queries x buckets) rows per block: output-sized
+        ).map_batches(partial, batch_format="pyarrow"),
+        ["query_id", "bucket_lo"], ["n_matches"], schema,
     )
-    if not len(cand):
-        return empty
-    agg = (
-        cand.groupby(["query_id", "bucket_lo"], as_index=False)[
-            "n_matches"
-        ]
-        .sum()
-        .sort_values(["query_id", "bucket_lo"])
-    )
-    return pa.table({
-        "query_id": pa.array(agg["query_id"].to_numpy(), pa.int64()),
-        "bucket_lo": pa.array(agg["bucket_lo"].to_numpy(), pa.int64()),
-        "n_matches": pa.array(
-            agg["n_matches"].to_numpy().astype(np.int64), pa.int64()
-        ),
-    })
 
 
 SORT_FIELD_K = 30
@@ -4168,7 +4122,7 @@ def suggest_phrase(
     Candidate generation is dictionary-only (zero postings decode);
     bigram support is ONE pass over the analyzed-tokens sidecar with
     vectorized adjacent-pair masks (doc-boundary positions excluded),
-    per-batch partials folded on the driver (candidate-set-sized).
+    per-batch candidate-set-sized partials folded by ``combine``.
     Zero-support candidates stay, ranked after supported ones
     (ES suggest_mode=always)."""
     from sotohp_ray.pipelines.query import Searcher
@@ -4226,17 +4180,16 @@ def suggest_phrase(
             "n": pa.array(out_n, pa.int64()),
         })
 
-    import pandas as pd
-
-    parts = (
-        _docs_tokens(sf_dir)
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # candidate-set x blocks: tiny
+    agg = combine(
+        _docs_tokens(sf_dir).map_batches(partial, batch_format="pyarrow"),
+        ["probe_i", "cand"], ["n"],
+        pa.schema([("probe_i", pa.int64()), ("cand", pa.string()),
+                   ("n", pa.int64())]),
     )
-    counts = (
-        parts.groupby(["probe_i", "cand"])["n"].sum()
-        if len(parts) else pd.Series(dtype="int64")
-    )
+    counts = dict(zip(
+        zip(agg["probe_i"].to_pylist(), agg["cand"].to_pylist()),
+        agg["n"].to_pylist(),
+    ))
     rows = []
     for pi, (t1, t2, cands, dfs) in enumerate(probes):
         scored = sorted(

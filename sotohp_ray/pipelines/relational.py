@@ -12,7 +12,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from sotohp_ray.utils import agg_select, co_group, sorted_lookup
+from sotohp_ray.utils import agg_select, co_group, combine, sorted_lookup
 
 
 def _read(sf_dir: str, table: str, columns=None):
@@ -1896,10 +1896,10 @@ def q5_local_supplier_volume(sf_dir: str):
         np.add.at(tot, inv, rev)
         return pa.table({
             "n_name": pa.array([names[int(x)] for x in uk], pa.string()),
-            "rev_partial": tot,
+            "revenue": tot,
         })
 
-    parts = co_group(
+    agg = combine(co_group(
         join_partial,
         (_read(sf_dir, "orders",
                ["o_orderkey", "o_custkey", "o_orderdate"]),
@@ -1911,13 +1911,12 @@ def q5_local_supplier_volume(sf_dir: str):
          li_side,
          pa.schema([("l_orderkey", _I64), ("l_suppkey", _I64),
                     ("rev", _F64)])),
-    ).to_pandas()  # nations x groups rows: tiny
-    agg = parts.groupby("n_name", sort=True)["rev_partial"].sum()
+    ), ["n_name"], ["revenue"],
+        pa.schema([("n_name", _STR), ("revenue", _F64)]))
     return pa.table({
-        "n_name": pa.array(agg.index.astype(str)),
-        "revenue_cents": pa.array(
-            np.round(agg.to_numpy() * 100.0).astype(np.int64)
-        ),
+        "n_name": agg["n_name"],
+        "revenue_cents": pa.array(np.round(
+            agg["revenue"].to_numpy() * 100.0).astype(np.int64)),
     })
 
 
@@ -2245,20 +2244,18 @@ def customers_rfm(sf_dir: str, qs=RFM_QS):
         return pa.table({
             "metric": pa.array(np.concatenate(ms)),
             "value": pa.array(np.concatenate(vs)),
-            "n_partial": pa.array(np.concatenate(ns)),
+            "n": pa.array(np.concatenate(ns)),
         })
 
-    # per-block distinct partials fold on the driver — the old
-    # distributed (metric, value) groupby shipped the SAME rows to
-    # the driver afterwards anyway, so the exchange was a pure fixed
-    # cost (~2 s of sort/shuffle overhead at any sf)
-    hist = (
-        metrics.map_batches(hist_partial, batch_format="pyarrow")
-        .to_pandas()  # distinct-values-per-block-sized
-        .groupby(["metric", "value"], as_index=False)["n_partial"]
-        .sum()
-        .rename(columns={"n_partial": "n"})
-    )
+    # per-block distinct partials fold on the driver — a distributed
+    # (metric, value) groupby shipped the SAME rows to the driver
+    # afterwards anyway, so its exchange was a pure fixed cost (~2 s
+    # of sort/shuffle overhead at any sf)
+    hist = combine(
+        metrics.map_batches(hist_partial, batch_format="pyarrow"),
+        ["metric", "value"], ["n"],
+        pa.schema([("metric", _I64), ("value", _I64), ("n", _I64)]),
+    ).to_pandas()
     cuts = {}
     for mi in range(3):
         h = hist[hist["metric"] == mi].sort_values("value")
@@ -2610,10 +2607,10 @@ def events_retention(sf_dir: str):
     product-analytics retention triangle; ES/Kibana cohort chart).
     Shape: one ``co_group`` exchange on user_id (a user's whole
     history lands in one group), per-group
-    vectorized first-event + distinct-(cohort, offset) fold, then the
-    (cohort x offset)-sized partial counts sum in a tiny second
-    groupby. No broadcast, no global sort; the wide exchange carries
-    (user, hour) rows pre-deduplicated per batch."""
+    vectorized first-event + distinct-(cohort, offset) fold, then
+    ``combine`` sums the (cohort x offset)-sized partial counts. No
+    broadcast, no global sort; the wide exchange carries (user, hour)
+    rows pre-deduplicated per batch."""
     import pandas as pd
 
     def user_hours(batch: pa.Table) -> pa.Table:
@@ -2645,23 +2642,14 @@ def events_retention(sf_dir: str):
         })
         return (
             df.groupby(["cohort", "offset_h"]).size()
-            .rename("n_partial").reset_index()
+            .rename("n_users").reset_index()
         )
 
-    parts = co_group(fold, (
+    return combine(co_group(fold, (
         _read(sf_dir, "events", ["user_id", "ts"]),
         user_hours, pa.schema([("user_id", _I64), ("hour", _TS)]),
-    )).to_pandas()  # (cohort x offset)-sized partials
-    agg = (
-        parts.groupby(["cohort", "offset_h"], as_index=False)[
-            "n_partial"
-        ].sum().sort_values(["cohort", "offset_h"])
-    )
-    return pa.table({
-        "cohort": pa.array(agg["cohort"], pa.timestamp("us")),
-        "offset_h": pa.array(agg["offset_h"].to_numpy(np.int64)),
-        "n_users": pa.array(agg["n_partial"].to_numpy(np.int64)),
-    })
+    )), ["cohort", "offset_h"], ["n_users"],
+        pa.schema([("cohort", _TS), ("offset_h", _I64), ("n_users", _I64)]))
 
 
 def events_retention_sql() -> str:
@@ -2696,7 +2684,7 @@ def q4_order_priority(sf_dir: str):
     shipdate per okey (EXISTS only needs the max — the A1 combiner
     collapses the fact side before the exchange), one ``co_group``
     exchange on orderkey joins them, per-group priority counts are
-    output-sized partials summed on the driver."""
+    the partials of ``combine``."""
     import pandas as pd
 
     def orders_side(batch: pa.Table) -> pa.Table:
@@ -2716,11 +2704,12 @@ def q4_order_priority(sf_dir: str):
         late = np.zeros(o["o_orderkey"].size, dtype=bool)
         late[rows[li["maxship"][hit] > o["o_orderdate"][rows]]] = True
         return (
-            pd.DataFrame({"prio": o["o_orderpriority"][late]})
-            .groupby("prio").size().rename("n_partial").reset_index()
+            pd.DataFrame({"o_orderpriority": o["o_orderpriority"][late]})
+            .groupby("o_orderpriority").size().rename("n_orders")
+            .reset_index()
         )
 
-    parts = co_group(
+    return combine(co_group(
         count_exists,
         (_read(sf_dir, "orders",
                ["o_orderkey", "o_orderdate", "o_orderpriority"]),
@@ -2729,18 +2718,8 @@ def q4_order_priority(sf_dir: str):
                     ("o_orderpriority", _STR)])),
         (_read(sf_dir, "lineitem", ["l_orderkey", "l_shipdate"]),
          li_maxship, pa.schema([("o_orderkey", _I64), ("maxship", _TS)])),
-    ).to_pandas()  # <= n_priorities per group: output-sized
-    agg = (
-        parts.groupby("prio")["n_partial"].sum().sort_index()
-        if len(parts) else pd.Series(dtype="int64")
-    )
-    return pa.table({
-        "o_orderpriority": pa.array(
-            [str(p) for p in agg.index], pa.string()),
-        "n_orders": pa.array(
-            agg.to_numpy(np.int64) if len(agg)
-            else np.zeros(0, np.int64)),
-    })
+    ), ["o_orderpriority"], ["n_orders"],
+        pa.schema([("o_orderpriority", _STR), ("n_orders", _I64)]))
 
 
 def q4_order_priority_sql() -> str:
@@ -3000,8 +2979,7 @@ def q13_customer_distribution(sf_dir: str):
     count 0 — the OUTER part; orders of unknown customers drop), then
     emits its LOCAL
     histogram (c_count, ncust): the second aggregate's exchange is
-    histogram-sized, and the driver merge is output-sized (distinct
-    count values x 64 groups)."""
+    histogram-sized (distinct count values x 64 groups)."""
     import pandas as pd
 
     def order_counts(batch: pa.Table) -> pa.Table:
@@ -3015,25 +2993,18 @@ def q13_customer_distribution(sf_dir: str):
         pos, hit = sorted_lookup(ck, o["key"])
         np.add.at(counts, pos[hit], o["cnt"][hit])
         c_count, ncust = np.unique(counts, return_counts=True)
-        return pd.DataFrame({"c_count": c_count, "ncust": ncust})
+        return pd.DataFrame({"c_count": c_count, "custdist": ncust})
 
-    parts = co_group(
+    out = combine(co_group(
         hist,
         (_read(sf_dir, "customer", ["c_custkey"]),
          _pick(key="c_custkey"), pa.schema([("key", _I64)])),
         (_read(sf_dir, "orders", ["o_custkey"]),
          order_counts, pa.schema([("key", _I64), ("cnt", _I64)])),
-    ).to_pandas()  # histogram-sized partials: tiny driver merge
-    parts = _with_cols(parts, {"c_count": "int64", "ncust": "int64"})
-    out = (
-        parts.groupby("c_count", as_index=False)["ncust"].sum()
-        .rename(columns={"ncust": "custdist"})
-        .sort_values(["custdist", "c_count"], ascending=[False, False])
-    )
-    return pa.table({
-        "c_count": pa.array(out["c_count"].to_numpy(np.int64)),
-        "custdist": pa.array(out["custdist"].to_numpy(np.int64)),
-    })
+    ), ["c_count"], ["custdist"],
+        pa.schema([("c_count", _I64), ("custdist", _I64)]))
+    return out.sort_by([("custdist", "descending"),
+                        ("c_count", "descending")])
 
 
 def q13_customer_distribution_sql() -> str:
@@ -3203,27 +3174,20 @@ def q22_sales_opportunity(sf_dir: str):
         n = np.bincount(inv, minlength=un.size).astype(np.int64)
         s = np.zeros(un.size, dtype=np.float64)
         np.add.at(s, inv, c["c_acctbal"][keep])
-        return pd.DataFrame({"cntrycode": un, "n": n, "bal": s})
+        return pd.DataFrame({"cntrycode": un, "numcust": n, "bal": s})
 
-    parts = co_group(
+    out = combine(co_group(
         anti_partial,
         (cust, rich,
          pa.schema([("c_custkey", _I64), ("c_nationkey", _I64),
                     ("c_acctbal", _F64)])),
         (_read(sf_dir, "orders", ["o_custkey", "o_orderdate"]),
          recent, pa.schema([("c_custkey", _I64)])),
-    ).to_pandas()  # nations x 64 partials: tiny driver merge
-    parts = _with_cols(parts, {
-        "cntrycode": "int64", "n": "int64", "bal": "float64",
-    })
-    out = (
-        parts.groupby("cntrycode", as_index=False)
-        .agg(numcust=("n", "sum"), bal=("bal", "sum"))
-        .sort_values("cntrycode")
-    )
+    ), ["cntrycode"], ["numcust", "bal"],
+        pa.schema([("cntrycode", _I64), ("numcust", _I64), ("bal", _F64)]))
     return pa.table({
-        "cntrycode": pa.array(out["cntrycode"].to_numpy(np.int64)),
-        "numcust": pa.array(out["numcust"].to_numpy(np.int64)),
+        "cntrycode": out["cntrycode"],
+        "numcust": out["numcust"],
         "totacctbal_cents": pa.array(
             np.round(out["bal"].to_numpy() * 100.0).astype(np.int64)
         ),
@@ -3340,7 +3304,6 @@ def customer_geo_centroid(sf_dir: str):
     rounding contract (a 6-dp round here actually FAILED: sf0.01
     lands a centroid exactly on the x.xxxxxx5 boundary, where numpy
     rounds half-even and DuckDB half-away)."""
-    import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
         keys = batch["c_custkey"].to_numpy(zero_copy_only=False)
@@ -3362,25 +3325,19 @@ def customer_geo_centroid(sf_dir: str):
             "slon": pa.array(slon, pa.int64()),
         })
 
-    p = (
+    sums = ["n", "slat", "slon"]
+    p = combine(
         _read(sf_dir, "customer", ["c_custkey", "c_nationkey"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # nations x blocks: tiny driver merge
-        .groupby("c_nationkey", as_index=False)
-        .agg(n=("n", "sum"), slat=("slat", "sum"), slon=("slon", "sum"))
-        .sort_values("c_nationkey")
+        .map_batches(partial, batch_format="pyarrow"),
+        ["c_nationkey"], sums,
+        pa.schema([("c_nationkey", _I64)] + [(c, _I64) for c in sums]),
     )
+    n = p["n"].to_numpy()
     return pa.table({
-        "c_nationkey": pa.array(p["c_nationkey"].to_numpy(np.int64)),
-        "n": pa.array(p["n"].to_numpy(np.int64)),
-        "lat_centroid": pa.array(
-            p["slat"].to_numpy(np.int64)
-            / (100.0 * p["n"].to_numpy(np.int64))
-        ),
-        "lon_centroid": pa.array(
-            p["slon"].to_numpy(np.int64)
-            / (100.0 * p["n"].to_numpy(np.int64))
-        ),
+        "c_nationkey": p["c_nationkey"],
+        "n": p["n"],
+        "lat_centroid": pa.array(p["slat"].to_numpy() / (100.0 * n)),
+        "lon_centroid": pa.array(p["slon"].to_numpy() / (100.0 * n)),
     })
 
 
@@ -3462,6 +3419,36 @@ FROM pts GROUP BY c_nationkey ORDER BY c_nationkey
 """
 
 
+def _hourly_counts(sf_dir: str) -> tuple[np.ndarray, np.ndarray]:
+    """The DENSE hourly event-count series ``(hr, n)``: int64 hours
+    since the epoch from the first to the last event hour, empty hours
+    counting 0 (ES min_doc_count=0); both arrays are empty for no
+    events. Per-batch (hour, n) partials folded by ``combine``."""
+
+    def partial(batch: pa.Table) -> pa.Table:
+        hr = pc.divide(
+            pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
+                    pa.int64()),
+            3600 * 1_000_000,
+        )
+        g = pa.table({"hr": hr}).group_by("hr").aggregate(
+            [([], "count_all")])
+        return agg_select(g, {"hr": "hr", "count_all": "n"})
+
+    c = combine(
+        _read(sf_dir, "events", ["ts"]).map_batches(
+            partial, batch_format="pyarrow"),
+        ["hr"], ["n"], pa.schema([("hr", _I64), ("n", _I64)]),
+    )
+    hr = c["hr"].to_numpy()
+    if not hr.size:
+        return hr, hr
+    grid = np.arange(hr[0], hr[-1] + 1)
+    n = np.zeros(grid.size, np.int64)
+    n[hr - hr[0]] = c["n"].to_numpy()
+    return grid, n
+
+
 MAVG_W = 3  # trailing window (current + 2 preceding buckets)
 
 
@@ -3471,40 +3458,17 @@ def events_moving_avg(sf_dir: str, w: int = MAVG_W):
     buckets, partial at the series head like ROWS BETWEEN w-1
     PRECEDING) and ``derivative`` (first difference, NULL at the
     head) over the DENSE hourly series (empty hours count 0, ES
-    min_doc_count=0). Distribution: per-batch (hour, n) count
-    partials -> hours-sized exchange; the window math runs on the
-    series itself (output-sized driver fold, the events_hourly rule).
+    min_doc_count=0). The window math runs on the hours-sized
+    ``_hourly_counts`` series itself.
     mavg = (exact int sum)/count — one division of identical operands
     on both sides, no rounding contract."""
-    import pandas as pd
-
-    ds = _read(sf_dir, "events", ["ts"])
-
-    def partial(batch: pa.Table) -> pa.Table:
-        ts = batch["ts"].to_numpy(zero_copy_only=False)
-        h = ts.astype("datetime64[h]").astype(np.int64)
-        uh, cnt = np.unique(h, return_counts=True)
-        return pa.table({
-            "h": pa.array(uh),
-            "n": pa.array(cnt.astype(np.int64)),
-        })
-
-    p = (
-        ds.map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # hours x blocks: tiny driver merge
-        .groupby("h", as_index=False)["n"].sum()
-    )
-    lo, hi = int(p["h"].min()), int(p["h"].max())
-    hours = np.arange(lo, hi + 1, dtype=np.int64)
-    n = np.zeros(hours.size, dtype=np.int64)
-    n[p["h"].to_numpy(np.int64) - lo] = p["n"].to_numpy(np.int64)
+    hours, n = _hourly_counts(sf_dir)
     csum = np.concatenate([[0], np.cumsum(n)])
     start = np.maximum(np.arange(hours.size) - (w - 1), 0)
     wsum = csum[np.arange(1, hours.size + 1)] - csum[start]
     wlen = np.arange(1, hours.size + 1) - start
     mavg = wsum / wlen.astype(np.float64)
-    delta = np.empty(hours.size, dtype=np.float64)
-    delta[0] = np.nan
+    delta = np.full(hours.size, np.nan)
     delta[1:] = (n[1:] - n[:-1]).astype(np.float64)
     return pa.table({
         "hour": pa.array(
@@ -3696,10 +3660,11 @@ def q7_volume_shipping(sf_dir: str):
             "supp_nation": uk >> 16,
             "cust_nation": (uk >> 11) & 0x1F,
             "yr": (uk & 0x7FF) + 1990,
-            "vol": part,
+            "revenue_e4": part,
         })
 
-    parts = co_group(
+    keys = ["supp_nation", "cust_nation", "yr"]
+    return combine(co_group(
         join_fold,
         (tagged, None,
          pa.schema([("okey", _I64), ("cust_nation", _I64)])),
@@ -3709,22 +3674,8 @@ def q7_volume_shipping(sf_dir: str):
          li_partial,
          pa.schema([("okey", _I64), ("supp_nation", _I64), ("yr", _I64),
                     ("vol", _I64)])),
-    ).to_pandas()  # (nations^2 x years) x 64 partials: tiny
-    parts = _with_cols(parts, {
-        "supp_nation": "int64", "cust_nation": "int64",
-        "yr": "int64", "vol": "int64",
-    })
-    out = (
-        parts.groupby(["supp_nation", "cust_nation", "yr"],
-                      as_index=False)["vol"].sum()
-        .sort_values(["supp_nation", "cust_nation", "yr"])
-    )
-    return pa.table({
-        "supp_nation": pa.array(out["supp_nation"].to_numpy(np.int64)),
-        "cust_nation": pa.array(out["cust_nation"].to_numpy(np.int64)),
-        "yr": pa.array(out["yr"].to_numpy(np.int64)),
-        "revenue_e4": pa.array(out["vol"].to_numpy(np.int64)),
-    })
+    ), keys, ["revenue_e4"],
+        pa.schema([(k, _I64) for k in keys] + [("revenue_e4", _I64)]))
 
 
 def q7_volume_shipping_sql() -> str:
@@ -3843,10 +3794,10 @@ def q9_product_type_profit(sf_dir: str):
         return pd.DataFrame({
             "supp_nation": (uk >> 11).astype("int64"),
             "yr": (uk & 0x7FF).astype("int64") + 1990,
-            "profit": partial,
+            "profit_e4": partial,
         })
 
-    parts = co_group(
+    return combine(co_group(
         join_fold,
         (_read(sf_dir, "lineitem",
                ["l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
@@ -3855,21 +3806,9 @@ def q9_product_type_profit(sf_dir: str):
          pa.schema([("okey", _I64), ("nat", _I64), ("profit", _I64)])),
         (_read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]),
          o_side, pa.schema([("okey", _I64), ("yr", _I64)])),
-    ).to_pandas()  # (nations x years) x 64 partials
-    parts = _with_cols(parts, {
-        "supp_nation": "int64", "yr": "int64", "profit": "int64",
-    })
-    out = (
-        parts.groupby(["supp_nation", "yr"], as_index=False)["profit"]
-        .sum().sort_values(["supp_nation", "yr"])
-    )
-    return pa.table({
-        "supp_nation": pa.array(out["supp_nation"].to_numpy(np.int64)),
-        "yr": pa.array(out["yr"].to_numpy(np.int64)),
-        "profit_e4": pa.array(
-            out["profit"].to_numpy(np.int64)
-        ),
-    })
+    ), ["supp_nation", "yr"], ["profit_e4"],
+        pa.schema([("supp_nation", _I64), ("yr", _I64),
+                   ("profit_e4", _I64)]))
 
 
 def q9_product_type_profit_sql() -> str:
@@ -3931,13 +3870,14 @@ def q12_shipmode_priority(sf_dir: str):
         })
         out = df.groupby("flag", as_index=False).apply(
             lambda x: pd.Series({
-                "high": int(x["n"][x["hi"]].sum()),
-                "low": int(x["n"][~x["hi"]].sum()),
+                "high_line_count": int(x["n"][x["hi"]].sum()),
+                "low_line_count": int(x["n"][~x["hi"]].sum()),
             }), include_groups=False,
         )
         return out.rename(columns={"flag": "l_returnflag"})
 
-    parts = co_group(
+    counts = ["high_line_count", "low_line_count"]
+    return combine(co_group(
         fold,
         (_read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"]),
          o_side, pa.schema([("okey", _I64), ("high", pa.bool_())])),
@@ -3945,23 +3885,8 @@ def q12_shipmode_priority(sf_dir: str):
                ["l_orderkey", "l_returnflag", "l_shipdate"]),
          li_partial,
          pa.schema([("okey", _I64), ("flag", _STR), ("n", _I64)])),
-    ).to_pandas()  # flags x 64 partials
-    parts = _with_cols(parts, {
-        "l_returnflag": "object", "high": "int64", "low": "int64",
-    })
-    out = (
-        parts.groupby("l_returnflag", as_index=False)
-        .agg(high_line_count=("high", "sum"),
-             low_line_count=("low", "sum"))
-        .sort_values("l_returnflag")
-    )
-    return pa.table({
-        "l_returnflag": pa.array(out["l_returnflag"].astype(str)),
-        "high_line_count": pa.array(
-            out["high_line_count"].to_numpy(np.int64)),
-        "low_line_count": pa.array(
-            out["low_line_count"].to_numpy(np.int64)),
-    })
+    ), ["l_returnflag"], counts,
+        pa.schema([("l_returnflag", _STR)] + [(c, _I64) for c in counts]))
 
 
 def q12_shipmode_priority_sql() -> str:
@@ -4281,7 +4206,7 @@ def q8_market_share(sf_dir: str):
             "yr": uk // 2 + 1990, "tgt": uk % 2, "vol": s,
         })
 
-    parts = co_group(
+    agg = combine(co_group(
         fold,
         (tagged, None, pa.schema([("okey", _I64), ("yr", _I64)])),
         (_read(sf_dir, "lineitem",
@@ -4289,11 +4214,8 @@ def q8_market_share(sf_dir: str):
                 "l_extendedprice", "l_discount"]),
          li_partial,
          pa.schema([("okey", _I64), ("tgt", _I64), ("vol", _I64)])),
-    ).to_pandas()  # (years x 2) x 64 partials
-    parts = _with_cols(parts, {
-        "yr": "int64", "tgt": "int64", "vol": "int64",
-    })
-    agg = parts.groupby(["yr", "tgt"], as_index=False)["vol"].sum()
+    ), ["yr", "tgt"], ["vol"],
+        pa.schema([("yr", _I64), ("tgt", _I64), ("vol", _I64)])).to_pandas()
     years = sorted(agg["yr"].unique())
     num = {
         int(y): int(agg[(agg["yr"] == y) & (agg["tgt"] == 1)]["vol"].sum())
@@ -4356,27 +4278,14 @@ def events_markov_transitions(sf_dir: str):
         out = df.groupby(["from_type", "to_type"], as_index=False)
         return out.size().rename(columns={"size": "n"})
 
-    parts = co_group(pairs, (
+    out = combine(co_group(pairs, (
         _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"]),
         None, _EVENT_SCHEMA.append(pa.field("event_type", _STR)),
-    )).to_pandas()  # types^2 x 64 partials: tiny
-    parts = _with_cols(parts, {
-        "from_type": "object", "to_type": "object", "n": "int64",
-    })
-    out = (
-        parts.groupby(["from_type", "to_type"], as_index=False)["n"]
-        .sum().sort_values(["from_type", "to_type"])
-    )
-    row_tot = out.groupby("from_type")["n"].transform("sum")
-    return pa.table({
-        "from_type": pa.array(out["from_type"].astype(str)),
-        "to_type": pa.array(out["to_type"].astype(str)),
-        "n": pa.array(out["n"].to_numpy(np.int64)),
-        "p": pa.array(
-            out["n"].to_numpy(np.int64)
-            / row_tot.to_numpy(np.int64).astype(np.float64)
-        ),
-    })
+    )), ["from_type", "to_type"], ["n"],
+        pa.schema([("from_type", _STR), ("to_type", _STR), ("n", _I64)]))
+    row_tot = out.to_pandas().groupby("from_type")["n"].transform("sum")
+    return out.append_column("p", pa.array(
+        out["n"].to_numpy() / row_tot.to_numpy(np.float64), _F64))
 
 
 def events_markov_transitions_sql() -> str:
@@ -4502,7 +4411,6 @@ def events_ab_ztest(sf_dir: str):
     variances from raw moments on BOTH sides (estimator-identical),
     6-dp grid with the usual orders of headroom over summation
     error."""
-    import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
         t = batch["event_type"].to_numpy(zero_copy_only=False)
@@ -4519,13 +4427,12 @@ def events_ab_ztest(sf_dir: str):
             "ss": pa.array([r[3] for r in rows], pa.float64()),
         })
 
-    p = (
+    p = combine(
         _read(sf_dir, "events", ["event_type", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # 2 x blocks
-        .groupby("g")
-        .agg(n=("n", "sum"), s=("s", "sum"), ss=("ss", "sum"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["g"], ["n", "s", "ss"],
+        pa.schema([("g", _STR), ("n", _I64), ("s", _F64), ("ss", _F64)]),
+    ).to_pandas().set_index("g")
     na, nb = int(p.loc[AB_GROUP_A, "n"]), int(p.loc[AB_GROUP_B, "n"])
     ma = p.loc[AB_GROUP_A, "s"] / na
     mb = p.loc[AB_GROUP_B, "s"] / nb
@@ -4593,12 +4500,12 @@ def customer_spend_gini(sf_dir: str):
     def fold(g) -> pd.DataFrame:
         return pd.DataFrame(g).groupby("c", as_index=False)["cents"].sum()
 
-    totals = co_group(fold, (
+    schema = pa.schema([("c", _I64), ("cents", _I64)])
+    totals = combine(co_group(fold, (
         _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]),
-        partial, pa.schema([("c", _I64), ("cents", _I64)]),
-    )).to_pandas()  # customer-sized
-    totals = _with_cols(totals, {"c": "int64", "cents": "int64"})
-    n, total, gini = _gini_of_totals(totals["cents"].to_numpy(np.int64))
+        partial, schema,
+    )), ["c"], ["cents"], schema)
+    n, total, gini = _gini_of_totals(totals["cents"].to_numpy())
     return pa.table({
         "n_customers": pa.array([n], pa.int64()),
         "total_cents": pa.array([total], pa.int64()),
@@ -4815,9 +4722,9 @@ def q21_suppliers_who_kept_waiting(sf_dir: str, k: int = 100):
     vectorized: sorted-lookup odate attach, packed
     (okey<<20|supp) keys for the two distinct-supplier counts, a
     bincount per late row — no per-order Python loop. Partials are
-    (suppkey, n) — at most #suppliers rows per group — and the final
-    fold + supplier/nation name attach happens on small dims read
-    once on the driver (J1 broadcast-dim discipline)."""
+    (suppkey, n) — at most #suppliers rows per group — and the
+    supplier/nation names attach from small dims read once on the
+    driver (J1 broadcast-dim discipline)."""
     import pandas as pd
     import pyarrow.parquet as _pq
 
@@ -4848,9 +4755,9 @@ def q21_suppliers_who_kept_waiting(sf_dir: str, k: int = 100):
         n_late = _nuniq(pair[late], pk)     # distinct LATE suppliers
         keep = late & (n_supp >= 2) & (n_late == 1)
         u, c = np.unique(supp[keep], return_counts=True)
-        return pd.DataFrame({"supp": u, "n_partial": c.astype(np.int64)})
+        return pd.DataFrame({"supp": u, "numwait": c.astype(np.int64)})
 
-    parts = co_group(
+    agg = combine(co_group(
         waiting_partial,
         (_read(sf_dir, "orders",
                ["o_orderkey", "o_orderdate", "o_orderstatus"]),
@@ -4861,11 +4768,9 @@ def q21_suppliers_who_kept_waiting(sf_dir: str, k: int = 100):
          None,
          pa.schema([("l_orderkey", _I64), ("l_suppkey", _I64),
                     ("l_shipdate", _TS)])),
-    ).to_pandas()  # <= n_suppliers per group: output-sized
-    if len(parts):
-        agg = parts.groupby("supp")["n_partial"].sum()
-    else:
-        agg = pd.Series(dtype="int64")
+    ), ["supp"], ["numwait"],
+        pa.schema([("supp", _I64), ("numwait", _I64)]))
+    supp = agg["supp"].to_numpy()
     sup = _pq.read_table(
         f"{sf_dir}/supplier.parquet",
         columns=["s_suppkey", "s_name", "s_nationkey"],
@@ -4878,9 +4783,9 @@ def q21_suppliers_who_kept_waiting(sf_dir: str, k: int = 100):
         nat, left_on="s_nationkey", right_on="n_nationkey"
     ).set_index("s_suppkey")
     df = pd.DataFrame({
-        "s_name": sup.loc[agg.index, "s_name"].to_numpy(),
-        "n_name": sup.loc[agg.index, "n_name"].to_numpy(),
-        "numwait": agg.to_numpy(np.int64),
+        "s_name": sup.loc[supp, "s_name"].to_numpy(),
+        "n_name": sup.loc[supp, "n_name"].to_numpy(),
+        "numwait": agg["numwait"].to_numpy(),
     }).sort_values(
         ["numwait", "s_name"], ascending=[False, True]
     ).head(k)
@@ -4922,8 +4827,8 @@ def events_rollup(sf_dir: str):
     subtotal, grand total) of a single pass, NULL marking each
     rolled-up column (the OLAP rollup shape; SURVEY A2's multi-level
     generalization). ONE map_batches pass computes finest-level
-    (type, hod) partials per block — types x 24 rows, output-sized —
-    the driver folds them once, and BOTH coarser levels are derived
+    (type, hod) partials per block, ``combine`` folds them once, and
+    BOTH coarser levels are derived
     from the folded finest table (no second scan, no extra exchange:
     at 100 TB the rollup costs exactly what the finest groupby
     costs). sum_value rounded to 2dp per level AFTER the fold, the
@@ -4945,15 +4850,13 @@ def events_rollup(sf_dir: str):
             "count_all": "n", "value_sum": "sv",
         })
 
-    parts = (
+    fine = combine(
         _read(sf_dir, "events", ["event_type", "ts", "value"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # <= types x 24 rows per block: output-sized
-    )
-    fine = (
-        parts.groupby(["event_type", "hod"], as_index=False)
-        .agg(n=("n", "sum"), sv=("sv", "sum"))
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "hod"], ["n", "sv"],
+        pa.schema([("event_type", _STR), ("hod", _I64), ("n", _I64),
+                   ("sv", _F64)]),
+    ).to_pandas()
     by_type = fine.groupby("event_type", as_index=False).agg(
         n=("n", "sum"), sv=("sv", "sum"))
     by_type["hod"] = pd.array([pd.NA] * len(by_type), dtype="Int64")
@@ -5039,16 +4942,13 @@ def events_global_running_total(sf_dir: str):
             "s": pa.array(s, pa.float64()),
         })
 
-    days = (
-        tagged.map_batches(day_partial, batch_format="pyarrow")
-        .to_pandas()  # days-per-block-sized partials
-        .groupby("day", as_index=False)["s"].sum()
-        .sort_values("day")
+    days = combine(
+        tagged.map_batches(day_partial, batch_format="pyarrow"),
+        ["day"], ["s"], pa.schema([("day", _I64), ("s", _F64)]),
     )
     offsets = dict(zip(
-        days["day"].to_numpy(np.int64),
-        np.concatenate([[0.0], days["s"].to_numpy(np.float64)
-                        .cumsum()[:-1]]),
+        days["day"].to_numpy(),
+        np.concatenate([[0.0], days["s"].to_numpy().cumsum()[:-1]]),
     ))
     oref = ray.put(offsets)
 
@@ -5142,15 +5042,13 @@ def basket_rules(
         uniq[1:] = (ok[1:] != ok[:-1]) | (pt[1:] != pt[:-1])
         ok, pt = ok[uniq], pt[uniq]
         up, cnt = np.unique(pt, return_counts=True)
-        return pd.DataFrame({"part": up, "s_partial": cnt.astype("int64")})
+        return pd.DataFrame({"part": up, "s": cnt.astype("int64")})
 
-    sup = co_group(support_partial, (
+    sup = combine(co_group(support_partial, (
         _read(sf_dir, "lineitem", ["l_orderkey", "l_partkey"]),
         tag, pa.schema([("okey", _I64), ("part", _I64)]),
-    )).to_pandas().groupby(  # <= needed-parts + 1 rows per group
-        "part", as_index=False
-    )["s_partial"].sum()
-    smap = dict(zip(sup["part"], sup["s_partial"].astype(np.int64)))
+    )), ["part"], ["s"], pa.schema([("part", _I64), ("s", _I64)]))
+    smap = dict(zip(sup["part"].to_numpy(), sup["s"].to_numpy()))
     n_baskets = int(smap.pop(-1))
     a = np.concatenate([top["part_a"].to_numpy(np.int64),
                         top["part_b"].to_numpy(np.int64)])
@@ -5217,13 +5115,12 @@ def events_cross_correlation(
     count series of two event types at lags -max_lag..max_lag
     (does `type_a` activity lead `type_b` conversions? — the
     time-series lead/lag diagnostic). Per-batch (type, hour) count
-    partials (types x hours-sized), ONE driver fold; the dense grid,
+    partials (types x hours-sized) for ``combine``; the dense grid,
     the lag shifts and the moment sums are all hours-sized driver
     math (the events_moving_avg discipline). r is computed from the
     INTEGER moment sums (n, Sx, Sy, Sxx, Syy, Sxy — exact int64 on
     both engines) with one double division, rounded to 6dp — no
     accumulation-order contract needed."""
-    import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
         hr = pc.divide(
@@ -5239,17 +5136,15 @@ def events_cross_correlation(
             [([], "count_all")]
         )
         return agg_select(g, {
-            "event_type": "event_type", "hr": "hr",
-            "count_all": "n_partial",
+            "event_type": "event_type", "hr": "hr", "count_all": "n",
         })
 
-    parts = (
+    parts = combine(
         _read(sf_dir, "events", ["event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # (types x hours)-per-block partials
-        .groupby(["event_type", "hr"], as_index=False)["n_partial"]
-        .sum()
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["event_type", "hr"], ["n"],
+        pa.schema([("event_type", _STR), ("hr", _I64), ("n", _I64)]),
+    ).to_pandas()
     if not len(parts):
         return pa.table({
             "lag": pa.array([], pa.int64()),
@@ -5261,8 +5156,7 @@ def events_cross_correlation(
     def series(t: str) -> np.ndarray:
         s = np.zeros(H, np.int64)
         sel = parts[parts["event_type"] == t]
-        s[sel["hr"].to_numpy(np.int64) - lo] = \
-            sel["n_partial"].to_numpy(np.int64)
+        s[sel["hr"].to_numpy(np.int64) - lo] = sel["n"].to_numpy(np.int64)
         return s
 
     A, B = series(type_a), series(type_b)
@@ -5345,7 +5239,7 @@ def customer_cohort_ltv(sf_dir: str):
     generalization). One ``co_group`` on custkey co-locates each
     customer's orders; per group a vectorized segment-min finds every
     customer's cohort and every order self-attributes — partials are
-    (cohorts x ages)-sized, the driver fold is matrix-sized. Revenue
+    (cohorts x ages)-sized. Revenue
     in exact e-2 cents (int64), the q9/q17 integer-units rule."""
     import pandas as pd
 
@@ -5376,26 +5270,22 @@ def customer_cohort_ltv(sf_dir: str):
         n = np.bincount(inv).astype(np.int64)
         rev = np.zeros(uk.size, np.int64)
         np.add.at(rev, inv, cents)
-        return pd.DataFrame({"key": uk, "n_partial": n, "rev_partial": rev})
+        return pd.DataFrame({"key": uk, "n_orders": n, "revenue_cents": rev})
 
-    parts = co_group(cohort_partial, (
+    sums = ["n_orders", "revenue_cents"]
+    agg = combine(co_group(cohort_partial, (
         _read(sf_dir, "orders", ["o_custkey", "o_orderdate", "o_totalprice"]),
         tag, pa.schema([("ck", _I64), ("mon", _I64), ("cents", _I64)]),
-    )).to_pandas()  # (cohorts x ages) per group: matrix-sized
-    agg = parts.groupby("key", as_index=False).agg(
-        n_orders=("n_partial", "sum"),
-        revenue_cents=("rev_partial", "sum"),
-    ).sort_values("key")
-    key = agg["key"].to_numpy(np.int64)
+    )), ["key"], sums, pa.schema([("key", _I64)] + [(c, _I64) for c in sums]))
+    key = agg["key"].to_numpy()
     mon0 = key // 10_000
     yr, mo = mon0 // 12 + 1970, mon0 % 12 + 1
     return pa.table({
         "cohort_month": pa.array(
             [f"{y:04d}-{m:02d}" for y, m in zip(yr, mo)], pa.string()),
         "age_months": pa.array((key % 10_000).astype(np.int64)),
-        "n_orders": pa.array(agg["n_orders"].to_numpy(np.int64)),
-        "revenue_cents": pa.array(
-            agg["revenue_cents"].to_numpy(np.int64)),
+        "n_orders": agg["n_orders"],
+        "revenue_cents": agg["revenue_cents"],
     })
 
 
@@ -5434,8 +5324,8 @@ def events_rolling_active_users(
     group each user's event days expand to the <= 7 window-end days
     they cover and dedup LOCALLY (user is the partition key, so
     per-user dedup IS global dedup — no second distinct exchange);
-    partials are (days x groups)-sized per-day user counts, the
-    driver folds and zero-fills the grid. Packed (user<<16 | dayidx)
+    partials are (days x groups)-sized per-day user counts, and the
+    folded counts zero-fill the grid. Packed (user<<16 | dayidx)
     keys, guarded."""
     import pandas as pd
 
@@ -5460,25 +5350,24 @@ def events_rolling_active_users(
         key = np.unique((uu << 16) | wd)
         days = (key & 0xFFFF) + base
         ud, cnt = np.unique(days, return_counts=True)
-        return pd.DataFrame({"day": ud, "n_partial": cnt.astype("int64")})
+        return pd.DataFrame({"day": ud, "active_users": cnt.astype("int64")})
 
-    parts = co_group(window_partial, (
+    agg = combine(co_group(window_partial, (
         _read(sf_dir, "events", ["user_id", "ts"]),
         user_days, pa.schema([("user_id", _I64), ("day", _I64)]),
-    )).to_pandas()  # (days x groups)-sized
-    agg = parts.groupby("day")["n_partial"].sum()
+    )), ["day"], ["active_users"],
+        pa.schema([("day", _I64), ("active_users", _I64)]))
     # the data's day range defines the grid; windows ending past the
-    # last observed day are not reported (the SQL grid rule)
-    ev_days = agg.index.to_numpy()
-    # recover observed event-day range: window-end days run from
-    # min_event_day to max_event_day + window_days - 1; the grid is
-    # [min_event_day, max_event_day]
-    lo = int(ev_days.min())
-    hi = int(ev_days.max()) - (window_days - 1)
+    # last observed day are not reported (the SQL grid rule).
+    # Window-end days run from min_event_day to max_event_day +
+    # window_days - 1; the grid is [min_event_day, max_event_day]
+    ev_days, n = agg["day"].to_numpy(), agg["active_users"].to_numpy()
+    lo = int(ev_days[0])
+    hi = int(ev_days[-1]) - (window_days - 1)
     grid = np.arange(lo, hi + 1, dtype=np.int64)
     vals = np.zeros(grid.size, np.int64)
-    present = np.isin(grid, ev_days)
-    vals[present] = agg.reindex(grid[present]).to_numpy(np.int64)
+    inside = ev_days <= hi
+    vals[ev_days[inside] - lo] = n[inside]
     return pa.table({
         "day": pa.array(grid),
         "active_users": pa.array(vals),
@@ -5597,8 +5486,7 @@ def events_type_cooccurrence(sf_dir: str):
         # singles: (t, t) rows carry per-type distinct-user counts
         st, sc = np.unique(ty, return_counts=True)
         rows = [pd.DataFrame({
-            "type_a": st, "type_b": st,
-            "n_partial": sc.astype("int64"),
+            "type_a": st, "type_b": st, "n": sc.astype("int64"),
         })]
         # triangular pair expansion per user segment (basket kernel)
         new = np.ones(u.size, dtype=bool)
@@ -5618,15 +5506,16 @@ def events_type_cooccurrence(sf_dir: str):
             pairs = pd.DataFrame({"type_a": ta, "type_b": tb})
             rows.append(
                 pairs.groupby(["type_a", "type_b"], as_index=False)
-                .size().rename(columns={"size": "n_partial"})
+                .size().rename(columns={"size": "n"})
             )
         return pd.concat(rows, ignore_index=True)
 
-    parts = co_group(pair_partial, (
+    keys = ["type_a", "type_b"]
+    agg = combine(co_group(pair_partial, (
         _read(sf_dir, "events", ["user_id", "event_type"]),
         distinct, pa.schema([("user_id", _I64), ("event_type", _STR)]),
-    )).to_pandas()  # (types^2)-sized per group
-    agg = parts.groupby(["type_a", "type_b"])["n_partial"].sum()
+    )), keys, ["n"], pa.schema([(k, _STR) for k in keys] + [("n", _I64)]),
+    ).to_pandas().set_index(keys)["n"]
     singles = {t: int(agg.loc[(t, t)])
                for (t, tb) in agg.index if t == tb}
     out = []
@@ -5674,11 +5563,10 @@ def parts_brand_type_chi2(sf_dir: str):
     distributed independently of brand?" (the categorical sibling of
     events_ab_ztest's two-sample test; A2 multi-aggregate family).
     Per-batch (brand, type) count partials — (brands x types)-sized —
-    ONE driver fold; chi2 = sum (O - E)^2 / E with E = row*col/n
+    for ``combine``; chi2 = sum (O - E)^2 / E with E = row*col/n
     computed from the folded EXACT integer counts identically on both
     engines (row/col/n products as Python ints, one double division
     per cell), rounded to 6dp."""
-    import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
         t = pa.table({
@@ -5689,17 +5577,15 @@ def parts_brand_type_chi2(sf_dir: str):
             [([], "count_all")]
         )
         return agg_select(g, {
-            "brand": "brand", "ptype": "ptype",
-            "count_all": "n_partial",
+            "brand": "brand", "ptype": "ptype", "count_all": "n",
         })
 
-    parts = (
+    parts = combine(
         _read(sf_dir, "part", ["p_brand", "p_type"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # (brands x types)-per-block partials
-        .groupby(["brand", "ptype"], as_index=False)["n_partial"]
-        .sum()
-    )
+        .map_batches(partial, batch_format="pyarrow"),
+        ["brand", "ptype"], ["n"],
+        pa.schema([("brand", _STR), ("ptype", _STR), ("n", _I64)]),
+    ).to_pandas()
     if not len(parts):
         return pa.table({
             "chi2": pa.array([None], pa.float64()),
@@ -5707,7 +5593,7 @@ def parts_brand_type_chi2(sf_dir: str):
             "n": pa.array([0], pa.int64()),
         })
     obs = parts.pivot_table(
-        index="brand", columns="ptype", values="n_partial",
+        index="brand", columns="ptype", values="n",
         fill_value=0, aggfunc="sum",
     )
     O = obs.to_numpy(np.int64)
@@ -5847,42 +5733,13 @@ def events_hourly_ewma(sf_dir: str, alpha: float = EWMA_ALPHA):
     DENSE hourly event-count series — v_t = alpha*x_t +
     (1-alpha)*v_{t-1}, v_0 = x_0 (the ES moving_fn ewma / holt
     family's first member; the recency-weighted smoother the plain
-    moving average can't express). Per-batch (hour, n) partials, ONE
-    driver fold, the recurrence runs over the hours-sized series —
+    moving average can't express). The recurrence runs over the
+    hours-sized ``_hourly_counts`` series —
     and the SQL oracle is a RECURSIVE CTE evaluating the IDENTICAL
     recurrence, so both engines execute the same float sequence
     (rounded to 6dp at the end only)."""
-    import pandas as pd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hr = pc.divide(
-            pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
-                    pa.int64()),
-            3600 * 1_000_000,
-        )
-        t = pa.table({"hr": hr})
-        g = t.group_by("hr").aggregate([([], "count_all")])
-        return agg_select(g, {"hr": "hr", "count_all": "n_partial"})
-
-    parts = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("hr", as_index=False)["n_partial"].sum()
-    )
-    if not len(parts):
-        return pa.table({
-            "hr": pa.array([], pa.int64()),
-            "n": pa.array([], pa.int64()),
-            "ewma": pa.array([], pa.float64()),
-        })
-    lo, hi = int(parts["hr"].min()), int(parts["hr"].max())
-    grid = np.arange(lo, hi + 1, dtype=np.int64)
-    n = np.zeros(grid.size, np.int64)
-    n[parts["hr"].to_numpy(np.int64) - lo] = \
-        parts["n_partial"].to_numpy(np.int64)
-    ew = np.empty(grid.size, np.float64)
-    ew[0] = float(n[0])
+    grid, n = _hourly_counts(sf_dir)
+    ew = n.astype(np.float64)  # v_0 = x_0
     a = float(alpha)
     for i in range(1, grid.size):  # hours-sized driver recurrence
         ew[i] = a * float(n[i]) + (1.0 - a) * ew[i - 1]
@@ -5930,38 +5787,8 @@ def events_hourly_holt(
     events_hourly_ewma: one fold, hours-sized driver recurrence; the
     oracle's RECURSIVE CTE evaluates the identical two-variable float
     sequence, 6dp at the end only. Series shorter than 2 hours
-    returns the level-only degenerate row."""
-    import pandas as pd
-
-    def partial(batch: pa.Table) -> pa.Table:
-        hr = pc.divide(
-            pc.cast(pc.floor_temporal(batch["ts"], unit="hour"),
-                    pa.int64()),
-            3600 * 1_000_000,
-        )
-        t = pa.table({"hr": hr})
-        g = t.group_by("hr").aggregate([([], "count_all")])
-        return agg_select(g, {"hr": "hr", "count_all": "n_partial"})
-
-    parts = (
-        _read(sf_dir, "events", ["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()
-        .groupby("hr", as_index=False)["n_partial"].sum()
-    )
-    empty = pa.table({
-        "hr": pa.array([], pa.int64()),
-        "n": pa.array([], pa.int64()),
-        "level": pa.array([], pa.float64()),
-        "trend": pa.array([], pa.float64()),
-    })
-    if not len(parts):
-        return empty
-    lo, hi = int(parts["hr"].min()), int(parts["hr"].max())
-    grid = np.arange(lo, hi + 1, dtype=np.int64)
-    n = np.zeros(grid.size, np.int64)
-    n[parts["hr"].to_numpy(np.int64) - lo] = \
-        parts["n_partial"].to_numpy(np.int64)
+    returns the level-only degenerate row (no rows for no events)."""
+    grid, n = _hourly_counts(sf_dir)
     if grid.size < 2:
         return pa.table({
             "hr": pa.array(grid),
@@ -6027,10 +5854,9 @@ def orders_benford(sf_dir: str):
     rarely follow log-uniform digit frequencies). The digit is
     extracted from EXACT integer cents (v*100 rounded once) by
     repeated integer division — no log10 on doubles, so no libm-ulp
-    digit flips at power boundaries. Per-batch 9-bucket partials, one
-    driver fold; observed_p = n/total (identical int operands),
+    digit flips at power boundaries. Per-batch 9-bucket partials;
+    observed_p = n/total (identical int operands),
     benford_p = log10(1+1/d), deviation = observed - benford, 6dp."""
-    import pandas as pd
 
     def partial(batch: pa.Table) -> pa.Table:
         cents = np.round(
@@ -6047,20 +5873,18 @@ def orders_benford(sf_dir: str):
         dg, cnt = np.unique(v, return_counts=True)
         return pa.table({
             "digit": pa.array(dg.astype(np.int64)),
-            "n_partial": pa.array(cnt.astype(np.int64)),
+            "n": pa.array(cnt.astype(np.int64)),
         })
 
-    parts = (
+    agg = combine(
         _read(sf_dir, "orders", ["o_totalprice"])
-        .map_batches(partial, batch_format="pyarrow")
-        .to_pandas()  # <= 9 rows per block
-        .groupby("digit", as_index=False)["n_partial"].sum()
+        .map_batches(partial, batch_format="pyarrow"),
+        ["digit"], ["n"], pa.schema([("digit", _I64), ("n", _I64)]),
     )
     digits = np.arange(1, 10, dtype=np.int64)
     n = np.zeros(9, np.int64)
-    for d, c in zip(parts["digit"], parts["n_partial"]):
-        if 1 <= int(d) <= 9:
-            n[int(d) - 1] = int(c)
+    d = agg["digit"].to_numpy()
+    n[d - 1] = agg["n"].to_numpy()  # digits are 1..9 by construction
     total = int(n.sum())
     obs = (np.round(n.astype(np.float64) / total, 6)
            if total else np.full(9, np.nan))
@@ -6171,7 +5995,7 @@ def supplier_part_degree_hist(sf_dir: str):
     hot-key decisions (a power-law side predicts skewed joins). Two
     ``co_group`` exchanges (one per side, each co-locating its node's
     edges); per group a vectorized distinct-neighbor fold emits
-    (degree, count) partials — histogram-sized — and the driver sums.
+    (degree, count) partials — histogram-sized — for ``combine``.
     Edges dedup inside the exchange (lineitem repeats pairs)."""
     import pandas as pd
 
@@ -6191,30 +6015,22 @@ def supplier_part_degree_hist(sf_dir: str):
             ud, cnt = np.unique(deg, return_counts=True)
             return pd.DataFrame({
                 "degree": ud.astype("int64"),
-                "n_partial": cnt.astype("int64"),
+                "n_nodes": cnt.astype("int64"),
             })
 
-        parts = co_group(fold, (
+        hist = combine(co_group(fold, (
             _read(sf_dir, "lineitem", [key_col, nbr_col]),
             edges, pa.schema([("k", _I64), ("nbr", _I64)]),
-        )).to_pandas().groupby(  # histogram-sized per group
-            "degree", as_index=False
-        )["n_partial"].sum()
-        parts["side"] = side
-        return parts
+        )), ["degree"], ["n_nodes"],
+            pa.schema([("degree", _I64), ("n_nodes", _I64)]))
+        return hist.add_column(
+            0, "side", pa.array([side] * hist.num_rows, _STR))
 
-    s = side_hist("l_suppkey", "l_partkey", "s")
-    p = side_hist("l_partkey", "l_suppkey", "p")
-    import pandas as pd
-
-    out = pd.concat([s, p], ignore_index=True).sort_values(
-        ["side", "degree"], ascending=[False, True]
-    )
-    return pa.table({
-        "side": pa.array(out["side"].tolist(), pa.string()),
-        "degree": pa.array(out["degree"].to_numpy(np.int64)),
-        "n_nodes": pa.array(out["n_partial"].to_numpy(np.int64)),
-    })
+    # side 's' sorts before 'p': descending side, ascending degree
+    return pa.concat_tables([
+        side_hist("l_suppkey", "l_partkey", "s"),
+        side_hist("l_partkey", "l_suppkey", "p"),
+    ])
 
 
 def supplier_part_degree_hist_sql() -> str:

@@ -24,7 +24,7 @@ import pyarrow.compute as pc
 from sotohp_ray import cache
 from sotohp_ray.functions.hashing import minhash_params
 from sotohp_ray.functions.tokenizer import CodeTokenizer, sql_token_expr
-from sotohp_ray.utils import agg_select, co_group, sorted_lookup
+from sotohp_ray.utils import agg_select, co_group, combine, sorted_lookup
 
 _TOK = CodeTokenizer()
 
@@ -2914,17 +2914,14 @@ def _est_shingle_p95(sf_dir: str, max_shingles: int | None) -> float:
             "c": pa.array(np.bincount(b, minlength=64), pa.int64()),
         })
 
-    h = (
-        _docs(sf_dir, ["text"])
-        .map_batches(hist_part, batch_format="pyarrow")
-        .to_pandas()  # 64 rows per block, tiny
-    )
-    hist = h.groupby("b")["c"].sum().reindex(range(64), fill_value=0)
+    hist = combine(
+        _docs(sf_dir, ["text"]).map_batches(hist_part, batch_format="pyarrow"),
+        ["b"], ["c"], pa.schema([("b", pa.int64()), ("c", pa.int64())]),
+    )["c"].to_numpy()  # all 64 buckets, or none for no docs
     total = int(hist.sum())
     if total == 0:
         return 0.0
-    cum = hist.cumsum()
-    b95 = int(np.searchsorted(cum.to_numpy(), 0.95 * total) )
+    b95 = int(np.searchsorted(np.cumsum(hist), 0.95 * total))
     est = (2.0 ** (b95 + 1)) / _SETJOIN_BYTES_PER_SHINGLE
     if max_shingles is not None:
         est = min(est, float(max_shingles))
@@ -4737,8 +4734,6 @@ def lang_token_fertility(sf_dir: str):
     the analyzed-tokens sidecar, char counts from the raw table's
     n_chars column; fertility is ONE division of identical integer
     sums on both sides — bit-identical, no rounding contract."""
-    import pandas as pd
-
     import pyarrow.parquet as _pq
 
     def tok_partial(batch: pa.Table) -> pa.Table:
@@ -4755,13 +4750,12 @@ def lang_token_fertility(sf_dir: str):
             "count_all": "n_docs",
         })
 
-    toks = (
-        _docs_tokens(sf_dir)
-        .map_batches(tok_partial, batch_format="pyarrow")
-        .to_pandas()  # langs x blocks
-        .groupby("lang", as_index=False)
-        .agg(n_tokens=("n_tokens", "sum"), n_docs=("n_docs", "sum"))
-    )
+    toks = combine(
+        _docs_tokens(sf_dir).map_batches(tok_partial, batch_format="pyarrow"),
+        ["lang"], ["n_tokens", "n_docs"],
+        pa.schema([("lang", pa.string()), ("n_tokens", pa.int64()),
+                   ("n_docs", pa.int64())]),
+    ).to_pandas()
     ch = (
         _pq.read_table(
             f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]

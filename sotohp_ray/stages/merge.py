@@ -64,7 +64,6 @@ def merge_shard(
 ) -> pa.Table:
     """All partial rows of one term_shard -> final dictionary rows,
     sorted by term."""
-    _, dec = pcodec.CODECS[config.partials_codec]
     k1, b = config.bm25.k1, config.bm25.b
     nrows = group.num_rows
     if nrows == 0:
@@ -102,10 +101,10 @@ def merge_shard(
     for i in np.flatnonzero(~inline):
         c = int(counts[i])
         pos = int(row_starts[i])
-        gaps = dec(doc_col[i].as_buffer(), c)
+        gaps = pcodec.varint_decode(doc_col[i].as_buffer(), c)
         docs[pos : pos + c] = np.cumsum(gaps, dtype=np.uint64)
-        tfs[pos : pos + c] = dec(tf_col[i].as_buffer(), c)
-        dls[pos : pos + c] = dec(dl_col[i].as_buffer(), c)
+        tfs[pos : pos + c] = pcodec.varint_decode(tf_col[i].as_buffer(), c)
+        dls[pos : pos + c] = pcodec.varint_decode(dl_col[i].as_buffer(), c)
 
     # ---- occurrence positions: ZERO decode/encode --------------------
     # A posting's position stream (absolute first value, deltas after)

@@ -192,7 +192,6 @@ def index_partition_table(
     multi_idx = np.flatnonzero(~single)
     single_idx = np.flatnonzero(single)
 
-    enc, _ = pcodec.CODECS[config.partials_codec]
     col_doc, col_tf, col_dl, col_pos = [], [], [], []
     shard_multi = np.zeros(0, dtype=np.uint32)
     term_multi = pa.array([], type=pa.string())
@@ -200,7 +199,7 @@ def index_partition_table(
     count_multi = np.zeros(0, dtype=np.uint32)
     cf_multi = np.zeros(0, dtype=np.uint64)
     maxtf_multi = np.zeros(0, dtype=np.uint32)
-    if multi_idx.size and config.partials_codec == "varint":
+    if multi_idx.size:
         # --- vectorized salt chunking (the positions-stream pattern):
         # the partition's gap/tf/dl streams varint-encode ONCE with
         # per-value byte lengths; every chunk row slices its byte
@@ -259,44 +258,6 @@ def index_partition_table(
         maxtf_multi = np.maximum.reduceat(tf_pad, bnds)[0::2].astype(
             np.uint32
         )
-    elif multi_idx.size:
-        # non-self-delimiting partials codec (e.g. pfor): each chunk
-        # must encode independently — the original per-chunk loop
-        col_shard, col_term, col_salt = [], [], []
-        col_count, col_cf, col_maxtf = [], [], []
-        uniq_list = uniq_terms.take(pa.array(multi_idx)).to_pylist()
-        for j, k in enumerate(multi_idx):
-            lo, hi = int(starts[k]), int(ends[k])
-            term = uniq_list[j]
-            shard = int(shard_per_term[k])
-            salt = 0
-            for c0 in range(lo, hi, salt_rows):
-                c1 = min(hi, c0 + salt_rows)
-                d = docs_s[c0:c1]
-                gaps = np.empty(d.size, dtype=np.uint64)
-                gaps[0] = d[0]
-                np.subtract(d[1:], d[:-1], out=gaps[1:])
-                col_shard.append(shard)
-                col_term.append(term)
-                col_salt.append(salt)
-                col_count.append(c1 - c0)
-                col_doc.append(enc(gaps))
-                col_tf.append(enc(tfs_s[c0:c1]))
-                col_dl.append(enc(dls_s[c0:c1]))
-                col_pos.append(
-                    pos_bytes_all[
-                        pos_bcum[occ_starts[c0]]: pos_bcum[occ_starts[c1]]
-                    ]
-                )
-                col_cf.append(int(tfs_s[c0:c1].sum()))
-                col_maxtf.append(int(tfs_s[c0:c1].max()))
-                salt += 1
-        shard_multi = np.asarray(col_shard, dtype=np.uint32)
-        term_multi = pa.array(col_term, type=pa.string())
-        salt_multi = np.asarray(col_salt, dtype=np.uint32)
-        count_multi = np.asarray(col_count, dtype=np.uint32)
-        cf_multi = np.asarray(col_cf, dtype=np.uint64)
-        maxtf_multi = np.asarray(col_maxtf, dtype=np.uint32)
     n_multi = len(col_doc)
     n_single = single_idx.size
     s_pos = starts[single_idx]

@@ -243,7 +243,12 @@ def atomic_write_bucketed(
     try:
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
-                writer.write_table(table.slice(int(lo), int(hi - lo)))
+                # one run is one row group at any length (the writer
+                # otherwise splits a run past its default cap of
+                # 1,048,576 rows, and a row-group map of one entry per
+                # run names the wrong run for every group after it)
+                writer.write_table(table.slice(int(lo), int(hi - lo)),
+                                   row_group_size=int(hi - lo))
     finally:
         writer.close()
     os.replace(tmp, final_path)

@@ -159,3 +159,52 @@ def co_group(fold, *sides):
     return union.groupby("__group").map_groups(
         per_group, batch_format="pyarrow"
     )
+
+
+def fit_schema(batch: pa.Table, schema: pa.Schema) -> pa.Table:
+    """``batch`` as a table of exactly ``schema``: its fields selected
+    by name and cast. A batch without rows becomes
+    ``schema.empty_table()`` whatever columns it has (a fold's untyped
+    empty frame, a zero-column table)."""
+    if batch.num_rows == 0:
+        return schema.empty_table()
+    return batch.select(schema.names).cast(schema)
+
+
+def combine(parts, keys: list[str], sums: list[str],
+            schema: pa.Schema) -> pa.Table:
+    """The final step of a partial+final aggregation, written once.
+
+    ``parts`` is a Ray dataset of partial rows — the output of a
+    per-block ``map_batches`` or of a per-group ``co_group`` fold —
+    each row one partial aggregate of the key columns ``keys``, with
+    one partial sum per column of ``sums``. Partials are output-sized
+    (at most one row per key per block or group), so the final fold
+    runs on the driver: no second exchange, and no skew handling.
+
+    ``schema`` holds exactly the ``keys`` and ``sums`` fields; it is
+    both the partial schema and the output schema. Every partial block
+    is cast to it (``fit_schema``) inside the partial step's own
+    tasks, so every block that reaches the driver with rows has that
+    schema; the zero-column blocks Ray emits for empty shuffle
+    partitions carry no rows and are dropped. The driver folds the
+    blocks with one pandas ``groupby(keys, sort=True)[sums].sum()``:
+    integer sums stay int64 from end to end (never float64, never a
+    NaN reindex), float sums use pandas' compensated summation over
+    the partials in block order, and rows with a null key drop, as in
+    pandas. The result is one ``pa.Table`` of ``schema`` sorted by
+    ``keys``; no partials at all give its zero-row table. Work after
+    the fold (dense grids, recurrences, ratios, ordering) runs on the
+    returned table."""
+    names = set(schema.names)
+    if names != set(keys) | set(sums) or len(names) != len(keys) + len(sums):
+        raise ValueError("combine: schema must hold exactly keys + sums")
+    blocks = parts.map_batches(
+        fit_schema, fn_kwargs={"schema": schema}, batch_size=None,
+        batch_format="pyarrow",
+    ).iter_batches(batch_size=None, batch_format="pyarrow")
+    frame = pa.concat_tables(
+        [schema.empty_table(), *(b for b in blocks if b.num_rows)]
+    ).to_pandas()
+    out = frame.groupby(keys, sort=True, as_index=False)[sums].sum()
+    return pa.Table.from_pandas(out, schema=schema, preserve_index=False)

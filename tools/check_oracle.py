@@ -4,14 +4,21 @@ compare row count, column names, and order-insensitive values. Each
 line carries the op's wall time (the engine side only, not the oracle).
 
 Usage: PYTHONPATH=. python tools/check_oracle.py SF_DIR [--only REGEX]
+       [--dump DIR]
 
 ``--only REGEX`` runs just the entries whose name matches REGEX
 (``re.search``), e.g. ``--only '^q1[38]_|asof'``.
+
+``--dump DIR`` also writes each entry's output to ``DIR/<name>.parquet``
+with its rows in a canonical order (sorted on all columns, object
+columns by their text), so two checkouts' outputs compare with
+``diff -r DIR_A DIR_B``: same bytes, same output.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 import time
@@ -42,6 +49,21 @@ def canon(df: pd.DataFrame) -> pd.DataFrame:
         if df[c].dtype == object:
             df[c] = df[c].astype(str)
     return df.sort_values(list(df.columns)).reset_index(drop=True)
+
+
+def dump(path: str, df: pd.DataFrame) -> None:
+    """Write ``df`` to parquet, its columns and dtypes kept and its rows
+    sorted on all columns (object columns by their text)."""
+    import pyarrow as pa
+    import pyarrow.parquet as pq
+
+    key = df.reset_index(drop=True)
+    key = key.assign(**{
+        c: key[c].astype(str) for c in key.columns if key[c].dtype == object
+    })
+    order = key.sort_values(list(key.columns)).index if len(df.columns) else []
+    out = df.reset_index(drop=True).iloc[list(order)].reset_index(drop=True)
+    pq.write_table(pa.Table.from_pandas(out, preserve_index=False), path)
 
 
 def compare(name: str, ray_df: pd.DataFrame, sql_df: pd.DataFrame) -> list[str]:
@@ -76,6 +98,8 @@ def main():
     ap.add_argument("sf_dir", help="directory of the sf parquet tables")
     ap.add_argument("--only", default=None, metavar="REGEX",
                     help="run only the entries whose name matches")
+    ap.add_argument("--dump", default=None, metavar="DIR",
+                    help="write each entry's output to DIR/<name>.parquet")
     args = ap.parse_args()
     sf_dir = args.sf_dir
     import duckdb
@@ -98,6 +122,8 @@ def main():
             f"CREATE VIEW {t} AS SELECT * FROM '{sf_dir}/{t}.parquet'"
         )
 
+    if args.dump:
+        os.makedirs(args.dump, exist_ok=True)
     qs, oracles = e.queries(), e.oracle_sql()
     n_fail = 0
     for name, fn in qs.items():
@@ -111,6 +137,12 @@ def main():
             n_fail += 1
             continue
         wall = f"[{time.perf_counter() - t0:.3f}s]"
+        if args.dump:
+            try:
+                dump(os.path.join(args.dump, f"{name}.parquet"), ray_df)
+            except Exception as ex:
+                print(f"FAIL {name}: dump raised {type(ex).__name__}: {ex}")
+                n_fail += 1
         if name not in oracles:
             print(f"ok   {name}: rows-only ({len(ray_df)} rows) {wall}")
             continue
