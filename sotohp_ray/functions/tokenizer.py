@@ -3,11 +3,17 @@
 Modeled on the behavior of the reference's ``extractKeywords``
 (MediaServiceLive.scala:1641-1668): ordered regex rewritings, separator
 split, camelCase split (``camelTokenize``), per-token mapping table,
-pure-number drop, lowercase, stopword removal — re-expressed as a chain
-of pyarrow.compute kernels over a ``large_string`` column (RE2, zero
-Python per-row work in the hot path).
+pure-number drop, lowercase, stopword removal.
 
-The same chain is expressible in DuckDB SQL (RE2 ``regexp_replace`` /
+Batches are analyzed by one of two equal paths, with no Python per
+token on either: an all-ASCII batch without nulls by ``_ascii_kernel``,
+one byte-class pass over the column's UTF-8 buffer in numpy, and every
+other batch (and every batch under rules with rewritings) by a chain of
+pyarrow.compute RE2 kernels over the string column
+(``CodeTokenizer._arrow_chain``).
+Single strings take Python ``re`` when ASCII (``tokens_of``).
+
+The chain is expressible in DuckDB SQL (RE2 ``regexp_replace`` /
 ``regexp_split_to_array``), which is what makes the driver's SQL-oracle
 comparison possible — see ``sql_token_expr`` below.
 """
@@ -16,10 +22,12 @@ from __future__ import annotations
 
 import re
 
+import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from sotohp_ray.config import TokenizerRules
+from sotohp_ray.utils import value_offsets
 
 # camelCase boundary insertion, RE2-safe (no lookarounds):
 #   fooBar  -> foo Bar      ([a-z0-9])([A-Z])
@@ -37,8 +45,8 @@ _SPLIT_RE = re.compile(_SPLIT)
 class CodeTokenizer:
     """Stateful-per-worker analyzer: config is parsed once per instance
     (the reference loads its KeywordRules once per store —
-    MediaServiceLive.scala:1670-1676); per-batch work is all Arrow
-    kernels."""
+    MediaServiceLive.scala:1670-1676); per-batch work is all numpy and
+    Arrow kernels."""
 
     def __init__(self, rules: TokenizerRules | None = None):
         self.rules = rules or TokenizerRules()
@@ -49,8 +57,8 @@ class CodeTokenizer:
             else None
         )
         # rewritings are RE2 patterns and replacements, which Python
-        # ``re`` need not read the same way: only the Arrow chain runs
-        # them
+        # ``re`` and the byte kernel need not read the same way: only
+        # the Arrow chain runs them
         self._re_ok = not self.rules.rewritings
 
     # ---- core chain -------------------------------------------------
@@ -59,51 +67,42 @@ class CodeTokenizer:
         """content column -> list<string> of analyzed terms per row.
         Order within a row is preserved (needed for positional features
         like fingerprinting); filtering keeps relative order."""
-        s = content
-        for pat, rep in self.rules.rewritings:
-            s = pc.replace_substring_regex(s, pat, rep)
-        s = pc.replace_substring_regex(s, _CAMEL1[0], _CAMEL1[1])
-        s = pc.replace_substring_regex(s, _CAMEL2[0], _CAMEL2[1])
-        s = pc.utf8_lower(s)
-        lists = pc.split_pattern_regex(s, _SPLIT)
-
-        flat = pc.list_flatten(lists)
-        parents = pc.list_parent_indices(lists)
-        parents, flat = self._filter_map(flat, parents)
-        # Rebuild list array from (parents, flat); parents are
-        # monotonically non-decreasing by construction.
-        n_rows = len(lists)
-        counts = pc.value_counts(parents)
-        import numpy as np
-
-        lengths = np.zeros(n_rows, dtype=np.int64)
-        if len(counts) > 0:
-            idx = counts.field("values").to_numpy(zero_copy_only=False)
-            cnt = counts.field("counts").to_numpy(zero_copy_only=False)
-            lengths[idx] = cnt
-        offsets = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return pa.LargeListArray.from_arrays(
-            pa.array(offsets, type=pa.int64()), flat.combine_chunks()
-            if isinstance(flat, pa.ChunkedArray)
-            else flat,
+        parents, flat = self.exploded(content)
+        lengths = np.bincount(
+            parents.to_numpy(zero_copy_only=False), minlength=len(content)
         )
+        offsets = np.zeros(len(content) + 1, dtype=np.int64)
+        np.cumsum(lengths, out=offsets[1:])
+        return pa.LargeListArray.from_arrays(pa.array(offsets), flat)
 
     def exploded(
         self, content: pa.Array | pa.ChunkedArray
     ) -> tuple[pa.Array, pa.Array]:
         """content column -> (parent_row_index, term) exploded arrays,
-        analyzed. The fast path for index building (no list rebuild)."""
-        s = content
-        for pat, rep in self.rules.rewritings:
-            s = pc.replace_substring_regex(s, pat, rep)
-        s = pc.replace_substring_regex(s, _CAMEL1[0], _CAMEL1[1])
-        s = pc.replace_substring_regex(s, _CAMEL2[0], _CAMEL2[1])
-        s = pc.utf8_lower(s)
-        lists = pc.split_pattern_regex(s, _SPLIT)
-        flat = pc.list_flatten(lists)
-        parents = pc.list_parent_indices(lists)
-        return self._filter_map(flat, parents)
+        analyzed. The fast path for index building (no list rebuild).
+
+        Routing is per batch: an all-ASCII batch without nulls, under
+        rules without rewritings, goes through ``_ascii_kernel`` chunk
+        by chunk; any other batch goes through the Arrow chain."""
+        if not (
+            self._re_ok
+            and content.null_count == 0
+            and np.all(pc.string_is_ascii(content).to_numpy(
+                zero_copy_only=False
+            ))
+        ):
+            return self._map_stop(*self._arrow_chain(content))
+        if not isinstance(content, pa.ChunkedArray):
+            return self._map_stop(*_ascii_kernel(content))
+        parts, base = [], 0
+        for chunk in content.chunks or [pa.array([], type=content.type)]:
+            p, f = _ascii_kernel(chunk)
+            parts.append((p + base, f))
+            base += len(chunk)
+        return self._map_stop(
+            np.concatenate([p for p, _ in parts]),
+            pa.concat_arrays([f for _, f in parts]),
+        )
 
     def term_frequencies(
         self, content: pa.Array | pa.ChunkedArray
@@ -147,11 +146,8 @@ class CodeTokenizer:
         position, grouped by (code, row) in ascending position order —
         aligned 1:1 with the postings via ``tf`` (posting i owns
         occ_positions[sum(tf[:i]) : sum(tf[:i+1])])."""
-        import numpy as np
-
         parents, flat = self.exploded(content)
         d = pc.dictionary_encode(flat)
-        d = d.combine_chunks() if isinstance(d, pa.ChunkedArray) else d
         codes = d.indices.to_numpy(zero_copy_only=False).astype(np.int64)
         pn = parents.to_numpy(zero_copy_only=False).astype(np.int64)
         if codes.size == 0:
@@ -165,8 +161,11 @@ class CodeTokenizer:
         key = codes.astype(np.uint64) * np.uint64(n_rows) + pn.astype(
             np.uint64
         )
-        order = np.argsort(key, kind="stable")  # stable: positions stay
-        # ascending within each (code, row) pair
+        # a stable sort by code alone orders the exploded (row, position)
+        # stream by (code, row, position), the stable key order; Arrow's
+        # small-range integer sort takes 0.6 ms where numpy's stable
+        # argsort of the keys takes 6.9 ms (one 1,500-doc partition)
+        order = pc.sort_indices(d.indices).to_numpy()
         key_s = key[order]
         occ_pos = positions[order]
         bounds = np.flatnonzero(np.diff(key_s)) + 1
@@ -188,7 +187,7 @@ class CodeTokenizer:
         both engines match leftmost-first, ``str.lower`` equals
         ``utf8_lower`` on ASCII, an empty or ``isdigit`` token is
         exactly one matching ``^[0-9]*$``, and the mapping and the
-        stopwords run in ``_filter_map``'s order. Every other string
+        stopwords run in ``_map_stop``'s order. Every other string
         takes the Arrow chain: outside ASCII the two lowercasings
         differ (Arrow lowercases ``'İstanbul'`` to ``'istanbul'``,
         ``str.lower`` to ``'i\\u0307stanbul'``, which splits into
@@ -206,15 +205,35 @@ class CodeTokenizer:
 
     # ---- helpers ----------------------------------------------------
 
-    def _filter_map(self, flat, parents):
+    def _arrow_chain(
+        self, content: pa.Array | pa.ChunkedArray
+    ) -> tuple[np.ndarray, pa.Array]:
+        """The RE2 analysis chain (rewritings, the two camelCase
+        rewrites, ``utf8_lower``, split, pure-number drop) -> (parents,
+        terms) before mapping and stopwords. Runs every batch that holds
+        a non-ASCII or null row, and every batch under rules with
+        rewritings."""
+        s = content
+        for pat, rep in self.rules.rewritings:
+            s = pc.replace_substring_regex(s, pat, rep)
+        s = pc.replace_substring_regex(s, _CAMEL1[0], _CAMEL1[1])
+        s = pc.replace_substring_regex(s, _CAMEL2[0], _CAMEL2[1])
+        lists = pc.split_pattern_regex(pc.utf8_lower(s), _SPLIT)
+        flat = pc.list_flatten(lists)
+        parents = pc.list_parent_indices(lists)
         keep = pc.invert(pc.match_substring_regex(flat, _DROP))
-        flat = pc.filter(flat, keep)
-        parents = pc.filter(parents, keep)
+        flat = _combined(pc.filter(flat, keep))
+        parents = _combined(pc.filter(parents, keep))
+        return parents.to_numpy(zero_copy_only=False), flat
+
+    def _map_stop(
+        self, parents: np.ndarray, flat: pa.Array
+    ) -> tuple[pa.Array, pa.Array]:
+        """Per-token mapping table, then stopword removal."""
         if self._mapping:
             # dictionary-encode so the Python mapping runs once per
             # UNIQUE token, not per token occurrence
             d = pc.dictionary_encode(flat)
-            d = d.combine_chunks() if isinstance(d, pa.ChunkedArray) else d
             uniq = d.dictionary.to_pylist()
             mapped = pa.array(
                 [self._mapping.get(u, u) for u in uniq], type=flat.type
@@ -223,11 +242,94 @@ class CodeTokenizer:
         if self._stops is not None:
             keep = pc.invert(pc.is_in(flat, value_set=self._stops))
             flat = pc.filter(flat, keep)
-            parents = pc.filter(parents, keep)
-        return (
-            parents.combine_chunks() if isinstance(parents, pa.ChunkedArray) else parents,
-            flat.combine_chunks() if isinstance(flat, pa.ChunkedArray) else flat,
-        )
+            parents = parents[keep.to_numpy(zero_copy_only=False)]
+        return pa.array(parents, type=pa.int64()), flat
+
+
+def _combined(a: pa.Array | pa.ChunkedArray) -> pa.Array:
+    return a.combine_chunks() if isinstance(a, pa.ChunkedArray) else a
+
+
+def _ascii_kernel(arr: pa.Array) -> tuple[np.ndarray, pa.Array]:
+    """An ASCII array without nulls -> (parents, terms) before mapping
+    and stopwords, equal to ``_arrow_chain``'s, in one byte-class pass
+    over the column's UTF-8 buffer.
+
+    On ASCII the chain's cuts are exactly these token starts: an alnum
+    byte first in its row or after a non-alnum byte, an ``[A-Z]`` after
+    ``[a-z0-9]`` (the first camel rewrite), and the last capital of a
+    run of two or more capitals followed by ``[a-z]`` (the second; it
+    runs after the first, which never splits a run of capitals). A
+    token is digit-only exactly when it starts with a digit run that is
+    not followed by ``[a-z]`` in its row (an ``[A-Z]`` there starts a
+    new token). Every per-byte step is a compare or a shift: a table
+    lookup costs about as much as all of them together."""
+    large = pa.types.is_large_string(arr.type)
+    offs, data = value_offsets(arr)
+    offs = offs.astype(np.int64)
+    lo, hi = int(offs[0]), int(offs[-1])
+    if hi == lo:
+        return np.zeros(0, dtype=np.int64), pa.array([], type=arr.type)
+    b = data[lo:hi]
+    filled = np.flatnonzero(offs[:-1] < offs[1:])
+    row_first = offs[filled] - lo
+    row_last = offs[filled + 1] - lo - 1
+
+    def shifted(x: np.ndarray, by: int, edge: np.ndarray) -> np.ndarray:
+        # x[i - by] at i, False where that byte is in another row
+        out = np.zeros_like(x)
+        if by > 0:
+            out[by:] = x[:-by]
+        else:
+            out[:by] = x[-by:]
+        out[edge] = False
+        return out
+
+    # in-place steps keep the per-byte temporaries to a few bytes a byte
+    digit = (b - np.uint8(ord("0"))) < 10
+    upper = (b - np.uint8(ord("A"))) < 26
+    lower = (b - np.uint8(ord("a"))) < 26
+    next_lower = shifted(lower, -1, row_last)
+    lower |= digit
+    start = shifted(lower, 1, row_first)  # after [a-z0-9]
+    lower |= upper
+    alnum = lower
+    del lower
+    start |= shifted(upper, 1, row_first) & next_lower
+    start &= upper
+    start |= ~shifted(alnum, 1, row_first)
+    start &= alnum
+    # digit-only tokens: a digit run ends where the next byte in the
+    # row is no digit; the token keeps a letter iff that byte is [a-z]
+    led = np.flatnonzero(start & digit)
+    if led.size:
+        run_ends = np.flatnonzero(digit & ~shifted(digit, -1, row_last))
+        ends = run_ends[np.searchsorted(run_ends, led)]
+        drop = ~next_lower[ends]
+        first, lens = led[drop], ends[drop] - led[drop] + 1
+        if first.size:
+            seg = np.cumsum(lens)
+            alnum[np.arange(seg[-1]) + np.repeat(first - seg + lens, lens)] = (
+                False
+            )
+            start[first] = False
+    # lowercase [A-Z] (bit 5) and flag token starts in bit 7, then keep
+    # the token bytes
+    packed = b | (upper.view(np.uint8) << 5)
+    packed |= start.view(np.uint8) << 7
+    packed = np.compress(alnum, packed)
+    heads = np.flatnonzero(packed & 0x80)
+    packed &= 0x7F
+    per_row = np.add.reduceat(start, row_first, dtype=np.int64)
+    parents = np.repeat(filled.astype(np.int64), per_row)
+    out_offs = np.empty(heads.size + 1, dtype=np.int64 if large else np.int32)
+    out_offs[:-1] = heads
+    out_offs[-1] = packed.size
+    flat = pa.Array.from_buffers(
+        arr.type, heads.size,
+        [None, pa.py_buffer(out_offs), pa.py_buffer(packed)],
+    )
+    return parents, flat
 
 
 def sql_token_expr(text_col: str = "text") -> str:

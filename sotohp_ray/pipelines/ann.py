@@ -792,12 +792,15 @@ def _unbiased_sample_matrix(
 
     import pyarrow as _pa
 
-    sample = ray.data.read_parquet(
+    # one execution of the read plan, every block as Arrow
+    # (``to_arrow_refs`` runs the plan again for the schema, and can
+    # hand back pandas blocks)
+    blocks = ray.data.read_parquet(
         f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    ).map_batches(pick, batch_format="pyarrow")
-    t = _pa.concat_tables(
-        ray.get(sample.to_arrow_refs()), promote_options="default"
+    ).map_batches(pick, batch_format="pyarrow").iter_batches(
+        batch_size=None, batch_format="pyarrow"
     )
+    t = _pa.concat_tables(list(blocks), promote_options="default")
     order = _pa.compute.sort_indices(
         t, sort_keys=[("_hv", "ascending"), ("vec_id", "ascending")]
     )

@@ -138,6 +138,7 @@ class PartitionIndexer:
             os.path.join(
                 self.index_dir, "docmeta", f"partition-{pid:05d}", "data.parquet"
             ),
+            use_dictionary=False,
         )
         shards = partials["term_shard"].to_numpy(zero_copy_only=False)
         write_partials(
@@ -404,7 +405,8 @@ def merge_phase(
             merged = merge_shard(pa.concat_tables(pieces), n_docs, avgdl, cfg)
             if merged.num_rows:
                 lin.atomic_write_table(
-                    merged, os.path.join(staging, f"shard-{s:05d}.parquet")
+                    merged, os.path.join(staging, f"shard-{s:05d}.parquet"),
+                    use_dictionary=False,
                 )
             out["term_shard"].append(s)
             out["n_terms"].append(merged.num_rows)

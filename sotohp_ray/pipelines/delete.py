@@ -146,7 +146,9 @@ def _compact_partition(
             "partition_id": pid, "removed_docs": 0,
             "removed_tokens": 0, "removed_postings": 0,
         }
-    lin.atomic_write_table(dm.filter(pa.array(keep_doc)), dm_path)
+    lin.atomic_write_table(
+        dm.filter(pa.array(keep_doc)), dm_path, use_dictionary=False
+    )
 
     pdir = os.path.join(index_dir, "partials", f"partition-{pid:05d}")
     t = pq.read_table(os.path.join(pdir, "data.parquet"))
@@ -279,7 +281,6 @@ def compact_index(index_dir: str) -> dict:
 
     # fold removals into lineage (so stats recompute consistently and a
     # resumed build keeps the post-delete state for unchanged inputs)
-    removed_total = 0
     for _, row in res.iterrows():
         pid = int(row["partition_id"])
         r = records[pid]
@@ -292,7 +293,6 @@ def compact_index(index_dir: str) -> dict:
             row["removed_docs"]
         )
         lin.write_record(index_dir, r)
-        removed_total += int(row["removed_docs"])
 
     # always re-merge: df and every block-max change with the postings
     marker = _merge_marker(index_dir)
@@ -307,9 +307,12 @@ def compact_index(index_dir: str) -> dict:
             "doc_id_space": int(
                 old_stats.get("doc_id_space", old_stats["n_docs"])
             ),
-            "compacted_docs_total": int(
-                old_stats.get("compacted_docs_total", 0)
-            ) + removed_total,
+            # from lineage, not old stats plus this run's removals: a
+            # retry after a failed merge removes nothing more, but the
+            # records still hold the first attempt's counts
+            "compacted_docs_total": sum(
+                int(r.get("compacted_out", 0)) for r in records.values()
+            ),
         },
     )
 

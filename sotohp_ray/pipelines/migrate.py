@@ -47,7 +47,7 @@ def _migrate_shard(path: str, out_path: str, old_codec: str,
         ~pc.is_null(blob_col).to_numpy(zero_copy_only=False)
     )
     if has_blob.size == 0:
-        lin.atomic_write_table(t, out_path)
+        lin.atomic_write_table(t, out_path, use_dictionary=False)
         return 0
     dfs = t["df"].to_numpy(zero_copy_only=False)
     tf_bases = t["tf_base"].to_numpy(zero_copy_only=False)
@@ -99,7 +99,7 @@ def _migrate_shard(path: str, out_path: str, old_codec: str,
         t, "block_tf_offs", pa.array(toffs_new, pa.large_list(pa.uint32()))
     )
     t = set_col(t, "tf_base", pa.array(tfb_new, pa.uint32()))
-    lin.atomic_write_table(t, out_path)
+    lin.atomic_write_table(t, out_path, use_dictionary=False)
     return int(has_blob.size)
 
 

@@ -24,7 +24,9 @@ import pyarrow.compute as pc
 from sotohp_ray import cache
 from sotohp_ray.functions.hashing import minhash_params
 from sotohp_ray.functions.tokenizer import CodeTokenizer, sql_token_expr
-from sotohp_ray.utils import agg_select, co_group, combine, sorted_lookup
+from sotohp_ray.utils import (
+    agg_select, co_group, combine, sorted_lookup, value_offsets,
+)
 
 _TOK = CodeTokenizer()
 
@@ -969,12 +971,8 @@ def _codepoints_flat(text: pa.Array) -> tuple[np.ndarray, np.ndarray]:
     n_bytes = pc.binary_length(text).to_numpy(zero_copy_only=False)
     if int(n_bytes.sum()) == int(lens.sum()):
         # string i occupies data[off[i]:off[i+1]) by the Arrow layout,
-        # so data[off[0]:off[-1]] IS the concatenation (large_string
-        # offsets are int64; _text_col casts every batch to it)
-        off = np.frombuffer(text.buffers()[1], np.int64)[
-            text.offset : text.offset + len(text) + 1
-        ]
-        data = np.frombuffer(text.buffers()[2], np.uint8)
+        # so data[off[0]:off[-1]] IS the concatenation
+        off, data = value_offsets(text)
         return data[off[0] : off[-1]].astype(np.uint64), lens
     joined = "".join(text.to_pylist())  # cold path: non-ASCII batch
     flat = np.frombuffer(joined.encode("utf-32-le"), np.uint32)

@@ -26,9 +26,11 @@ import math
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.functions import codec as pcodec
+from sotohp_ray.utils import value_offsets
 
 DICT_SCHEMA = pa.schema(
     [
@@ -59,6 +61,93 @@ DICT_SCHEMA = pa.schema(
 )
 
 
+def _blob_bytes(col: pa.Array, rows: np.ndarray) -> tuple:
+    """The values of ``rows`` (non-null) of a binary column, concatenated
+    in row order, as uint8, and each row's byte offset into them
+    (``len(rows) + 1`` entries). ``take`` copies exactly those values,
+    so the bytes a null slot's offsets may span never leak in."""
+    offs, data = value_offsets(col.take(pa.array(rows)))
+    offs = offs.astype(np.int64)
+    return data[offs[0]: offs[-1]], offs - offs[0]
+
+
+def _decode_rows(
+    col: pa.Array, rows: np.ndarray, counts: np.ndarray
+) -> np.ndarray:
+    """The varint values of ``rows`` (non-null) of a blob column, in
+    one decode. Each row must hold exactly its ``counts`` entry of
+    whole values, as a decode per row would demand; a check of the
+    total alone would pass a row with a value too many next to one
+    with a value too few, or a row whose last value runs on into the
+    next row, and move postings to other terms or docs."""
+    b, offs = _blob_bytes(col, rows)
+    ends = np.zeros(b.size + 1, dtype=np.int64)
+    np.cumsum(b < 0x80, out=ends[1:])
+    per_row = ends[offs[1:]] - ends[offs[:-1]]
+    filled = offs[1:] > offs[:-1]
+    cut = np.zeros(rows.size, dtype=bool)
+    cut[filled] = b[offs[1:][filled] - 1] >= 0x80
+    bad = np.flatnonzero((per_row != counts) | cut)
+    if bad.size:
+        i = int(bad[0])
+        raise ValueError(
+            f"merge: partial row {int(rows[i])} holds {int(per_row[i])}"
+            f" whole values{' and a cut one' if cut[i] else ''}, its"
+            f" count is {int(counts[i])}"
+        )
+    return pcodec.varint_decode(b, int(counts.sum()))
+
+
+def decode_postings(
+    group: pa.Table, counts: np.ndarray, row_starts: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every posting of a shard's partial rows, in row order, as
+    (doc ids, tfs, dls); ``counts`` are the rows' posting counts and
+    ``row_starts`` their prefix sums. Each blob column decodes in ONE
+    varint pass over the bytes of its non-null rows."""
+    # Inline rows are the ones with NO blob (the df_partial==1 fast
+    # path); count==1 alone is NOT sufficient: a salt remainder chunk
+    # can hold exactly one posting yet store it in the blob with the
+    # inline columns zeroed.
+    total = int(counts.sum())
+    docs = np.empty(total, dtype=np.uint64)
+    tfs = np.empty(total, dtype=np.uint64)
+    dls = np.empty(total, dtype=np.uint64)
+    doc_blob_col = group["doc_blob"].combine_chunks()
+    inline = pc.is_null(doc_blob_col).to_numpy(zero_copy_only=False)
+    inline_rows = np.flatnonzero(inline)
+    if inline_rows.size:
+        p = row_starts[inline_rows]
+        docs[p] = group["doc0"].to_numpy(zero_copy_only=False)[inline_rows]
+        tfs[p] = group["tf0"].to_numpy(zero_copy_only=False)[inline_rows]
+        dls[p] = group["dl0"].to_numpy(zero_copy_only=False)[inline_rows]
+    blob_rows = np.flatnonzero(~inline)
+    if blob_rows.size:
+        bcounts = counts[blob_rows]
+        n_blob = int(bcounts.sum())
+        seg = np.zeros(blob_rows.size + 1, dtype=np.int64)
+        np.cumsum(bcounts, out=seg[1:])
+        # each blob row's postings land at its row start
+        dest = np.arange(n_blob, dtype=np.int64) + np.repeat(
+            row_starts[blob_rows] - seg[:-1], bcounts
+        )
+        # every chunk's gap stream starts with an absolute doc id, so a
+        # cumsum restarted at each chunk restores the ids (uint64 wraps
+        # cancel in the difference)
+        gaps = _decode_rows(doc_blob_col, blob_rows, bcounts)
+        run = np.cumsum(gaps, dtype=np.uint64)
+        before = np.zeros(blob_rows.size, dtype=np.uint64)
+        before[1:] = run[seg[1:-1] - 1]
+        docs[dest] = run - np.repeat(before, bcounts)
+        tfs[dest] = _decode_rows(
+            group["tf_blob"].combine_chunks(), blob_rows, bcounts
+        )
+        dls[dest] = _decode_rows(
+            group["dl_blob"].combine_chunks(), blob_rows, bcounts
+        )
+    return docs, tfs, dls
+
+
 def merge_shard(
     group: pa.Table, n_docs: int, avgdl: float, config: IndexConfig
 ) -> pa.Table:
@@ -72,39 +161,9 @@ def merge_shard(
     counts = group["count"].to_numpy(zero_copy_only=False).astype(np.int64)
     total = int(counts.sum())
 
-    # decode partial blobs into flat arrays. Inline (count==1) rows are
-    # gathered vectorized; only multi-posting rows loop (each decode is
-    # itself vectorized over its postings).
-    docs = np.empty(total, dtype=np.uint64)
-    tfs = np.empty(total, dtype=np.uint64)
-    dls = np.empty(total, dtype=np.uint64)
     row_starts = np.zeros(nrows, dtype=np.int64)
     np.cumsum(counts[:-1], out=row_starts[1:])
-    # inline rows are the ones with NO blob (the df_partial==1 fast
-    # path). count==1 alone is NOT sufficient: a salt remainder chunk
-    # can hold exactly one posting yet store it in the blob with the
-    # inline columns zeroed.
-    doc_blob_col = group["doc_blob"].combine_chunks()
-    import pyarrow.compute as _pc
-
-    inline = _pc.is_null(doc_blob_col).to_numpy(zero_copy_only=False)
-    inline_rows = np.flatnonzero(inline)
-    if inline_rows.size:
-        p = row_starts[inline_rows]
-        docs[p] = group["doc0"].to_numpy(zero_copy_only=False)[inline_rows]
-        tfs[p] = group["tf0"].to_numpy(zero_copy_only=False)[inline_rows]
-        dls[p] = group["dl0"].to_numpy(zero_copy_only=False)[inline_rows]
-    doc_col = doc_blob_col
-    tf_col = group["tf_blob"].combine_chunks()
-    dl_col = group["dl_blob"].combine_chunks()
-    pos_col = group["pos_blob"].combine_chunks()
-    for i in np.flatnonzero(~inline):
-        c = int(counts[i])
-        pos = int(row_starts[i])
-        gaps = pcodec.varint_decode(doc_col[i].as_buffer(), c)
-        docs[pos : pos + c] = np.cumsum(gaps, dtype=np.uint64)
-        tfs[pos : pos + c] = pcodec.varint_decode(tf_col[i].as_buffer(), c)
-        dls[pos : pos + c] = pcodec.varint_decode(dl_col[i].as_buffer(), c)
+    docs, tfs, dls = decode_postings(group, counts, row_starts)
 
     # ---- occurrence positions: ZERO decode/encode --------------------
     # A posting's position stream (absolute first value, deltas after)
@@ -116,11 +175,11 @@ def merge_shard(
     lens_all = tfs.astype(np.int64)
     post_bstart = np.zeros(total, dtype=np.int64)
     post_blen = np.zeros(total, dtype=np.int64)
-    pos_null = _pc.is_null(pos_col).to_numpy(zero_copy_only=False)
+    pos_col = group["pos_blob"].combine_chunks()
+    pos_null = pc.is_null(pos_col).to_numpy(zero_copy_only=False)
     blob_rows = np.flatnonzero(~pos_null)
     if blob_rows.size:
-        joined = b"".join(pos_col[int(i)].as_py() for i in blob_rows)
-        b_np = np.frombuffer(joined, dtype=np.uint8)
+        b_np = _blob_bytes(pos_col, blob_rows)[0]
         # byte boundary after each varint value
         vb = np.concatenate(
             ([0], np.flatnonzero(b_np < 0x80) + 1)
@@ -159,8 +218,6 @@ def merge_shard(
         buf_all = b_np
 
     # term code per posting
-    import pyarrow.compute as pc
-
     tcodes_arr = pc.dictionary_encode(group["term"].combine_chunks())
     tcodes_arr = (
         tcodes_arr.combine_chunks()

@@ -187,11 +187,18 @@ def write_json(final_path: str, payload: dict) -> None:
     os.replace(tmp, final_path)
 
 
-def atomic_write_table(table, final_path: str) -> None:
+def atomic_write_table(
+    table, final_path: str, use_dictionary: bool = True
+) -> None:
     """Write a parquet file atomically into place (tmp + rename) —
     idempotent-per-partition output, the retry-safety discipline of the
     reference's bulk sink (ElasticOperations.scala:149-167: retries are
-    safe because upserts are id-keyed)."""
+    safe because upserts are id-keyed). Index files (docmeta, dictionary
+    shards) pass ``use_dictionary=False``: their terms, blobs, uuids and
+    digests are nearly all distinct, so dictionary pages only cost
+    encode CPU and bytes, and ZSTD already takes the repeats. Other
+    tables (exports, corpus parts) keep them for their low-cardinality
+    columns."""
     import pyarrow.parquet as pq
 
     d = os.path.dirname(final_path)
@@ -201,7 +208,9 @@ def atomic_write_table(table, final_path: str) -> None:
     # ZSTD: docmeta's hex digests/uuids compress ~45% vs snappy and the
     # dictionary ~25%, for ~1 ms extra per file — index bytes on disk
     # are also index bytes shuffled/replicated at cluster scale
-    pq.write_table(table, tmp, compression="ZSTD")
+    pq.write_table(
+        table, tmp, compression="ZSTD", use_dictionary=use_dictionary
+    )
     os.replace(tmp, final_path)
 
 
@@ -236,9 +245,11 @@ def atomic_write_bucketed(
     # repeated small values; position gaps compress moderately) at
     # ~2 ms/partition encode — partials ARE the shuffle payload, so
     # this halves the exchange volume at cluster scale and the
-    # writeback pressure single-node
+    # writeback pressure single-node. No dictionary pages, as for the
+    # other index files (``atomic_write_table``)
     writer = pq.ParquetWriter(
-        tmp, table.schema, write_statistics=False, compression="ZSTD"
+        tmp, table.schema, write_statistics=False, compression="ZSTD",
+        use_dictionary=False,
     )
     try:
         for lo, hi in zip(bounds[:-1], bounds[1:]):

@@ -17,6 +17,31 @@ def agg_select(t, mapping: dict[str, str]):
     return pa.table({new: t[old] for old, new in mapping.items()})
 
 
+def value_offsets(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """Zero-copy view of a string or binary array of either offset
+    width: ``(offs, data)``, value ``i`` being
+    ``data[offs[i]:offs[i + 1]]``. ``offs`` has ``len(arr) + 1``
+    entries (the array's slice offset applied, int32 or int64 as
+    stored) and ``data`` is the whole uint8 data buffer. A null slot
+    spans whatever bytes its offsets say."""
+    large = pa.types.is_large_string(arr.type) or pa.types.is_large_binary(
+        arr.type
+    )
+    obuf, dbuf = arr.buffers()[1:3]
+    if obuf is None:
+        offs = np.zeros(len(arr) + 1, dtype=np.int64)
+    else:
+        offs = np.frombuffer(obuf, dtype=np.int64 if large else np.int32)[
+            arr.offset: arr.offset + len(arr) + 1
+        ]
+    data = (
+        np.frombuffer(dbuf, dtype=np.uint8)
+        if dbuf is not None
+        else np.zeros(0, dtype=np.uint8)
+    )
+    return offs, data
+
+
 def cpu_slots(num_cpus: float = 1.0) -> int:
     """How many tasks that each reserve ``num_cpus`` CPUs the cluster
     runs at once: its CPU count, read from ``ray.cluster_resources()``
