@@ -3718,7 +3718,7 @@ class _ShardSearcher:
         only. Query-syntax routing: "quoted" -> phrase; a NEAR/3 b ->
         proximity; else free terms (Lucene-ish surface). Plain term
         queries are BATCHED through ``search_wand_many``: a sharded
-        searcher answers the batch in two RPC rounds, so fan-out RPC
+        searcher answers the batch in at most two RPC rounds, so fan-out RPC
         latency amortizes across the batch instead of repeating per
         query."""
         q_ids, doc_ids, scores = [], [], []

@@ -61,10 +61,11 @@ _WAND_MIN_POSTINGS = 1 << 16
 # docs: nearly every interval then carries every term's block maximum,
 # so theta can prune almost nothing
 _WAND_MAX_DF_FRAC = 0.5
-# search_wand seeds theta from the highest-bound intervals covering this
-# many doc ids per requested hit: covering only k ids finds weak seeds
-# (on a 24k-doc index, ~13k docs still clear theta and get ranked),
-# 16 * k ranks ~1.4k at a few hundred seed docs
+# without a cached-impact theta0 (cold terms, tombstones, or no qw = 1
+# term), search_wand seeds theta from the highest-bound intervals
+# covering this many doc ids per requested hit: covering only k ids
+# finds weak seeds (on a 24k-doc index, ~13k docs still clear theta and
+# get ranked), 16 * k ranks ~1.4k at a few hundred seed docs
 _WAND_SEED_IDS_PER_HIT = 16
 
 
@@ -113,15 +114,26 @@ def _slice_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The postings of sorted ``d`` (with their ``f``) whose doc lies in
     one of the sorted, disjoint, inclusive doc ranges [lo[i], hi[i]]:
-    two searchsorteds per range, then one gather — cost scales with the
-    ranges and the postings kept, not a per-posting range lookup."""
+    two searchsorteds per range give each range's run of postings, runs
+    with no posting between them join, and each run is one contiguous
+    slice — cost scales with the runs and the postings kept, and no
+    index of the kept postings is built. One run comes back as views
+    (the inputs themselves when it holds every posting)."""
     s = np.searchsorted(d, lo.astype(d.dtype))
-    n = np.searchsorted(d, hi.astype(d.dtype), side="right") - s
-    total = int(n.sum())
-    if total == d.size:
-        return d, f
-    idx = np.arange(total) + np.repeat(s - (np.cumsum(n) - n), n)
-    return d[idx], f[idx]
+    e = np.searchsorted(d, hi.astype(d.dtype), side="right")
+    runs: list[list[int]] = []
+    for a, b in zip(s.tolist(), e.tolist()):
+        if runs and a == runs[-1][1]:
+            runs[-1][1] = b
+        elif b > a:
+            runs.append([a, b])
+    if len(runs) == 1:
+        a, b = runs[0]
+        return (d, f) if b - a == d.size else (d[a:b], f[a:b])
+    return (
+        np.concatenate([d[a:b] for a, b in runs] or [d[:0]]),
+        np.concatenate([f[a:b] for a, b in runs] or [f[:0]]),
+    )
 
 
 def one_edit_mask(cand: list[str], q: str) -> np.ndarray:
@@ -1126,10 +1138,9 @@ class Searcher(_Operators):
         theta: float = 0.0,
     ) -> list[tuple[int, float]]:
         """Top-k live docs by the BM25 sums of ``_interval_postings``
-        rows, ranking only positive sums >= max(``theta``, theta0) (a
-        caller passes a theta that at least k docs reach; theta0 is the
-        rows' ``_impact_floor``, 0.0 under a ``mask``, which may hide
-        the docs it counts on). The full searcher accumulates into a
+        rows, ranking only positive sums >= ``theta`` (a caller passes
+        a theta that at least k live, unmasked docs reach, such as the
+        rows' ``_impact_floor``). The full searcher accumulates into a
         dense array; a shard group must never allocate a
         doc-id-SPACE-sized one (8 B/doc = ~8 GB per actor at 10^9
         docs), so it sums sparse contributions with the fan-out merge
@@ -1138,14 +1149,12 @@ class Searcher(_Operators):
         it is the faster of the two there (in the A/B that chose it,
         on the 24k-doc benchmark index, the median ``_top_k`` over one
         query mix took 0.97-1.20 ms dense against 2.64-3.03 ms with the
-        sparse sums, one CPU of a shared VM). Without theta0 a warm
+        sparse sums, one CPU of a shared VM). Without a theta a warm
         query ranked every doc with a nonzero score there, ~20k of
-        24k; with it, the docs at or above a term's k-th impact."""
+        24k; with the impact floor, the docs at or above a term's k-th
+        impact."""
         if not postings:
             return []
-        if mask is None:
-            theta = max(theta, self._impact_floor(
-                [(t, qw) for _, t, qw, _, _ in postings], k))
         if self.shard_range is not None:
             got = self._merge_contribs(*self._contribs(postings))
             if got is None:
@@ -1166,10 +1175,14 @@ class Searcher(_Operators):
         space, True = allowed) restricts the CANDIDATE set without
         changing any statistic — Lucene filter-query semantics: idf,
         avgdl and doc lengths stay corpus-level, the filter only
-        masks which docs may appear in results."""
-        return self._top_k(
-            self._interval_postings(self._query_terms(query)), k, mask
-        )
+        masks which docs may appear in results. Ranking starts at the
+        ``_impact_floor``, read after the postings (whose qw = 1.0
+        terms cache their impacts on the way); a mask may hide the
+        docs the floor counts on, so a masked search ranks from 0."""
+        qterms = self._query_terms(query)
+        postings = self._interval_postings(qterms)
+        theta = 0.0 if mask is not None else self._impact_floor(qterms, k)
+        return self._top_k(postings, k, mask, theta)
 
     def search_after(
         self, query: str, k: int = 10,
@@ -1350,11 +1363,11 @@ class Searcher(_Operators):
         hi = np.unique(np.concatenate([r["block_last"] for _, r in rows]))
         bound = np.zeros(hi.size, dtype=np.float64)
         for qw, r in rows:
-            b = np.searchsorted(r["block_last"], hi)
-            inb = b < r["block_last"].size
-            bound[inb] += (
-                float(qw) * r["block_max"][b[inb]].astype(np.float64)
-            )
+            # the intervals up to the term's last doc: a prefix of hi
+            m = int(np.searchsorted(hi, r["block_last"][-1], side="right"))
+            bound[:m] += float(qw) * r["block_max"][
+                np.searchsorted(r["block_last"], hi[:m])
+            ].astype(np.float64)
         return hi, bound
 
     def _interval_postings(
@@ -1399,18 +1412,22 @@ class Searcher(_Operators):
         kept_hi = hi[keep]
         out = []
         for qi, t, qw in rows:
-            r = self._record(t)
-            b = np.unique(np.searchsorted(r["block_last"], kept_hi))
-            b = b[b < r["block_last"].size]
-            if b.size == 0:
-                continue
-            if b.size < r["block_last"].size and t not in self._dec_cache:
-                d, f = _slice_runs(
-                    *self._decode_blocks(r, b), run_lo, run_hi)
-                c = self._scored(t, qw, d, f)
-            else:
+            if t in self._dec_cache:
                 d, c = _slice_runs(
                     *self._full_contribs(t, qw), run_lo, run_hi)
+            else:
+                r = self._record(t)
+                b = np.unique(np.searchsorted(r["block_last"], kept_hi))
+                b = b[b < r["block_last"].size]
+                if b.size == 0:
+                    continue
+                if b.size < r["block_last"].size:
+                    d, f = _slice_runs(
+                        *self._decode_blocks(r, b), run_lo, run_hi)
+                    c = self._scored(t, qw, d, f)
+                else:
+                    d, c = _slice_runs(
+                        *self._full_contribs(t, qw), run_lo, run_hi)
             if d.size:
                 out.append((qi, t, qw, d, c))
         return out
@@ -1430,13 +1447,20 @@ class Searcher(_Operators):
     ) -> list[tuple[int, float]]:
         """Block-max top-k: BM25 top-k bit-identical to
         ``search_exact``, scoring only the doc intervals whose
-        ``_block_intervals`` bound can reach the k-th score.
+        ``_block_intervals`` bound can reach a lower bound on the k-th
+        score.
 
         Two upfront shortcuts answer through ``search_exact``, because
         pruning cannot pay for itself there: the terms hold at most
         ``_WAND_MIN_POSTINGS`` postings, or the rarest term is in more
         than ``_WAND_MAX_DF_FRAC`` of the live docs. Otherwise
-        ``_interval_top_k`` answers.
+        ``_interval_top_k`` answers: in one pruned pass at the cached
+        impacts' theta0 when the searcher is warm, after a seed pass
+        when it is not. On the 24k-doc benchmark index a warm pruned
+        query costs 1.3-1.7x ``search_exact`` on one CPU of a shared VM
+        (``tools/wand_probe.py``): its kept intervals hold nearly every
+        posting there, so pruning saves little and the bound work is
+        the extra.
         """
         qterms = self._query_terms(query)
         if not qterms:
@@ -1454,35 +1478,42 @@ class Searcher(_Operators):
     ) -> list[tuple[int, float]]:
         """``search_wand``'s pruned path over present [(term, qw)]:
 
-        1. seed theta with the exact, live-only k-th score over the
-           highest-bound intervals that together cover at least
-           ``_WAND_SEED_IDS_PER_HIT`` * k doc ids — the seeded
-           threshold of SAP (ICDE 2018) — or, when fewer than k of
-           them clear ``_top_k``'s floor, with that floor, the
-           ``_impact_floor`` (0.0 without cached impacts);
+        1. theta is the ``_impact_floor`` theta0 — the k-th cached
+           impact of a qw = 1.0 term, which at least k live docs reach
+           (Kane & Tompa's stored threshold, SIGIR 2018). When theta0
+           is 0 (no qw = 1.0 term has cached impacts, or the index has
+           tombstones), a seed pass sets it first: the exact, live-only
+           k-th score over the highest-bound intervals that together
+           cover at least ``_WAND_SEED_IDS_PER_HIT`` * k doc ids (the
+           seeded threshold of SAP, ICDE 2018), or the impact floor
+           that pass leaves behind when it is higher;
         2. keep every interval whose bound is >= theta (ties stay);
         3. score the kept intervals with ``search_exact``'s per-term
            accumulation and rank the docs scoring >= theta. Every doc
            scoring >= theta sits in a kept interval with all of its
-           postings, and the seed docs put k of them there, so the
-           top-k and its scores are exact.
+           postings, and at least k of them exist, so the top-k and
+           its scores are exact.
+
+        A warm query thus makes one ``_interval_postings`` call; a cold
+        one, two.
         """
         iv = hi, bound = self._block_intervals(qterms)
-        order = np.argsort(-bound, kind="stable")
-        covered = np.cumsum(np.diff(hi, prepend=-1)[order])
-        j = min(
-            int(np.searchsorted(covered, k * _WAND_SEED_IDS_PER_HIT)),
-            order.size - 1,
-        )
-        seed = self._top_k(
-            self._interval_postings(qterms, float(bound[order[j]]), iv), k
-        )
-        # fewer than k seeds clear theta0 when theta0 exceeds the
-        # seed intervals' k-th score; theta0 is then the better theta
-        theta = (
-            seed[-1][1] if len(seed) == k > 0
-            else self._impact_floor(qterms, k)
-        )
+        theta = self._impact_floor(qterms, k)
+        if theta <= 0.0:
+            order = np.argsort(-bound, kind="stable")
+            covered = np.cumsum(np.diff(hi, prepend=-1)[order])
+            j = min(
+                int(np.searchsorted(covered, k * _WAND_SEED_IDS_PER_HIT)),
+                order.size - 1,
+            )
+            seed = self._top_k(self._interval_postings(
+                qterms, float(bound[order[j]]), iv), k)
+            # the seed pass may cache impacts, and fewer than k seeds
+            # may clear its intervals
+            theta = max(
+                seed[-1][1] if len(seed) == k > 0 else 0.0,
+                self._impact_floor(qterms, k),
+            )
         return self._top_k(
             self._interval_postings(qterms, theta, iv), k, theta=theta
         )
@@ -1735,8 +1766,7 @@ class FanoutSearcher(_Operators):
     # ---- distributed block-max WAND ----------------------------------
 
     def search_wand(self, query: str, k: int = 10):
-        """``search_wand_many`` for one query: the same two RPC
-        rounds."""
+        """``search_wand_many`` for one query: the same RPC rounds."""
         return self.search_wand_many([query], k)[0]
 
     def _group_thresholds(self, boots, k: int):
@@ -1780,18 +1810,24 @@ class FanoutSearcher(_Operators):
 
     def search_wand_many(self, queries, k: int = 10):
         """Distributed block-max WAND over the TERM-partitioned fan-out
-        for a whole serving batch, in two RPC rounds per batch (the
-        threshold-exchange shape of Lucene's distributed BMW;
+        for a whole serving batch, in at most two RPC rounds per batch
+        (the threshold-exchange shape of Lucene's distributed BMW;
         reference analog: ES sharded top-k with score thresholds,
         ElasticOperations.scala:91-97):
 
         1. bootstrap — each group gets ONE ``wand_bootstrap_many``
            carrying every query it owns a term of, and returns per
            query its local block-max WAND top-k (doc ids + exact LOCAL
-           scores) plus its share of the global upper bound;
-        2. the coordinator sums each seed doc's local scores across
-           the groups that returned it — a LOWER bound on its true
-           score, since contributions are non-negative — and sets
+           scores) plus its share of the global upper bound. A query
+           whose tokens all route to ONE group is answered here: that
+           group holds every term, scores with the global N, avgdl and
+           df and ranks live docs only, so its local top-k is the
+           single searcher's, bit for bit; it takes no part in the
+           steps below;
+        2. for every other query, the coordinator sums each seed
+           doc's local scores across the groups that returned it — a
+           LOWER bound on its true score, since contributions are
+           non-negative — and sets
            theta = the k-th largest bound (sound: those k docs each
            truly score >= theta, so the final k-th score does too);
         3. theta goes back as per-group effective thresholds
@@ -1836,6 +1872,12 @@ class FanoutSearcher(_Operators):
         # ---- per-query thresholds (driver-side, no RPC) ----
         plan: dict[int, list[tuple[int, float]]] = {}
         for i, gids in enumerate(gids_per):
+            if len(gids) == 1:
+                # one group owns every term: its local top-k is the
+                # answer
+                _, docs, scores = boots_of[(i, gids[0])]
+                results[i] = list(zip(docs.tolist(), scores.tolist()))
+                continue
             if not gids:
                 continue
             thetas = self._group_thresholds(

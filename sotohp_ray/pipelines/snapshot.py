@@ -18,14 +18,20 @@ properties that matter at scale for free:
 
 Every write is tmp+rename atomic; blobs are immutable once placed, so
 concurrent snapshots of different indexes can share a repository.
-``cleanup_repository`` is the exception: it needs exclusive access to
-the repository (no snapshot being created meanwhile), because a blob a
-concurrent snapshot has placed but not yet listed in a written
-manifest looks unreferenced and is removed.
+``cleanup_repository`` removes the blobs no manifest lists, and a blob
+a snapshot in progress has placed is listed only once its manifest is
+written; so the repository has a lock, an ``fcntl.flock`` on
+``<repo>/.lock``: ``create_snapshot`` holds it shared from its first
+blob write to its manifest write, ``restore_snapshot`` holds it shared
+while it reads blobs, and ``cleanup_repository`` holds it exclusive.
+Snapshots and restores run side by side; a cleanup waits for them,
+and they wait for a cleanup.
 """
 
 from __future__ import annotations
 
+import contextlib
+import fcntl
 import hashlib
 import json
 import os
@@ -53,6 +59,19 @@ def _atomic_place(src_tmp: str, dest: str) -> None:
     os.replace(src_tmp, dest)
 
 
+@contextlib.contextmanager
+def _repo_lock(repo_dir: str, op: int):
+    """Hold the repository lock (``fcntl.LOCK_SH`` or ``LOCK_EX``) on
+    ``repo_dir``'s ``.lock`` file, which is made on first use."""
+    fd = os.open(os.path.join(repo_dir, ".lock"), os.O_RDWR | os.O_CREAT,
+                 0o644)
+    try:
+        fcntl.flock(fd, op)
+        yield
+    finally:
+        os.close(fd)  # closing the file releases the lock
+
+
 def create_snapshot(index_dir: str, repo_dir: str, name: str) -> dict:
     """Snapshot ``index_dir`` into ``repo_dir`` under ``name``.
     Returns {n_files, n_new_blobs, bytes_total, bytes_copied} — the
@@ -64,26 +83,29 @@ def create_snapshot(index_dir: str, repo_dir: str, name: str) -> dict:
     os.makedirs(snaps, exist_ok=True)
     manifest: dict[str, list] = {}
     n_new = bytes_total = bytes_copied = 0
-    for root, _dirs, files in os.walk(index_dir):
-        for fn in sorted(files):
-            p = os.path.join(root, fn)
-            rel = os.path.relpath(p, index_dir)
-            sha = _sha256_file(p)
-            size = os.path.getsize(p)
-            manifest[rel] = [sha, size]
-            bytes_total += size
-            blob = os.path.join(blobs, sha)
-            if not os.path.exists(blob):
-                fd, tmp = tempfile.mkstemp(dir=blobs, prefix=".part-")
-                os.close(fd)
-                shutil.copyfile(p, tmp)
-                _atomic_place(tmp, blob)  # immutable once placed
-                n_new += 1
-                bytes_copied += size
-    fd, tmp = tempfile.mkstemp(dir=snaps, prefix=".part-")
-    with os.fdopen(fd, "w") as f:
-        json.dump({"name": name, "files": manifest}, f)
-    _atomic_place(tmp, os.path.join(snaps, f"{name}.json"))
+    # shared: the blobs placed below are unreferenced until the
+    # manifest is written, and a cleanup would remove them
+    with _repo_lock(repo_dir, fcntl.LOCK_SH):
+        for root, _dirs, files in os.walk(index_dir):
+            for fn in sorted(files):
+                p = os.path.join(root, fn)
+                rel = os.path.relpath(p, index_dir)
+                sha = _sha256_file(p)
+                size = os.path.getsize(p)
+                manifest[rel] = [sha, size]
+                bytes_total += size
+                blob = os.path.join(blobs, sha)
+                if not os.path.exists(blob):
+                    fd, tmp = tempfile.mkstemp(dir=blobs, prefix=".part-")
+                    os.close(fd)
+                    shutil.copyfile(p, tmp)
+                    _atomic_place(tmp, blob)  # immutable once placed
+                    n_new += 1
+                    bytes_copied += size
+        fd, tmp = tempfile.mkstemp(dir=snaps, prefix=".part-")
+        with os.fdopen(fd, "w") as f:
+            json.dump({"name": name, "files": manifest}, f)
+        _atomic_place(tmp, os.path.join(snaps, f"{name}.json"))
     return {
         "n_files": len(manifest),
         "n_new_blobs": n_new,
@@ -112,20 +134,24 @@ def restore_snapshot(repo_dir: str, name: str, dest_dir: str) -> int:
     not O(bytes)); falls back to copy. Returns the number of files
     restored."""
     lin.restore_dir(dest_dir)
-    with open(os.path.join(repo_dir, "snapshots", f"{name}.json")) as f:
-        manifest = json.load(f)["files"]
+    manifest_path = os.path.join(repo_dir, "snapshots", f"{name}.json")
     parent = os.path.dirname(os.path.abspath(dest_dir)) or "."
     os.makedirs(parent, exist_ok=True)
     staging = tempfile.mkdtemp(dir=parent, prefix=".restore-")
     try:
-        for rel, (sha, _size) in sorted(manifest.items()):
-            blob = os.path.join(repo_dir, "blobs", sha)
-            out = os.path.join(staging, rel)
-            os.makedirs(os.path.dirname(out), exist_ok=True)
-            try:
-                os.link(blob, out)
-            except OSError:
-                shutil.copyfile(blob, out)
+        # shared: a cleanup after a delete_snapshot of ``name`` would
+        # remove the blobs still to be read
+        with _repo_lock(repo_dir, fcntl.LOCK_SH):
+            with open(manifest_path) as f:
+                manifest = json.load(f)["files"]
+            for rel, (sha, _size) in sorted(manifest.items()):
+                blob = os.path.join(repo_dir, "blobs", sha)
+                out = os.path.join(staging, rel)
+                os.makedirs(os.path.dirname(out), exist_ok=True)
+                try:
+                    os.link(blob, out)
+                except OSError:
+                    shutil.copyfile(blob, out)
         lin.replace_dir(staging, dest_dir)
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
@@ -141,21 +167,23 @@ def cleanup_repository(repo_dir: str) -> int:
     """Drop blobs referenced by NO remaining manifest (the ES
     ``_snapshot/_cleanup`` analog). Returns blobs removed.
 
-    Needs exclusive access to the repository: there is no lock, so a
-    snapshot created concurrently can lose blobs it placed before its
-    manifest was written."""
+    Holds the repository lock exclusive, so it waits for the snapshots
+    being created and the restores reading blobs."""
+    if not os.path.isdir(repo_dir):
+        return 0
     snaps = os.path.join(repo_dir, "snapshots")
-    live: set[str] = set()
-    for name in list_snapshots(repo_dir):
-        with open(os.path.join(snaps, f"{name}.json")) as f:
-            live.update(
-                sha for sha, _ in json.load(f)["files"].values()
-            )
     blobs = os.path.join(repo_dir, "blobs")
     removed = 0
-    if os.path.isdir(blobs):
-        for fn in os.listdir(blobs):
-            if not fn.startswith(".") and fn not in live:
-                os.remove(os.path.join(blobs, fn))
-                removed += 1
+    with _repo_lock(repo_dir, fcntl.LOCK_EX):
+        live: set[str] = set()
+        for name in list_snapshots(repo_dir):
+            with open(os.path.join(snaps, f"{name}.json")) as f:
+                live.update(
+                    sha for sha, _ in json.load(f)["files"].values()
+                )
+        if os.path.isdir(blobs):
+            for fn in os.listdir(blobs):
+                if not fn.startswith(".") and fn not in live:
+                    os.remove(os.path.join(blobs, fn))
+                    removed += 1
     return removed

@@ -231,4 +231,66 @@ def test_pruned_wand_takes_theta0_when_seed_falls_short(
 
     s._interval_postings = spy
     assert s._interval_top_k(s._query_terms("sparseterm"), 5) == want
-    assert thetas[1] == theta0
+    assert thetas == [theta0]
+
+
+def _kernel_thetas(s, query, k):
+    """(``_interval_top_k``'s hits, the theta of each of its
+    ``_interval_postings`` calls)."""
+    thetas = []
+    inner = s._interval_postings
+
+    def spy(qterms, theta=0.0, iv=None):
+        thetas.append(theta)
+        return inner(qterms, theta, iv)
+
+    s._interval_postings = spy
+    try:
+        return s._interval_top_k(s._query_terms(query), k), thetas
+    finally:
+        del s._interval_postings
+
+
+@pytest.mark.parametrize("query", [
+    "tieterm hotterm", "hotterm tieterm padword", "tieterm tieterm hotterm",
+])
+def test_warm_kernel_makes_one_pass_at_theta0(planted, query):
+    """With the impacts cached, the pruned path makes exactly one
+    ``_interval_postings`` call, at theta0, and answers exactly."""
+    idx, _ = planted
+    s = Searcher(idx)
+    for k in (1, 3, 5, 10, 30):
+        want = s.search_exact(query, k)  # caches the impacts
+        theta0 = s._impact_floor(s._query_terms(query), k)
+        assert theta0 > 0.0, (query, k)
+        hits, thetas = _kernel_thetas(s, query, k)
+        assert thetas == [theta0], (query, k)
+        assert hits == want == _unfloored(s, query, k), (query, k)
+
+
+def test_cold_and_tombstoned_kernel_seed_first(planted, tmp_path):
+    """With no cached impacts, or with tombstones (cached impacts then
+    give no floor), the pruned path runs a seed pass at a positive
+    theta before the pruned pass, and answers exactly."""
+    from sotohp_ray.pipelines.delete import delete_docs
+
+    idx, _ = planted
+    idx2 = str(tmp_path / "idx")
+    shutil.copytree(idx, idx2)
+    delete_docs(idx2, engine_doc_ids=TIED[:3])
+    for query in ("tieterm hotterm", "hotterm padword"):
+        for k in (1, 5, 10):
+            cold = Searcher(idx)
+            assert cold._impact_floor(cold._query_terms(query), k) == 0.0
+            hits, thetas = _kernel_thetas(cold, query, k)
+            assert len(thetas) == 2 and thetas[0] > 0.0, (query, k)
+            assert hits == Searcher(idx).search_exact(query, k)
+            dead = Searcher(idx2)
+            want = dead.search_exact(query, k)  # caches the impacts
+            assert all(dead._dec_cache[t][2] is not None
+                       for t, _ in dead._query_terms(query))
+            assert dead._impact_floor(dead._query_terms(query), k) == 0.0
+            hits, thetas = _kernel_thetas(dead, query, k)
+            assert len(thetas) == 2 and thetas[0] > 0.0, (query, k)
+            assert hits == want == _unfloored(dead, query, k), (query, k)
+            assert not set(TIED[:3]) & {d for d, _ in hits}

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.oracle import BruteForceBM25
 from sotohp_ray.pipelines.build_index import build_index
-from sotohp_ray.pipelines.query import Searcher, _top_order
+from sotohp_ray.pipelines.query import Searcher, _slice_runs, _top_order
 from sotohp_ray.sources.corpus import reference_queries
 
 
@@ -110,6 +110,69 @@ def test_top_order_edge_cases():
         assert _top_order(ids, ties, k).tolist() == [3, 1, 4, 2, 0]
 
 
+def _gathered_runs(d, f, lo, hi):
+    """The kept postings through one index of every kept posting (an
+    arange plus a repeat of each range's offset) and a fancy gather."""
+    s = np.searchsorted(d, lo.astype(d.dtype))
+    n = np.searchsorted(d, hi.astype(d.dtype), side="right") - s
+    idx = np.arange(int(n.sum())) + np.repeat(s - (np.cumsum(n) - n), n)
+    return d[idx], f[idx]
+
+
+@st.composite
+def _runs_inputs(draw):
+    """(docs, values, lo, hi): sorted distinct uint64 docs, and sorted,
+    disjoint, inclusive doc ranges cut from consecutive cut points —
+    none, one or many; ranges holding no doc; adjacent ranges, with or
+    without docs between them."""
+    docs = sorted(set(draw(st.lists(st.integers(0, 300), max_size=120))))
+    cuts = sorted(set(draw(st.lists(st.integers(0, 320), max_size=30))))
+    keep = draw(st.lists(st.booleans(), min_size=len(cuts),
+                         max_size=len(cuts)))
+    ranges = [(a, b - 1) for a, b, kp in zip(cuts, cuts[1:], keep) if kp]
+    lo = np.array([a for a, _ in ranges], np.int64)
+    hi = np.array([b for _, b in ranges], np.int64)
+    d = np.array(docs, np.uint64)
+    return d, np.arange(d.size, dtype=np.float64) * 0.5, lo, hi
+
+
+@settings(max_examples=400, deadline=None)
+@given(_runs_inputs())
+def test_slice_runs_equals_gather(inputs):
+    """``_slice_runs`` keeps exactly the postings, order and dtypes of
+    the per-posting gather."""
+    d, f, lo, hi = inputs
+    got, want = _slice_runs(d, f, lo, hi), _gathered_runs(d, f, lo, hi)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def test_slice_runs_edge_cases():
+    """No range, empty ranges, one range over every posting (the inputs
+    come back), adjacent ranges with no posting between them."""
+    d = np.array([2, 3, 5, 8, 13], np.uint64)
+    f = np.arange(5, dtype=np.float64)
+
+    def runs(*pairs):
+        lo = np.array([a for a, _ in pairs], np.int64)
+        hi = np.array([b for _, b in pairs], np.int64)
+        return _slice_runs(d, f, lo, hi)
+
+    assert runs()[0].tolist() == []
+    assert runs((6, 7), (9, 12))[1].tolist() == []
+    got = runs((0, 20))
+    assert got[0] is d and got[1] is f
+    # three adjacent runs join into one, which comes back as views
+    got = runs((0, 3), (4, 6), (7, 9), (14, 20))
+    assert got[0].tolist() == [2, 3, 5, 8]
+    assert got[1].tolist() == [0.0, 1.0, 2.0, 3.0]
+    assert np.shares_memory(got[0], d) and np.shares_memory(got[1], f)
+    got = runs((0, 3), (4, 13))
+    assert got[0] is d and got[1] is f
+    assert runs((3, 5), (9, 13))[0].tolist() == [3, 5, 13]
+
+
 def test_wand_shortcut_analyzes_once(small_index):
     """A query small enough for search_wand's shortcut is analyzed
     once, and the shortcut still answers through ``self.search_exact``
@@ -152,7 +215,8 @@ def test_query_terms_memo_does_not_leak(small_index):
 def _kernel_top_k(s, query, k):
     """search_wand's pruned path run directly, past its shortcuts (no
     query on the test corpora is big enough to reach it): (hits, the
-    theta of each ``_interval_postings`` call)."""
+    theta of each ``_interval_postings`` call; the last one ranks)."""
+    theta0 = s._impact_floor(s._query_terms(query), k)
     thetas = []
     inner = s._interval_postings
 
@@ -165,9 +229,13 @@ def _kernel_top_k(s, query, k):
         hits = s._interval_top_k(s._query_terms(query), k)
     finally:
         del s._interval_postings
-    # the kernel ran: a seed pass with a positive threshold, then the
-    # pruned pass
-    assert len(thetas) == 2 and thetas[0] > 0.0, (query, thetas)
+    # the kernel ran: with cached impacts, one pruned pass at theta0;
+    # without, a seed pass with a positive threshold, then the pruned
+    # pass
+    if theta0 > 0.0:
+        assert thetas == [theta0], (query, thetas)
+    else:
+        assert len(thetas) == 2 and thetas[0] > 0.0, (query, thetas)
     return hits, thetas
 
 
@@ -211,10 +279,10 @@ def test_interval_kernel_ignores_tombstoned_top_docs(
     theta0, victims = {}, set()
     for q in queries[:4]:
         _, thetas = _kernel_top_k(s0, q["q"], q["k"])
-        theta0[q["q"]] = thetas[1]
+        theta0[q["q"]] = thetas[-1]
         victims |= {
             d for d, sc in s0.search_exact(q["q"], s0.space)
-            if sc >= thetas[1]
+            if sc >= thetas[-1]
         }
     idx2 = str(tmp_path_factory.mktemp("idx_kernel_del"))
     shutil.rmtree(idx2)
@@ -226,7 +294,7 @@ def test_interval_kernel_ignores_tombstoned_top_docs(
         assert hits == s.search_exact(q["q"], q["k"]), q
         assert not victims & {d for d, _ in hits}, q
         if q["q"] in theta0:
-            assert hits and thetas[1] < theta0[q["q"]], q
+            assert hits and thetas[-1] < theta0[q["q"]], q
 
 
 def test_interval_kernel_shard_scope(small_index):
@@ -283,7 +351,7 @@ def test_interval_kernel_prunes_planted_skew(ray_session, tmp_path_factory):
     for query, k in (("hotterm warmterm", 10), ("warmterm hotterm", 5)):
         hits, thetas = _kernel_top_k(s, query, k)
         _, bound = s._block_intervals(s._query_terms(query))
-        assert (bound < thetas[1] * (1.0 - 1e-9)).any(), query
+        assert (bound < thetas[-1] * (1.0 - 1e-9)).any(), query
         assert hits == s.search_exact(query, k)
         _assert_rank_identical(hits, oracle.search(query, k), query)
         assert {d_ for d_, _ in hits} <= set(range(300, 312))
@@ -640,6 +708,45 @@ def test_fanout_wand_equals_single(small_index):
         assert fw == s.search_exact(q["q"], q["k"]), q
     assert f.search_wand("", 10) == []
     assert f.search_wand("zzznotfound", 10) == []
+
+
+def test_fanout_one_group_query_skips_survivor_round(small_index):
+    """A query whose tokens all route to one shard group is answered
+    by that group's bootstrap: no survivor round, and the hits equal
+    the single searcher's exact top-k. A query over several groups
+    still takes the survivor round."""
+    from sotohp_ray.pipelines.query import FanoutSearcher
+
+    _, index_dir, _, _ = small_index
+    s = Searcher(index_dir)
+    f = FanoutSearcher(index_dir, n_groups=4)
+    calls = []
+
+    class Spy:
+        """An actor handle recording the methods called on it."""
+
+        def __init__(self, actor):
+            self.actor = actor
+
+        def __getattr__(self, name):
+            calls.append(name)
+            return getattr(self.actor, name)
+
+    f.actors = [Spy(a) for a in f.actors]
+    one = several = 0
+    for q in reference_queries(small_index[0]):
+        gids = f._groups_for(f.tok.tokens_of(q["q"]))
+        calls.clear()
+        hits = f.search_wand(q["q"], q["k"])
+        assert hits == s.search_exact(q["q"], q["k"]), q
+        assert calls.count("wand_bootstrap_many") == len(gids), q
+        if len(gids) == 1:
+            assert "survivor_contribs_many" not in calls, q
+            one += hits != []
+        elif hits:
+            assert calls.count("survivor_contribs_many") == len(gids), q
+            several += 1
+    assert one >= 5 and several >= 5, (one, several)
 
 
 def test_fanout_wand_respects_tombstones(small_index, tmp_path_factory):

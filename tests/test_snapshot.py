@@ -168,3 +168,44 @@ def test_failed_swap_keeps_old_index(
                 restore_snapshot(repo, "missing", index_dir)
     assert Searcher(index_dir).search_exact(QUERY, k=20) == before
     assert not os.path.exists(index_dir + ".old")
+
+
+def test_cleanup_waits_for_snapshot_in_progress(snap_env, tmp_path,
+                                                monkeypatch):
+    """A cleanup started while a snapshot has placed blobs but not yet
+    written its manifest waits for the manifest, so it removes none of
+    those blobs, and the snapshot restores exactly."""
+    import threading
+
+    from sotohp_ray.pipelines import snapshot
+
+    index_dir, _ = snap_env
+    repo = str(tmp_path / "repo")
+    placed, resume = threading.Event(), threading.Event()
+    place = snapshot._atomic_place
+
+    def paused_place(tmp, dest):
+        place(tmp, dest)
+        if os.path.basename(os.path.dirname(dest)) == "blobs":
+            placed.set()
+            assert resume.wait(30)
+
+    monkeypatch.setattr(snapshot, "_atomic_place", paused_place)
+    made, removed = [], []
+    snap = threading.Thread(target=lambda: made.append(
+        create_snapshot(index_dir, repo, "busy")))
+    snap.start()
+    assert placed.wait(30)
+    clean = threading.Thread(target=lambda: removed.append(
+        cleanup_repository(repo)))
+    clean.start()
+    clean.join(0.5)
+    assert clean.is_alive()  # waiting on the snapshot's shared lock
+    resume.set()
+    snap.join(30)
+    clean.join(30)
+    assert made and made[0]["n_new_blobs"] > 0 and removed == [0]
+    assert restore_snapshot(repo, "busy", str(tmp_path / "restored")) \
+        == made[0]["n_files"]
+    assert Searcher(str(tmp_path / "restored")).search_exact(QUERY, 20) \
+        == Searcher(index_dir).search_exact(QUERY, 20)
