@@ -114,26 +114,22 @@ def _slice_runs(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The postings of sorted ``d`` (with their ``f``) whose doc lies in
     one of the sorted, disjoint, inclusive doc ranges [lo[i], hi[i]]:
-    two searchsorteds per range give each range's run of postings, runs
-    with no posting between them join, and each run is one contiguous
-    slice — cost scales with the runs and the postings kept, and no
-    index of the kept postings is built. One run comes back as views
-    (the inputs themselves when it holds every posting)."""
+    two searchsorteds per range, and no Python loop. When the kept
+    postings are one contiguous run (no posting lies between the kept
+    ranges) they come back as views, or as the inputs themselves when
+    the run holds every posting; otherwise one gather through an index
+    of the kept postings."""
     s = np.searchsorted(d, lo.astype(d.dtype))
-    e = np.searchsorted(d, hi.astype(d.dtype), side="right")
-    runs: list[list[int]] = []
-    for a, b in zip(s.tolist(), e.tolist()):
-        if runs and a == runs[-1][1]:
-            runs[-1][1] = b
-        elif b > a:
-            runs.append([a, b])
-    if len(runs) == 1:
-        a, b = runs[0]
-        return (d, f) if b - a == d.size else (d[a:b], f[a:b])
-    return (
-        np.concatenate([d[a:b] for a, b in runs] or [d[:0]]),
-        np.concatenate([f[a:b] for a, b in runs] or [f[:0]]),
-    )
+    n = np.searchsorted(d, hi.astype(d.dtype), side="right") - s
+    total = int(n.sum())
+    if total == d.size:
+        return d, f
+    held = np.flatnonzero(n)
+    if held.size and int(s[held[-1]] + n[held[-1]] - s[held[0]]) == total:
+        a = int(s[held[0]])
+        return d[a:a + total], f[a:a + total]
+    idx = np.arange(total) + np.repeat(s - (np.cumsum(n) - n), n)
+    return d[idx], f[idx]
 
 
 def one_edit_mask(cand: list[str], q: str) -> np.ndarray:
@@ -1457,7 +1453,7 @@ class Searcher(_Operators):
         ``_interval_top_k`` answers: in one pruned pass at the cached
         impacts' theta0 when the searcher is warm, after a seed pass
         when it is not. On the 24k-doc benchmark index a warm pruned
-        query costs 1.3-1.7x ``search_exact`` on one CPU of a shared VM
+        query costs 1.4-2.0x ``search_exact`` on one CPU of a shared VM
         (``tools/wand_probe.py``): its kept intervals hold nearly every
         posting there, so pruning saves little and the bound work is
         the extra.

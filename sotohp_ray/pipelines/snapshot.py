@@ -25,12 +25,15 @@ written; so the repository has a lock, an ``fcntl.flock`` on
 blob write to its manifest write, ``restore_snapshot`` holds it shared
 while it reads blobs, and ``cleanup_repository`` holds it exclusive.
 Snapshots and restores run side by side; a cleanup waits for them,
-and they wait for a cleanup.
+and they wait for a cleanup. A restore that can neither open nor
+make the lock file (a read-only mount, another user's repository)
+reads without it.
 """
 
 from __future__ import annotations
 
 import contextlib
+import errno
 import fcntl
 import hashlib
 import json
@@ -62,9 +65,24 @@ def _atomic_place(src_tmp: str, dest: str) -> None:
 @contextlib.contextmanager
 def _repo_lock(repo_dir: str, op: int):
     """Hold the repository lock (``fcntl.LOCK_SH`` or ``LOCK_EX``) on
-    ``repo_dir``'s ``.lock`` file, which is made on first use."""
-    fd = os.open(os.path.join(repo_dir, ".lock"), os.O_RDWR | os.O_CREAT,
-                 0o644)
+    ``repo_dir``'s ``.lock`` file, which is made on first use. flock
+    needs no write access, so the file is opened read-only. A shared
+    lock that cannot be opened or made (a read-only mount, another
+    user's repository) is skipped: no cleanup can run where the
+    repository cannot be written."""
+    path = os.path.join(repo_dir, ".lock")
+    try:
+        try:
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
+            fd = os.open(path, os.O_RDONLY | os.O_CREAT, 0o644)
+    except OSError as e:
+        if op != fcntl.LOCK_SH or e.errno not in (
+            errno.EACCES, errno.EPERM, errno.EROFS
+        ):
+            raise
+        yield
+        return
     try:
         fcntl.flock(fd, op)
         yield

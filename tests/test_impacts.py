@@ -15,6 +15,7 @@ from sotohp_ray.oracle import BruteForceBM25
 from sotohp_ray.pipelines.build_index import build_index
 from sotohp_ray.pipelines.query import Searcher, _rank
 from sotohp_ray.sources.corpus import reference_queries
+from test_query import _kernel_top_k
 
 # docs 10-21 hold "tieterm" once in four tokens, so their tieterm
 # impacts tie; docs 30-34 hold it once in eight tokens, lower
@@ -188,25 +189,11 @@ def test_cleared_caches_equal_fresh_searcher(ray_session, tiny_corpus,
         _drop(warm)
 
 
-def test_pruned_wand_takes_theta0_when_seed_falls_short(
-    ray_session, tmp_path_factory
-):
-    """A sparse term (every 10th doc, 8-posting blocks of 80 doc ids)
-    whose top-5 impacts sit in five different blocks: the seed intervals
-    cover one block, so fewer than 5 seeds clear theta0, and the pruned
-    pass runs at theta0 and still answers exactly."""
-    n = 400
-    top = [0, 80, 160, 240, 320]
-    texts = []
-    for i in range(n):
-        if i in top:
-            words = ["sparseterm"] * 3
-        elif i % 10 == 0:
-            words = ["sparseterm"] + ["padword"] * (4 + i % 7)
-        else:
-            words = ["padword"] * (1 + i % 5)
-        texts.append(" ".join(words))
-    d = tmp_path_factory.mktemp("corpus_sparse")
+def _corpus_index(tmp_path_factory, name, texts):
+    """(corpus, index): ``texts`` as one parquet partition, indexed
+    with 8-posting blocks."""
+    n = len(texts)
+    d = tmp_path_factory.mktemp(f"corpus_{name}")
     pq.write_table(pa.table({
         "repo": pa.array(["r"] * n),
         "path": pa.array([f"f{i:04d}.py" for i in range(n)]),
@@ -214,41 +201,75 @@ def test_pruned_wand_takes_theta0_when_seed_falls_short(
         "lang": pa.array(["py"] * n),
         "content": pa.array(texts),
     }), str(d / "part-00000.parquet"))
-    idx = str(tmp_path_factory.mktemp("idx_sparse"))
+    idx = str(tmp_path_factory.mktemp(f"idx_{name}"))
     build_index(str(d), idx, config=IndexConfig(block_size=8))
+    return str(d), idx
+
+
+def test_pruned_wand_takes_theta0_when_seed_falls_short(
+    ray_session, tmp_path_factory
+):
+    """The pruned pass runs at the impact floor theta0 wherever the
+    seed pass's k-th score falls short of it, and answers exactly.
+
+    Cold: "sparseterm" is in every 10th doc (8-posting blocks of 80
+    doc ids, its one strong doc in the first), "rareterm" in six docs
+    (one block over the whole doc-id space) that each outscore every
+    sparseterm doc. The seed pass keeps only the first interval: it
+    decodes rareterm whole, which caches its impacts, and finds one
+    rareterm doc and eight sparseterm docs there, so its 5th score is
+    a weak sparseterm one, below rareterm's 5th impact. The pruned
+    pass runs at that impact, the floor read after the seed pass.
+
+    Warm: a sparse term whose top-5 impacts sit in five different
+    blocks; with its impacts cached, the one pruned pass runs at
+    theta0."""
+    rare = [5, 85, 165, 245, 325, 395]
+    texts = []
+    for i in range(400):
+        if i == 9:
+            words = ["sparseterm"] * 4
+        elif i % 10 == 9:
+            words = ["sparseterm"] + ["padword"] * (4 + i % 7)
+        elif i in rare:
+            words = ["rareterm"] * 3 + ["padword"] * rare.index(i)
+        else:
+            words = ["padword"] * (1 + i % 5)
+        texts.append(" ".join(words))
+    corpus, idx = _corpus_index(tmp_path_factory, "seed_short", texts)
+    query = "sparseterm rareterm"
+    s = Searcher(idx)
+    floors = []
+    hits, thetas = _kernel_top_k(s, query, 5, floors)
+    fresh = Searcher(idx)
+    seed = fresh._top_k(
+        fresh._interval_postings(fresh._query_terms(query), thetas[0]), 5)
+    assert len(seed) == 5 and floors[0] == 0.0 < seed[-1][1] < floors[1]
+    assert thetas[-1] == floors[1]
+    assert hits == Searcher(idx).search_exact(query, 5)
+    assert hits == BruteForceBM25(corpus).search(query, 5)
+    assert [d_ for d_, _ in hits] == rare[:5]
+
+    top = [0, 80, 160, 240, 320]
+    texts = []
+    for i in range(400):
+        if i in top:
+            words = ["sparseterm"] * 3
+        elif i % 10 == 0:
+            words = ["sparseterm"] + ["padword"] * (4 + i % 7)
+        else:
+            words = ["padword"] * (1 + i % 5)
+        texts.append(" ".join(words))
+    corpus, idx = _corpus_index(tmp_path_factory, "sparse", texts)
     s = Searcher(idx)
     want = s.search_exact("sparseterm", 5)  # caches the impacts
     assert [d_ for d_, _ in want] == top
-    assert want == BruteForceBM25(str(d)).search("sparseterm", 5)
+    assert want == BruteForceBM25(corpus).search("sparseterm", 5)
     theta0 = s._impact_floor(s._query_terms("sparseterm"), 5)
     assert theta0 == want[-1][1]
-    thetas = []
-    inner = s._interval_postings
-
-    def spy(qterms, theta=0.0, iv=None):
-        thetas.append(theta)
-        return inner(qterms, theta, iv)
-
-    s._interval_postings = spy
-    assert s._interval_top_k(s._query_terms("sparseterm"), 5) == want
+    hits, thetas = _kernel_top_k(s, "sparseterm", 5)
+    assert hits == want
     assert thetas == [theta0]
-
-
-def _kernel_thetas(s, query, k):
-    """(``_interval_top_k``'s hits, the theta of each of its
-    ``_interval_postings`` calls)."""
-    thetas = []
-    inner = s._interval_postings
-
-    def spy(qterms, theta=0.0, iv=None):
-        thetas.append(theta)
-        return inner(qterms, theta, iv)
-
-    s._interval_postings = spy
-    try:
-        return s._interval_top_k(s._query_terms(query), k), thetas
-    finally:
-        del s._interval_postings
 
 
 @pytest.mark.parametrize("query", [
@@ -263,7 +284,7 @@ def test_warm_kernel_makes_one_pass_at_theta0(planted, query):
         want = s.search_exact(query, k)  # caches the impacts
         theta0 = s._impact_floor(s._query_terms(query), k)
         assert theta0 > 0.0, (query, k)
-        hits, thetas = _kernel_thetas(s, query, k)
+        hits, thetas = _kernel_top_k(s, query, k)
         assert thetas == [theta0], (query, k)
         assert hits == want == _unfloored(s, query, k), (query, k)
 
@@ -282,7 +303,7 @@ def test_cold_and_tombstoned_kernel_seed_first(planted, tmp_path):
         for k in (1, 5, 10):
             cold = Searcher(idx)
             assert cold._impact_floor(cold._query_terms(query), k) == 0.0
-            hits, thetas = _kernel_thetas(cold, query, k)
+            hits, thetas = _kernel_top_k(cold, query, k)
             assert len(thetas) == 2 and thetas[0] > 0.0, (query, k)
             assert hits == Searcher(idx).search_exact(query, k)
             dead = Searcher(idx2)
@@ -290,7 +311,7 @@ def test_cold_and_tombstoned_kernel_seed_first(planted, tmp_path):
             assert all(dead._dec_cache[t][2] is not None
                        for t, _ in dead._query_terms(query))
             assert dead._impact_floor(dead._query_terms(query), k) == 0.0
-            hits, thetas = _kernel_thetas(dead, query, k)
+            hits, thetas = _kernel_top_k(dead, query, k)
             assert len(thetas) == 2 and thetas[0] > 0.0, (query, k)
             assert hits == want == _unfloored(dead, query, k), (query, k)
             assert not set(TIED[:3]) & {d for d, _ in hits}

@@ -212,16 +212,20 @@ def test_query_terms_memo_does_not_leak(small_index):
             Searcher(index_dir).search_exact(q["q"], q["k"]), q
 
 
-def _kernel_top_k(s, query, k):
+def _kernel_top_k(s, query, k, floors=None):
     """search_wand's pruned path run directly, past its shortcuts (no
     query on the test corpora is big enough to reach it): (hits, the
-    theta of each ``_interval_postings`` call; the last one ranks)."""
+    theta of each ``_interval_postings`` call; the last one ranks).
+    A ``floors`` list gets the ``_impact_floor`` read before each
+    call."""
     theta0 = s._impact_floor(s._query_terms(query), k)
     thetas = []
     inner = s._interval_postings
 
     def spy(qterms, theta=0.0, iv=None):
         thetas.append(theta)
+        if floors is not None:
+            floors.append(s._impact_floor(qterms, k))
         return inner(qterms, theta, iv)
 
     s._interval_postings = spy

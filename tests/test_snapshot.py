@@ -209,3 +209,31 @@ def test_cleanup_waits_for_snapshot_in_progress(snap_env, tmp_path,
         == made[0]["n_files"]
     assert Searcher(str(tmp_path / "restored")).search_exact(QUERY, 20) \
         == Searcher(index_dir).search_exact(QUERY, 20)
+
+
+def test_restore_from_read_only_repository(snap_env, tmp_path, monkeypatch):
+    """A restore needs no write access to the repository: with every
+    write-mode open under it failing as on a read-only mount, it
+    restores exactly, whether or not the lock file exists."""
+    import errno
+
+    index_dir, _ = snap_env
+    repo = str(tmp_path / "repo")
+    create_snapshot(index_dir, repo, "ro")
+    want = Searcher(index_dir).search_exact(QUERY, 20)
+    real_open = os.open
+    writes = os.O_WRONLY | os.O_RDWR | os.O_CREAT
+
+    def read_only_open(path, flags, *args, **kwargs):
+        if str(path).startswith(repo) and flags & writes:
+            raise OSError(errno.EROFS, os.strerror(errno.EROFS), path)
+        return real_open(path, flags, *args, **kwargs)
+
+    monkeypatch.setattr(os, "open", read_only_open)
+    for has_lock in (True, False):
+        if not has_lock:
+            os.remove(os.path.join(repo, ".lock"))
+        dest = str(tmp_path / f"restored-{has_lock}")
+        assert restore_snapshot(repo, "ro", dest) > 0
+        assert Searcher(dest).search_exact(QUERY, 20) == want
+    assert not os.path.exists(os.path.join(repo, ".lock"))

@@ -1,15 +1,15 @@
 """Time the pruned block-max WAND kernel against exact TAAT, query by query.
 
 Usage:
-    python tools/wand_probe.py [INDEX] [--seeds 711,1801] [--corpus DIR] \\
-        [--work DIR] [--repeat 15]
+    python tools/wand_probe.py [INDEX] [--seeds 711,1801] [--work DIR]
 
-INDEX is a built index. Without one, the benchmark's build corpus
-(``perfbench/workload.py``'s ``DOCS`` docs in ``PARTITIONS`` partitions,
-generator seed ``CORPUS_SEED``, preset ``bench``) is generated into the
-work directory and built there with the benchmark's index config, as
-``tools/index_diff.py`` does. The queries are ``workload.make_queries``
-of each seed over ``--corpus`` (the generated corpus by default).
+The queries are ``perfbench/workload.py``'s ``make_queries`` of each
+seed over the benchmark's build corpus (``DOCS`` docs in
+``PARTITIONS`` partitions, generator seed ``CORPUS_SEED``, preset
+``bench``), generated into the work directory. INDEX is a built index
+of that corpus; without one, the corpus is built there with the
+benchmark's index config. Both steps run ``tools/index_diff.py``'s
+scripts with this checkout.
 
 One ``Searcher`` is warmed with a pass of ``search_wand`` and
 ``search_exact`` over every distinct query of every seed, in order, as
@@ -18,7 +18,7 @@ the benchmark warms its searchers. For every distinct query whose
 prints:
 
 - the warm ``search_wand`` and ``search_exact`` medians over
-  ``--repeat`` alternating calls, and their ratio;
+  ``REPEAT`` alternating calls, and their ratio;
 - the share of the query terms' postings that the kept intervals hold
   at the kernel's final theta (the theta of its last
   ``_interval_postings`` call);
@@ -41,45 +41,10 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO not in sys.path:
     sys.path.insert(0, REPO)
 
+from tools.index_diff import BUILD, GENERATE, run_in  # noqa: E402
 
-def build_benchmark_index(work: str, corpus: str | None) -> tuple[str, str]:
-    """(corpus, index) in ``work``: the benchmark corpus, generated
-    unless ``corpus`` is given, and its index, built once."""
-    import logging
-
-    import ray
-
-    from perfbench import workload as wl
-    from sotohp_ray.config import IndexConfig
-    from sotohp_ray.pipelines.build_index import build_index
-
-    if corpus is None:
-        corpus = generate_corpus(work)
-    index = os.path.join(work, "index")
-    if not os.path.exists(os.path.join(index, "stats.json")):
-        # Ray workers import the engine from PYTHONPATH, not sys.path
-        os.environ["PYTHONPATH"] = os.pathsep.join(
-            p for p in (REPO, os.environ.get("PYTHONPATH")) if p)
-        ray.init(num_cpus=1, include_dashboard=False, logging_level="ERROR")
-        ray.data.DataContext.get_current().enable_progress_bars = False
-        logging.getLogger("ray.data").setLevel(logging.ERROR)
-        try:
-            build_index(corpus, index,
-                        IndexConfig(num_term_shards=wl.TERM_SHARDS))
-        finally:
-            ray.shutdown()
-    return corpus, index
-
-
-def generate_corpus(work: str) -> str:
-    from perfbench import workload as wl
-    from sotohp_ray.sources.corpus import generate_corpus as generate
-
-    corpus = os.path.join(work, "corpus")
-    if not os.path.isdir(corpus):
-        generate(corpus, preset="bench", rows=wl.DOCS,
-                 partitions=wl.PARTITIONS, seed=wl.CORPUS_SEED)
-    return corpus
+# timed calls of each path per query
+REPEAT = 15
 
 
 def distinct_queries(seeds: list[int], corpus: str) -> list[dict]:
@@ -97,7 +62,7 @@ def wall_ms(fn, *args) -> float:
     return 1e3 * (time.perf_counter() - t0)
 
 
-def probe(s, q: dict, repeat: int) -> dict:
+def probe(s, q: dict) -> dict:
     """One kernel query's medians, kept-postings share and identity."""
     query, k = q["q"], q["k"]
     thetas = []
@@ -116,7 +81,7 @@ def probe(s, q: dict, repeat: int) -> dict:
     total = sum(r[3].size for r in s._interval_postings(qterms))
     kept = sum(r[3].size for r in s._interval_postings(qterms, thetas[-1]))
     walls = {"wand": [], "exact": []}
-    for _ in range(repeat):
+    for _ in range(REPEAT):
         walls["wand"].append(wall_ms(s.search_wand, query, k))
         walls["exact"].append(wall_ms(s.search_exact, query, k))
     wand_ms = float(np.median(walls["wand"]))
@@ -135,24 +100,22 @@ def main() -> int:
     p.add_argument("index", nargs="?")
     p.add_argument("--seeds", default="711,1801",
                    help="comma-separated query seeds")
-    p.add_argument("--corpus", help="corpus the queries are drawn for "
-                   "(the generated benchmark corpus by default)")
     p.add_argument("--work", help="directory for the generated corpus and "
                    "index (a fresh temporary directory by default)")
-    p.add_argument("--repeat", type=int, default=15,
-                   help="timed calls of each path per query")
     args = p.parse_args()
     from sotohp_ray.pipelines.query import Searcher
 
-    corpus = args.corpus and os.path.abspath(args.corpus)
+    work = os.path.abspath(
+        args.work or tempfile.mkdtemp(prefix="wand_probe-"))
+    os.makedirs(work, exist_ok=True)
+    corpus = os.path.join(work, "corpus")
+    if not os.path.isdir(corpus):
+        run_in(REPO, GENERATE, corpus)
     index = args.index
-    if index is None or corpus is None:
-        work = args.work or tempfile.mkdtemp(prefix="wand_probe-")
-        os.makedirs(work, exist_ok=True)
-        if index is None:
-            corpus, index = build_benchmark_index(work, corpus)
-        else:
-            corpus = generate_corpus(work)
+    if index is None:
+        index = os.path.join(work, "index")
+        if not os.path.exists(os.path.join(index, "stats.json")):
+            run_in(REPO, BUILD, corpus, index, "1")
     seeds = [int(x) for x in args.seeds.split(",")]
     queries = distinct_queries(seeds, corpus)
 
@@ -174,7 +137,7 @@ def main() -> int:
             kernel.append(q)
     del s._interval_top_k
 
-    rows = [probe(s, q, args.repeat) for q in kernel]
+    rows = [probe(s, q) for q in kernel]
     print(f"index {index}  seeds {seeds}  distinct queries {len(queries)}"
           f"  kernel queries {len(rows)}")
     print(f"{'wand_ms':>8} {'exact_ms':>8} {'ratio':>6} {'kept':>7} "
