@@ -1,5 +1,5 @@
 """Posting-list compression codecs (numpy-vectorized, no Python loops
-over postings).
+over postings or blocks).
 
 Two codecs behind one interface (public-literature algorithms —
 delta + LEB128 varint, and delta + per-block frame-of-reference bit
@@ -13,6 +13,12 @@ Posting lists are stored in docID-sorted blocks of ``block_size`` docs.
 Per block we keep skip metadata (last_doc, byte offset, max BM25 score
 upper bound) so query-time block-max WAND can skip whole blocks without
 decoding them.
+
+Decoding a term, whole or any subset of its blocks, is one kernel call
+over both of its streams: for pfor, one gather of a 64-bit word pair
+per value, shifted and masked to the block's width, whatever the mix
+of widths (vectorized bit unpacking after Lemire & Boytsov, "Decoding
+billions of integers per second through vectorization", SPE 2015).
 
 Reference analog: sotohp's sortable binary key packing
 (model/package.scala:48-100 — monotone byte encodings so lexicographic
@@ -125,25 +131,10 @@ def pfor_encode(values: np.ndarray) -> bytes:
 
 
 def pfor_decode(buf: bytes | memoryview, count: int) -> np.ndarray:
+    """Decode one ``pfor_encode`` block of ``count`` values."""
     b = np.frombuffer(buf, dtype=np.uint8)
-    width = int(b[0])
-    if width == 0xFF:
-        return varint_decode(b[1:].tobytes(), count)
-    if count == 0:
-        return np.zeros(0, dtype=np.uint64)
-    data = b[1:]
-    bitpos = np.arange(count, dtype=np.int64) * width
-    out = np.zeros(count, dtype=np.uint64)
-    nbytes = (width + 7) // 8 + 1
-    padded = np.zeros(data.size + nbytes, dtype=np.uint8)
-    padded[: data.size] = data
-    for j in range(nbytes):
-        byte_idx = (bitpos >> 3) + j
-        out |= padded[byte_idx].astype(np.uint64) << np.uint64(8 * j)
-    shift = (bitpos & 7).astype(np.uint64)
-    out >>= shift
-    out &= np.uint64((1 << width) - 1) if width < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-    return out
+    return _pfor_unpack(b, np.zeros(1, dtype=np.int64),
+                        np.array([b.size]), np.array([count]))
 
 
 CODECS = {
@@ -327,84 +318,25 @@ def decode_postings(
     gap_offs: np.ndarray | None = None,
     tf_offs: np.ndarray | None = None,
     codec: str = "varint",
+    blocks: np.ndarray | None = None,
+    block_last_docs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode ALL postings of a term -> (doc_ids, tfs). For varint this
-    is two stream decodes + one cumsum (no block loop); pfor needs the
-    per-block offsets (width headers are per block)."""
-    mv = memoryview(blob)
-    if codec == "varint":
+    """Decode a term's postings -> (doc_ids, tfs): all ``total`` of
+    them, or with ``blocks`` (ascending block indices) only those
+    blocks', concatenated. Block k's doc ids continue from
+    ``block_last_docs[k - 1]``, so a block subset needs them.
+
+    A full varint decode is two stream decodes + one cumsum and needs
+    no block metadata. Every other case is one ``_decode_blocks`` call:
+    one kernel call over the gap and tf streams of every wanted block
+    (for pfor, one gather per value), then one cumsum."""
+    if codec == "varint" and blocks is None:
+        mv = memoryview(blob)
         gaps = varint_decode(mv[:tf_base], total)
         tfs = varint_decode(mv[tf_base:], total)
         return np.cumsum(gaps, dtype=np.uint64), tfs
-    gaps = _pfor_decode_stream(
-        np.frombuffer(mv[:tf_base], dtype=np.uint8),
-        block_counts, gap_offs, tf_base,
-    )
-    tfs = _pfor_decode_stream(
-        np.frombuffer(mv[tf_base:], dtype=np.uint8),
-        block_counts, tf_offs, len(mv) - tf_base,
-    )
-    return np.cumsum(gaps, dtype=np.uint64), tfs
-
-
-def _pfor_decode_stream(
-    data: np.ndarray,
-    block_counts: np.ndarray,
-    offs: np.ndarray,
-    stream_len: int,
-) -> np.ndarray:
-    """Decode a whole concatenated pfor stream (one encoded block per
-    entry of ``offs``) without a per-block Python loop: blocks are
-    grouped by (bit width, count) and each class decodes as one 2-D
-    gather. Blocks stored in the varint fallback (width 0xFF) decode
-    individually (pathological >32-bit gaps only)."""
-    nblocks = block_counts.size
-    total = int(block_counts.sum())
-    out = np.empty(total, dtype=np.uint64)
-    out_starts = np.zeros(nblocks, dtype=np.int64)
-    np.cumsum(block_counts[:-1], out=out_starts[1:])
-    widths = data[offs.astype(np.int64)]
-    ends = np.empty(nblocks, dtype=np.int64)
-    ends[:-1] = offs[1:]
-    ends[-1] = stream_len
-    # pad so vectorized gathers past a block's end stay in bounds
-    padded = np.zeros(data.size + 16, dtype=np.uint8)
-    padded[: data.size] = data
-
-    for w in np.unique(widths):
-        sel = np.flatnonzero(widths == w)
-        if w == 0xFF:  # varint fallback blocks: decode individually
-            for k in sel:
-                cnt = int(block_counts[k])
-                out[out_starts[k]: out_starts[k] + cnt] = varint_decode(
-                    data[int(offs[k]) + 1: int(ends[k])].tobytes(), cnt
-                )
-            continue
-        w_i = int(w)
-        nbytes = (w_i + 7) // 8 + 1
-        for cnt in np.unique(block_counts[sel]):
-            cls = sel[block_counts[sel] == cnt]
-            cnt = int(cnt)
-            bitpos = np.arange(cnt, dtype=np.int64) * w_i  # per-block
-            base = offs[cls].astype(np.int64) + 1  # skip width byte
-            # (n_cls, cnt) byte gather per byte-lane
-            vals = np.zeros((cls.size, cnt), dtype=np.uint64)
-            byte0 = base[:, None] + (bitpos >> 3)[None, :]
-            for j in range(nbytes):
-                vals |= padded[byte0 + j].astype(np.uint64) << np.uint64(
-                    8 * j
-                )
-            vals >>= (bitpos & 7).astype(np.uint64)[None, :]
-            mask = (
-                np.uint64((1 << w_i) - 1)
-                if w_i < 64
-                else np.uint64(0xFFFFFFFFFFFFFFFF)
-            )
-            vals &= mask
-            # scatter rows to their output segments
-            idx = out_starts[cls][:, None] + np.arange(cnt)[None, :]
-            out[idx.reshape(-1)] = vals.reshape(-1)
-    return out
+    return _decode_blocks(blob, blocks, block_counts, gap_offs, tf_offs,
+                          tf_base, block_last_docs, codec)
 
 
 def decode_one_block(
@@ -417,22 +349,109 @@ def decode_one_block(
     block_last_docs: np.ndarray,
     codec: str = "varint",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a single block (for WAND skipping) -> (doc_ids, tfs)."""
-    _, dec = CODECS[codec]
-    mv = memoryview(blob)
-    nblocks = block_counts.size
-    cnt = int(block_counts[block_idx])
-    g0 = int(gap_offs[block_idx])
-    g1 = int(gap_offs[block_idx + 1]) if block_idx + 1 < nblocks else tf_base
-    t0 = tf_base + int(tf_offs[block_idx])
-    t1 = (
-        tf_base + int(tf_offs[block_idx + 1])
-        if block_idx + 1 < nblocks
-        else len(mv)
+    """Decode a single block -> (doc_ids, tfs): ``decode_postings`` of
+    the one block ``block_idx``."""
+    return _decode_blocks(
+        blob, np.array([block_idx], dtype=np.int64), block_counts,
+        gap_offs, tf_offs, tf_base, block_last_docs, codec,
     )
-    gaps = dec(mv[g0:g1], cnt)
-    tfs = dec(mv[t0:t1], cnt)
-    d = np.cumsum(gaps, dtype=np.uint64)
-    if block_idx > 0:
-        d += block_last_docs[block_idx - 1]
-    return d, tfs
+
+
+def _decode_blocks(
+    blob: bytes | memoryview,
+    blocks: np.ndarray | None,
+    block_counts: np.ndarray,
+    gap_offs: np.ndarray,
+    tf_offs: np.ndarray,
+    tf_base: int,
+    block_last_docs: np.ndarray | None,
+    codec: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """(doc_ids, tfs) of the blocks ``blocks`` (all when None) of one
+    term, from ONE kernel call over the gap blocks followed by the tf
+    blocks. The two results are views of one buffer: the gaps become
+    doc ids by an in-place cumsum, after each wanted block's first gap
+    is raised by the doc ids it skips (the last doc before the block
+    less the last doc of the block decoded before it)."""
+    buf = np.frombuffer(blob, dtype=np.uint8)
+    counts = np.asarray(block_counts, dtype=np.int64)
+    # the gap blocks, then the tf blocks, back to back: block span j is
+    # [bounds[j], bounds[j + 1]), the last one ending the blob
+    bounds = np.concatenate((
+        gap_offs, tf_base + np.asarray(tf_offs, dtype=np.int64), [buf.size]))
+    if blocks is None:
+        starts, stops, cnt = bounds[:-1], bounds[1:], counts
+    else:
+        kb = np.asarray(blocks, dtype=np.int64)
+        j = np.concatenate((kb, kb + counts.size))
+        starts, stops, cnt = bounds[j], bounds[j + 1], counts[kb]
+    both = np.concatenate((cnt, cnt))
+    if codec == "varint":
+        # self-delimiting: the blocks' bytes decode as one stream
+        vals = varint_decode(buf[_ranges(starts, stops)], int(both.sum()))
+    else:
+        vals = _pfor_unpack(buf, starts, stops, both)
+    m = vals.size // 2
+    gaps, tfs = vals[:m], vals[m:]
+    if blocks is not None and m:
+        before = np.zeros(counts.size + 1, dtype=np.uint64)
+        before[1:] = block_last_docs
+        gaps[np.cumsum(cnt) - cnt] += (
+            before[kb] - before[np.concatenate(([0], kb[:-1] + 1))])
+    np.cumsum(gaps, out=gaps)
+    return gaps, tfs
+
+
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The integers of the ranges [lo[j], hi[j]), concatenated."""
+    n = hi - lo
+    return np.arange(int(n.sum()), dtype=np.int64) + np.repeat(
+        lo - (np.cumsum(n) - n), n)
+
+
+def _pfor_unpack(
+    buf: np.ndarray,
+    starts: np.ndarray,
+    stops: np.ndarray,
+    counts: np.ndarray,
+) -> np.ndarray:
+    """The values of the pfor blocks at ``buf[starts[j]:stops[j]]``,
+    concatenated, as uint64, with one gather per value and no loop over
+    blocks or widths (Lemire & Boytsov's vectorized bit unpacking).
+
+    Lane i of a block of width w starting at byte s holds stream bits
+    [p, p + w), p = (s + 1) * 8 + i * w (the + 1 skips the width byte).
+    The blob is copied once into zero-padded little-endian uint32
+    words, each paired with the next as one uint64, so the pair at
+    p >> 5 holds bits [p & ~31, (p & ~31) + 64): a value is that pair
+    shifted right by p & 31 and masked to w bits (w <= 32 keeps it
+    inside). Blocks in the varint fallback (width byte 0xFF, values
+    >= 2^32) gather nothing (w = 0); their bytes decode in one
+    ``varint_decode`` and are written over their zeros."""
+    total = int(counts.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.uint64)
+    width = buf[starts].astype(np.int64)
+    fallback = width == 0xFF
+    w = np.where(fallback, 0, width)
+    # bit positions in uint64 (cheaper shifts than int64); the
+    # per-block offset folds in the lane origin and may wrap, which
+    # the modular add undoes
+    first = np.cumsum(counts) - counts
+    origin = ((starts + 1) * 8 - first * w).view(np.uint64)
+    p = np.arange(total, dtype=np.uint64) * np.repeat(
+        w.astype(np.uint64), counts)
+    p += np.repeat(origin, counts)
+    words = np.zeros(buf.size // 4 + 3, dtype="<u4")
+    words.view(np.uint8)[: buf.size] = buf
+    pairs = words[:-1].astype(np.uint64)
+    pairs |= words[1:].astype(np.uint64) << np.uint64(32)
+    out = pairs[(p >> np.uint64(5)).view(np.int64)]
+    out >>= p & np.uint64(31)
+    out &= np.repeat(
+        (np.uint64(1) << w.astype(np.uint64)) - np.uint64(1), counts)
+    if fallback.any():
+        f = np.flatnonzero(fallback)
+        out[_ranges(first[f], first[f] + counts[f])] = varint_decode(
+            buf[_ranges(starts[f] + 1, stops[f])], int(counts[f].sum()))
+    return out

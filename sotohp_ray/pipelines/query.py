@@ -51,6 +51,7 @@ import pyarrow.parquet as pq
 from sotohp_ray.config import IndexConfig
 from sotohp_ray.functions import codec as pcodec
 from sotohp_ray.functions.tokenizer import CodeTokenizer
+from sotohp_ray.utils import value_offsets
 
 
 # search_wand answers through search_exact when the query's terms hold
@@ -77,6 +78,12 @@ def _first_appearance(toks: list[str]) -> list[tuple[str, float]]:
     bit-identical (FIXTURES.md F4)."""
     qtf = Counter(toks)
     return [(t, float(qtf[t])) for t in dict.fromkeys(toks)]
+
+
+def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
+    """The one chunk of a column of a combined table, uncopied (a
+    column of an empty table has none)."""
+    return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
 
 
 def _top_order(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
@@ -772,6 +779,22 @@ class Searcher(_Operators):
                 else:
                     t = pq.read_table(dict_dir).slice(0, 0)
         self._tbl = t.combine_chunks()
+        # numpy views of the per-term columns, taken once: a term's
+        # record (``_record``) and positions (``_positions_of``) are
+        # slices of them, with no pyarrow scalar per term and column
+        blob = _one_chunk(self._tbl["blob"])
+        self._has_blob = blob.is_valid().to_numpy(zero_copy_only=False)
+        self._blob = value_offsets(blob)
+        self._lists = {}
+        for name in ("block_last", "block_gap_offs", "block_tf_offs",
+                     "block_max"):
+            col = _one_chunk(self._tbl[name])
+            self._lists[name] = (col.offsets.to_numpy(), col.values.to_numpy())
+        self._tf_base = t["tf_base"].to_numpy(zero_copy_only=False)
+        pos = _one_chunk(self._tbl["pos_blob"])
+        self._has_pos = pos.is_valid().to_numpy(zero_copy_only=False)
+        self._pos = value_offsets(pos)
+        self._pos0 = t["pos0"].to_numpy(zero_copy_only=False)
         self._row: dict[str, int] = {
             term: i for i, term in enumerate(t["term"].to_pylist())
         }
@@ -888,15 +911,19 @@ class Searcher(_Operators):
         """Lazy per-term record (cached): inline posting for the
         blobless tail (df==1 AND tf==1 — a df==1 term whose single doc
         repeats it goes through the blob path so its positions fit),
-        blob + block metadata views otherwise. The branch is on blob
+        blob + block metadata otherwise. The branch is on blob
         NULLNESS, not df: branching on df==1 alone silently read the
-        zeroed inline columns for df==1/tf>1 terms."""
+        zeroed inline columns for df==1/tf>1 terms.
+
+        The blob and the block offsets are slices of the column views
+        taken at open; ``block_last`` is cast to int64 and
+        ``block_max`` to float64 here, once per record (float32 to
+        float64 is exact, so the bounds built from it are unchanged)."""
         rec = self._rec_cache.get(term)
         if rec is not None:
             return rec
         i = self._row[term]
-        df = int(self._dfs[i])
-        if not self._tbl["blob"][i].is_valid:
+        if not self._has_blob[i]:
             d = np.array([self._doc0[i]], dtype=np.uint64)
             f = np.array([self._tf0[i]], dtype=np.uint64)
             rec = {
@@ -909,31 +936,31 @@ class Searcher(_Operators):
                 "block_gap_offs": np.zeros(1, dtype=np.uint32),
                 "block_tf_offs": np.zeros(1, dtype=np.uint32),
                 "tf_base": 0,
-                "block_max": np.array([self._maxs[i]], dtype=np.float32),
+                "block_max": np.array([self._maxs[i]], dtype=np.float64),
                 "block_size": 1,
             }
         else:
+            offs, data = self._blob
             rec = {
-                "df": df,
+                "df": int(self._dfs[i]),
                 "max_score": float(self._maxs[i]),
-                "blob": self._tbl["blob"][i].as_buffer(),
-                "block_last": self._tbl["block_last"][i]
-                .values.to_numpy(zero_copy_only=False)
-                .astype(np.int64),
-                "block_gap_offs": self._tbl["block_gap_offs"][i].values.to_numpy(
-                    zero_copy_only=False
-                ),
-                "block_tf_offs": self._tbl["block_tf_offs"][i].values.to_numpy(
-                    zero_copy_only=False
-                ),
-                "tf_base": int(self._tbl["tf_base"][i].as_py()),
-                "block_max": self._tbl["block_max"][i].values.to_numpy(
-                    zero_copy_only=False
-                ),
+                "blob": data[offs[i]:offs[i + 1]],
+                "block_last": self._list(
+                    "block_last", i).astype(np.int64),
+                "block_gap_offs": self._list("block_gap_offs", i),
+                "block_tf_offs": self._list("block_tf_offs", i),
+                "tf_base": int(self._tf_base[i]),
+                "block_max": self._list(
+                    "block_max", i).astype(np.float64),
                 "block_size": self.config.block_size,
             }
         self._rec_cache[term] = rec
         return rec
+
+    def _list(self, name: str, i: int) -> np.ndarray:
+        """Row ``i`` of list column ``name``: a view of its values."""
+        offs, values = self._lists[name]
+        return values[offs[i]:offs[i + 1]]
 
     def _query_terms(self, query: str) -> list[tuple[str, float]]:
         """-> [(term, qtf)] in first-appearance order, present terms
@@ -957,14 +984,7 @@ class Searcher(_Operators):
         r = self._record(term)
         if r.get("docs") is not None:
             return r["docs"], r["tfs"]
-        nblocks = r["block_last"].size
-        counts = np.full(nblocks, r["block_size"], dtype=np.int64)
-        counts[-1] = r["df"] - r["block_size"] * (nblocks - 1)
-        out = pcodec.decode_postings(
-            r["blob"], r["df"], r["tf_base"],
-            block_counts=counts, gap_offs=r["block_gap_offs"],
-            tf_offs=r["block_tf_offs"], codec=self.config.codec,
-        )
+        out = self._decode_blocks(r)
         self._dec_cache_put(term, [out[0], out[1], None, None])
         return out
 
@@ -1043,16 +1063,13 @@ class Searcher(_Operators):
             return hit
         i = self._row[term]
         docs, tfs = self._decode_full(term)
-        cf = int(self._cfs[i])
-        pb = self._tbl["pos_blob"][i]
-        if not pb.is_valid:  # blobless tail: df==1 AND tf==1
-            out = (
-                docs, tfs,
-                np.array([self._tbl["pos0"][i].as_py()], dtype=np.uint64),
-            )
+        if not self._has_pos[i]:  # blobless tail: df==1 AND tf==1
+            out = (docs, tfs, np.array([self._pos0[i]], dtype=np.uint64))
             self._pos_cache_put(term, out)
             return out
-        pg = pcodec.varint_decode(pb.as_buffer(), cf)
+        offs, data = self._pos
+        pg = pcodec.varint_decode(data[offs[i]:offs[i + 1]],
+                                  int(self._cfs[i]))
         cum = np.cumsum(pg, dtype=np.uint64)
         lens = tfs.astype(np.int64)
         p_starts = np.zeros(lens.size, dtype=np.int64)
@@ -1322,24 +1339,22 @@ class Searcher(_Operators):
     # ---- block-max pruning -----------------------------------------
 
     def _decode_blocks(
-        self, r: dict, bidx: np.ndarray
+        self, r: dict, bidx: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(docs, tfs) concatenated over the given block indices of one
-        term record — the selective-decode primitive: cost scales with
-        the blocks touched, not the term's df."""
+        """(docs, tfs) of a blob term record, concatenated over the
+        block indices ``bidx`` (every block when None), in one
+        ``decode_postings`` call — with ``bidx`` the selective-decode
+        primitive: cost scales with the blocks touched, not the term's
+        df."""
         nblocks = r["block_last"].size
         counts = np.full(nblocks, r["block_size"], dtype=np.int64)
         counts[-1] = r["df"] - r["block_size"] * (nblocks - 1)
-        d_parts, f_parts = [], []
-        for kb in bidx:
-            d, f = pcodec.decode_one_block(
-                r["blob"], int(kb), counts, r["block_gap_offs"],
-                r["block_tf_offs"], r["tf_base"], r["block_last"],
-                codec=self.config.codec,
-            )
-            d_parts.append(d)
-            f_parts.append(f)
-        return np.concatenate(d_parts), np.concatenate(f_parts)
+        return pcodec.decode_postings(
+            r["blob"], r["df"], r["tf_base"], block_counts=counts,
+            gap_offs=r["block_gap_offs"], tf_offs=r["block_tf_offs"],
+            codec=self.config.codec, blocks=bidx,
+            block_last_docs=r["block_last"],
+        )
 
     def _block_intervals(
         self, qterms: list[tuple[str, float]]
@@ -1363,7 +1378,7 @@ class Searcher(_Operators):
             m = int(np.searchsorted(hi, r["block_last"][-1], side="right"))
             bound[:m] += float(qw) * r["block_max"][
                 np.searchsorted(r["block_last"], hi[:m])
-            ].astype(np.float64)
+            ]
         return hi, bound
 
     def _interval_postings(

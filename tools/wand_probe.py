@@ -24,6 +24,12 @@ prints:
   ``_interval_postings`` call);
 - whether ``search_wand``'s answer is identical to ``search_exact``'s.
 
+After the warm rows, each kernel query is timed cold too: the median
+``search_wand`` wall over ``REPEAT`` calls, each made right after
+emptying the searcher's four per-term caches with the benchmark's own
+``drop_caches`` (as its post-update queries are), and every cold answer
+must also be identical to ``search_exact``'s.
+
 Then a summary line. Exits 1 when any answer differs.
 """
 
@@ -41,6 +47,7 @@ REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if REPO not in sys.path:
     sys.path.insert(0, REPO)
 
+from perfbench.run import drop_caches  # noqa: E402
 from tools.index_diff import BUILD, GENERATE, run_in  # noqa: E402
 
 # timed calls of each path per query
@@ -95,6 +102,21 @@ def probe(s, q: dict) -> dict:
     }
 
 
+def cold(s, row: dict) -> None:
+    """Add the query's cold ``search_wand`` median to ``row``, and
+    clear its ``identical`` when a cold answer differs."""
+    query, k = row["q"], row["k"]
+    want = s.search_exact(query, k)
+    walls = []
+    for _ in range(REPEAT):
+        drop_caches(s)
+        t0 = time.perf_counter()
+        got = s.search_wand(query, k)
+        walls.append(1e3 * (time.perf_counter() - t0))
+        row["identical"] &= got == want
+    row["cold_ms"] = float(np.median(walls))
+
+
 def main() -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("index", nargs="?")
@@ -138,20 +160,23 @@ def main() -> int:
     del s._interval_top_k
 
     rows = [probe(s, q) for q in kernel]
+    for r in rows:
+        cold(s, r)
     print(f"index {index}  seeds {seeds}  distinct queries {len(queries)}"
           f"  kernel queries {len(rows)}")
     print(f"{'wand_ms':>8} {'exact_ms':>8} {'ratio':>6} {'kept':>7} "
-          f"{'passes':>6} {'same':>5}  k  query")
+          f"{'passes':>6} {'cold_ms':>8} {'same':>5}  k  query")
     for r in rows:
         print(f"{r['wand_ms']:8.3f} {r['exact_ms']:8.3f} {r['ratio']:6.2f} "
-              f"{r['kept_frac']:7.2%} {r['passes']:6d} "
+              f"{r['kept_frac']:7.2%} {r['passes']:6d} {r['cold_ms']:8.3f} "
               f"{'yes' if r['identical'] else 'NO':>5} {r['k']:>3}  {r['q']}")
     bad = [r for r in rows if not r["identical"]]
     if rows:
         ratios = [r["ratio"] for r in rows]
         print(f"kernel/exact ratio: median {np.median(ratios):.2f}  "
               f"min {min(ratios):.2f}  max {max(ratios):.2f}  "
-              f"mismatches {len(bad)}")
+              f"cold median {np.median([r['cold_ms'] for r in rows]):.3f} ms"
+              f"  mismatches {len(bad)}")
     return 1 if bad else 0
 
 
