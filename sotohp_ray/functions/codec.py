@@ -14,8 +14,8 @@ Per block we keep skip metadata (last_doc, byte offset, max BM25 score
 upper bound) so query-time block-max WAND can skip whole blocks without
 decoding them.
 
-Decoding a term, whole or any subset of its blocks, is one kernel call
-over both of its streams: for pfor, one gather of a 64-bit word pair
+Decoding a term, whole or one of its blocks, is one kernel call over
+both of its streams: for pfor, one gather of a 64-bit word pair
 per value, shifted and masked to the block's width, whatever the mix
 of widths (vectorized bit unpacking after Lemire & Boytsov, "Decoding
 billions of integers per second through vectorization", SPE 2015).
@@ -318,25 +318,20 @@ def decode_postings(
     gap_offs: np.ndarray | None = None,
     tf_offs: np.ndarray | None = None,
     codec: str = "varint",
-    blocks: np.ndarray | None = None,
-    block_last_docs: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a term's postings -> (doc_ids, tfs): all ``total`` of
-    them, or with ``blocks`` (ascending block indices) only those
-    blocks', concatenated. Block k's doc ids continue from
-    ``block_last_docs[k - 1]``, so a block subset needs them.
+    """Decode all ``total`` of a term's postings -> (doc_ids, tfs).
 
-    A full varint decode is two stream decodes + one cumsum and needs
-    no block metadata. Every other case is one ``_decode_blocks`` call:
-    one kernel call over the gap and tf streams of every wanted block
-    (for pfor, one gather per value), then one cumsum."""
-    if codec == "varint" and blocks is None:
+    A varint decode is two stream decodes + one cumsum and needs no
+    block metadata. A pfor decode is one ``_decode_blocks`` call: one
+    gather per value over the gap and tf streams of every block, then
+    one cumsum."""
+    if codec == "varint":
         mv = memoryview(blob)
         gaps = varint_decode(mv[:tf_base], total)
         tfs = varint_decode(mv[tf_base:], total)
         return np.cumsum(gaps, dtype=np.uint64), tfs
-    return _decode_blocks(blob, blocks, block_counts, gap_offs, tf_offs,
-                          tf_base, block_last_docs, codec)
+    return _decode_blocks(blob, None, block_counts, gap_offs, tf_offs,
+                          tf_base, None, codec)
 
 
 def decode_one_block(
@@ -349,17 +344,15 @@ def decode_one_block(
     block_last_docs: np.ndarray,
     codec: str = "varint",
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Decode a single block -> (doc_ids, tfs): ``decode_postings`` of
-    the one block ``block_idx``."""
-    return _decode_blocks(
-        blob, np.array([block_idx], dtype=np.int64), block_counts,
-        gap_offs, tf_offs, tf_base, block_last_docs, codec,
-    )
+    """Decode a single block -> (doc_ids, tfs), the doc ids continuing
+    from ``block_last_docs[block_idx - 1]``."""
+    return _decode_blocks(blob, block_idx, block_counts, gap_offs, tf_offs,
+                          tf_base, block_last_docs, codec)
 
 
 def _decode_blocks(
     blob: bytes | memoryview,
-    blocks: np.ndarray | None,
+    block: int | None,
     block_counts: np.ndarray,
     gap_offs: np.ndarray,
     tf_offs: np.ndarray,
@@ -367,24 +360,22 @@ def _decode_blocks(
     block_last_docs: np.ndarray | None,
     codec: str,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """(doc_ids, tfs) of the blocks ``blocks`` (all when None) of one
-    term, from ONE kernel call over the gap blocks followed by the tf
-    blocks. The two results are views of one buffer: the gaps become
-    doc ids by an in-place cumsum, after each wanted block's first gap
-    is raised by the doc ids it skips (the last doc before the block
-    less the last doc of the block decoded before it)."""
+    """(doc_ids, tfs) of every block of one term, or of the one block
+    ``block``, from ONE kernel call over the gap blocks followed by
+    the tf blocks. The two results are views of one buffer: the gaps
+    become doc ids by an in-place cumsum, after a lone block's first
+    gap is raised by the last doc id before it."""
     buf = np.frombuffer(blob, dtype=np.uint8)
     counts = np.asarray(block_counts, dtype=np.int64)
     # the gap blocks, then the tf blocks, back to back: block span j is
     # [bounds[j], bounds[j + 1]), the last one ending the blob
     bounds = np.concatenate((
         gap_offs, tf_base + np.asarray(tf_offs, dtype=np.int64), [buf.size]))
-    if blocks is None:
+    if block is None:
         starts, stops, cnt = bounds[:-1], bounds[1:], counts
     else:
-        kb = np.asarray(blocks, dtype=np.int64)
-        j = np.concatenate((kb, kb + counts.size))
-        starts, stops, cnt = bounds[j], bounds[j + 1], counts[kb]
+        j = np.array([block, block + counts.size])
+        starts, stops, cnt = bounds[j], bounds[j + 1], counts[[block]]
     both = np.concatenate((cnt, cnt))
     if codec == "varint":
         # self-delimiting: the blocks' bytes decode as one stream
@@ -393,11 +384,8 @@ def _decode_blocks(
         vals = _pfor_unpack(buf, starts, stops, both)
     m = vals.size // 2
     gaps, tfs = vals[:m], vals[m:]
-    if blocks is not None and m:
-        before = np.zeros(counts.size + 1, dtype=np.uint64)
-        before[1:] = block_last_docs
-        gaps[np.cumsum(cnt) - cnt] += (
-            before[kb] - before[np.concatenate(([0], kb[:-1] + 1))])
+    if block and m:
+        gaps[0] += np.uint64(block_last_docs[block - 1])
     np.cumsum(gaps, out=gaps)
     return gaps, tfs
 

@@ -8,9 +8,10 @@ kernel (``Searcher._interval_postings``):
 - ``wand``: block-max pruning (Ding & Suel, SIGIR 2011 — public
   literature) at doc-interval granularity: the doc-id space is cut at
   the query terms' block boundaries, each interval's score bound is
-  the sum of the covering blocks' maxima, and only intervals whose
-  bound reaches a seeded threshold theta are decoded and scored, with
-  the same term-at-a-time accumulation. MUST return rank-identical
+  the sum of the covering blocks' maxima, and only the postings in
+  intervals whose bound reaches the threshold theta0 (the k-th
+  impact cached by an earlier query) are scored, with the same
+  term-at-a-time accumulation. MUST return rank-identical
   results to ``exact`` — pruning changes the work done, never the
   answer. The fan-out survivor scan runs the same kernel per shard
   group.
@@ -62,12 +63,6 @@ _WAND_MIN_POSTINGS = 1 << 16
 # docs: nearly every interval then carries every term's block maximum,
 # so theta can prune almost nothing
 _WAND_MAX_DF_FRAC = 0.5
-# without a cached-impact theta0 (cold terms, tombstones, or no qw = 1
-# term), search_wand seeds theta from the highest-bound intervals
-# covering this many doc ids per requested hit: covering only k ids
-# finds weak seeds (on a 24k-doc index, ~13k docs still clear theta and
-# get ranked), 16 * k ranks ~1.4k at a few hundred seed docs
-_WAND_SEED_IDS_PER_HIT = 16
 
 
 def _first_appearance(toks: list[str]) -> list[tuple[str, float]]:
@@ -984,7 +979,14 @@ class Searcher(_Operators):
         r = self._record(term)
         if r.get("docs") is not None:
             return r["docs"], r["tfs"]
-        out = self._decode_blocks(r)
+        nblocks = r["block_last"].size
+        counts = np.full(nblocks, r["block_size"], dtype=np.int64)
+        counts[-1] = r["df"] - r["block_size"] * (nblocks - 1)
+        out = pcodec.decode_postings(
+            r["blob"], r["df"], r["tf_base"], block_counts=counts,
+            gap_offs=r["block_gap_offs"], tf_offs=r["block_tf_offs"],
+            codec=self.config.codec,
+        )
         self._dec_cache_put(term, [out[0], out[1], None, None])
         return out
 
@@ -1023,13 +1025,17 @@ class Searcher(_Operators):
         return d, c
 
     def _kth_impact(self, term: str, k: int) -> float:
-        """The k-th largest cached impact of ``term``; 0.0 when its
-        impacts are not cached or it is in fewer than k docs."""
+        """The k-th largest cached impact of ``term`` over its live
+        docs; 0.0 when its impacts are not cached or it is in fewer
+        than k live docs. Tombstones are fixed when a searcher opens,
+        so the ranked prefix stays valid as long as the impacts."""
         e = self._dec_cache.get(term)
-        if e is None or e[2] is None or not 0 < k <= e[2].size:
+        if e is None or e[2] is None or k <= 0:
             return 0.0
         if e[3] is None or e[3].size < k:
-            c = e[2]
+            c = e[2] if self._tomb is None else e[2][self._live_mask(e[0])]
+            if k > c.size:
+                return 0.0
             e[3] = np.sort(np.partition(c, c.size - k)[c.size - k:])[::-1]
         return float(e[3][k - 1])
 
@@ -1037,16 +1043,13 @@ class Searcher(_Operators):
         self, qterms: list[tuple[str, float]], k: int
     ) -> float:
         """theta0 of a top-k over [(term, qw)]: the largest cached k-th
-        impact among the qw = 1.0 terms, or 0.0 with tombstones. A
-        lower bound on the k-th live score (Kane & Tompa's initial
-        threshold, SIGIR 2018): Lucene idf is > 0 and tf >= 1, so every
-        contribution is positive; adding a non-negative float never
-        rounds below either addend, so a doc's score is at least each
-        of its contributions; so the k docs with the top impacts of one
-        term all score >= theta0. A tombstoned doc may be among those
-        k, so the bound then does not hold."""
-        if self._tomb is not None:
-            return 0.0
+        live impact among the qw = 1.0 terms. A lower bound on the k-th
+        live score (Kane & Tompa's initial threshold, SIGIR 2018):
+        Lucene idf is > 0 and tf >= 1, so every contribution is
+        positive; adding a non-negative float never rounds below either
+        addend, so a doc's score is at least each of its contributions;
+        so the k live docs with the top impacts of one term all score
+        >= theta0."""
         return max(
             (self._kth_impact(t, k) for t, qw in qterms if qw == 1.0),
             default=0.0,
@@ -1338,24 +1341,6 @@ class Searcher(_Operators):
 
     # ---- block-max pruning -----------------------------------------
 
-    def _decode_blocks(
-        self, r: dict, bidx: np.ndarray | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """(docs, tfs) of a blob term record, concatenated over the
-        block indices ``bidx`` (every block when None), in one
-        ``decode_postings`` call — with ``bidx`` the selective-decode
-        primitive: cost scales with the blocks touched, not the term's
-        df."""
-        nblocks = r["block_last"].size
-        counts = np.full(nblocks, r["block_size"], dtype=np.int64)
-        counts[-1] = r["df"] - r["block_size"] * (nblocks - 1)
-        return pcodec.decode_postings(
-            r["blob"], r["df"], r["tf_base"], block_counts=counts,
-            gap_offs=r["block_gap_offs"], tf_offs=r["block_tf_offs"],
-            codec=self.config.codec, blocks=bidx,
-            block_last_docs=r["block_last"],
-        )
-
     def _block_intervals(
         self, qterms: list[tuple[str, float]]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -1382,25 +1367,22 @@ class Searcher(_Operators):
         return hi, bound
 
     def _interval_postings(
-        self, qterms: list[tuple[str, float]], theta: float = 0.0,
-        iv: tuple[np.ndarray, np.ndarray] | None = None,
+        self, qterms: list[tuple[str, float]], theta: float = 0.0
     ) -> list[tuple[int, str, float, np.ndarray, np.ndarray]]:
         """[(qi, term, qw, docs, contribs)] — the postings every BM25
         path scores, with their BM25 contributions, for the present
         terms of ``qterms`` (qi = the term's index in ``qterms``),
-        restricted to the ``_block_intervals`` (``iv``, computed when
-        not given) whose bound is >= ``theta``.
+        restricted to the ``_block_intervals`` whose bound is >=
+        ``theta``.
 
         A doc in a kept interval keeps the postings of every term, so
         its sum is exact; a doc in a dropped interval scores below
         theta. Ties stay: the comparison is deflated by 1e-9 so float
         rounding can only keep more. theta <= 0 prunes nothing and
-        skips the interval work. Per term: a cached term is sliced; a
-        term whose every block is kept is decoded through
-        ``_decode_full`` (which fills the cache); otherwise only the
-        kept blocks are decoded. A qw = 1.0 term decoded whole takes
-        its contributions from its cached ``_impacts``; any other
-        computes them for the postings it keeps."""
+        skips the interval work. Every term is taken whole from
+        ``_full_contribs`` (decoded once and cached, a qw = 1.0 term
+        with its cached ``_impacts``) and sliced to the kept doc
+        ranges."""
         rows = [
             (qi, t, float(qw))
             for qi, (t, qw) in enumerate(qterms) if t in self._row
@@ -1412,7 +1394,7 @@ class Searcher(_Operators):
             ]
         if not rows:
             return []
-        hi, bound = self._block_intervals(qterms) if iv is None else iv
+        hi, bound = self._block_intervals(qterms)
         keep = bound >= theta * (1.0 - 1e-9)
         # kept doc ranges: runs of consecutive kept intervals
         edge = np.diff(np.concatenate(([0], keep.astype(np.int8), [0])))
@@ -1420,25 +1402,9 @@ class Searcher(_Operators):
         last = np.flatnonzero(edge == -1) - 1
         run_lo = np.where(first > 0, hi[first - 1] + 1, 0)
         run_hi = hi[last]
-        kept_hi = hi[keep]
         out = []
         for qi, t, qw in rows:
-            if t in self._dec_cache:
-                d, c = _slice_runs(
-                    *self._full_contribs(t, qw), run_lo, run_hi)
-            else:
-                r = self._record(t)
-                b = np.unique(np.searchsorted(r["block_last"], kept_hi))
-                b = b[b < r["block_last"].size]
-                if b.size == 0:
-                    continue
-                if b.size < r["block_last"].size:
-                    d, f = _slice_runs(
-                        *self._decode_blocks(r, b), run_lo, run_hi)
-                    c = self._scored(t, qw, d, f)
-                else:
-                    d, c = _slice_runs(
-                        *self._full_contribs(t, qw), run_lo, run_hi)
+            d, c = _slice_runs(*self._full_contribs(t, qw), run_lo, run_hi)
             if d.size:
                 out.append((qi, t, qw, d, c))
         return out
@@ -1461,17 +1427,22 @@ class Searcher(_Operators):
         ``_block_intervals`` bound can reach a lower bound on the k-th
         score.
 
-        Two upfront shortcuts answer through ``search_exact``, because
-        pruning cannot pay for itself there: the terms hold at most
+        Three cases answer through ``search_exact``, which decodes each
+        term once and caches its impacts: the terms hold at most
         ``_WAND_MIN_POSTINGS`` postings, or the rarest term is in more
-        than ``_WAND_MAX_DF_FRAC`` of the live docs. Otherwise
-        ``_interval_top_k`` answers: in one pruned pass at the cached
-        impacts' theta0 when the searcher is warm, after a seed pass
-        when it is not. On the 24k-doc benchmark index a warm pruned
-        query costs 1.4-2.0x ``search_exact`` on one CPU of a shared VM
-        (``tools/wand_probe.py``): its kept intervals hold nearly every
-        posting there, so pruning saves little and the bound work is
-        the extra.
+        than ``_WAND_MAX_DF_FRAC`` of the live docs (pruning cannot pay
+        for itself there), or the ``_impact_floor`` theta0 is 0 (no
+        qw = 1.0 term has cached impacts, as on a cold searcher).
+        Otherwise ``_interval_top_k`` answers in one pruned pass at
+        theta0. The trade-off: a query with no qw = 1.0 term (every
+        token repeated), or whose every qw = 1.0 term is too big for
+        the decode cache (more than ``dec_cache_budget`` / 2 postings
+        once impacts are cached), never gets a theta0 and always
+        answers through exact TAAT. On the 24k-doc benchmark index a
+        warm pruned query costs 1.3-2.1x ``search_exact`` on one CPU
+        of a shared VM (``tools/wand_probe.py``): its kept intervals
+        hold nearly every posting there, so pruning saves little and
+        the bound work is the extra.
         """
         qterms = self._query_terms(query)
         if not qterms:
@@ -1480,6 +1451,7 @@ class Searcher(_Operators):
         if (
             sum(dfs) <= _WAND_MIN_POSTINGS
             or min(dfs) > _WAND_MAX_DF_FRAC * self.n_docs
+            or self._impact_floor(qterms, k) <= 0.0
         ):
             return self.search_exact(query, k)
         return self._interval_top_k(qterms, k)
@@ -1488,46 +1460,18 @@ class Searcher(_Operators):
         self, qterms: list[tuple[str, float]], k: int
     ) -> list[tuple[int, float]]:
         """``search_wand``'s pruned path over present [(term, qw)]:
-
-        1. theta is the ``_impact_floor`` theta0 — the k-th cached
-           impact of a qw = 1.0 term, which at least k live docs reach
-           (Kane & Tompa's stored threshold, SIGIR 2018). When theta0
-           is 0 (no qw = 1.0 term has cached impacts, or the index has
-           tombstones), a seed pass sets it first: the exact, live-only
-           k-th score over the highest-bound intervals that together
-           cover at least ``_WAND_SEED_IDS_PER_HIT`` * k doc ids (the
-           seeded threshold of SAP, ICDE 2018), or the impact floor
-           that pass leaves behind when it is higher;
-        2. keep every interval whose bound is >= theta (ties stay);
-        3. score the kept intervals with ``search_exact``'s per-term
-           accumulation and rank the docs scoring >= theta. Every doc
-           scoring >= theta sits in a kept interval with all of its
-           postings, and at least k of them exist, so the top-k and
-           its scores are exact.
-
-        A warm query thus makes one ``_interval_postings`` call; a cold
-        one, two.
-        """
-        iv = hi, bound = self._block_intervals(qterms)
+        theta is the ``_impact_floor`` theta0, the k-th cached live
+        impact of a qw = 1.0 term, which at least k live docs reach
+        (Kane & Tompa's stored threshold, SIGIR 2018). One
+        ``_interval_postings`` call keeps every interval whose bound
+        is >= theta (ties stay) and ``_top_k`` ranks the docs scoring
+        >= theta there. Every doc scoring >= theta sits in a kept
+        interval with all of its postings, and at least k of them
+        exist, so the top-k and its scores are exact. theta0 = 0
+        prunes nothing: the pass is exact TAAT."""
         theta = self._impact_floor(qterms, k)
-        if theta <= 0.0:
-            order = np.argsort(-bound, kind="stable")
-            covered = np.cumsum(np.diff(hi, prepend=-1)[order])
-            j = min(
-                int(np.searchsorted(covered, k * _WAND_SEED_IDS_PER_HIT)),
-                order.size - 1,
-            )
-            seed = self._top_k(self._interval_postings(
-                qterms, float(bound[order[j]]), iv), k)
-            # the seed pass may cache impacts, and fewer than k seeds
-            # may clear its intervals
-            theta = max(
-                seed[-1][1] if len(seed) == k > 0 else 0.0,
-                self._impact_floor(qterms, k),
-            )
         return self._top_k(
-            self._interval_postings(qterms, theta, iv), k, theta=theta
-        )
+            self._interval_postings(qterms, theta), k, theta=theta)
 
 
 def _layered_sums(

@@ -116,22 +116,14 @@ def test_decode_postings_matches_per_block_reference(
     assert d.dtype == f.dtype == np.uint64
     assert d.tolist() == docs.tolist()
     assert f.tolist() == [x for b in ref_tfs for x in b] == tfs.tolist()
-    # a block subset decodes to the matching slices of the full decode
+    # single blocks decode to the matching slices of the full decode
     blocks = sorted(pick.draw(st.sets(
         st.integers(0, nblocks - 1), min_size=1, max_size=nblocks)))
-    sd, sf = pcodec.decode_postings(
-        blob, n, tf_base, block_counts=counts, gap_offs=goffs,
-        tf_offs=toffs, codec=codec, blocks=np.array(blocks),
-        block_last_docs=last)
-    idx = np.concatenate([np.arange(k * bs, k * bs + counts[k])
-                          for k in blocks])
-    assert sd.tolist() == docs[idx].tolist()
-    assert sf.tolist() == tfs[idx].tolist()
-    k = blocks[-1]
-    od, of = pcodec.decode_one_block(
-        blob, k, counts, goffs, toffs, tf_base, last, codec=codec)
-    assert od.tolist() == docs[k * bs:k * bs + counts[k]].tolist()
-    assert of.tolist() == tfs[k * bs:k * bs + counts[k]].tolist()
+    for k in blocks:
+        od, of = pcodec.decode_one_block(
+            blob, k, counts, goffs, toffs, tf_base, last, codec=codec)
+        assert od.tolist() == docs[k * bs:k * bs + counts[k]].tolist()
+        assert of.tolist() == tfs[k * bs:k * bs + counts[k]].tolist()
 
 
 # ------------------------------------------------ planted dictionary
@@ -297,3 +289,39 @@ def test_cold_wand_equals_warm_exact_and_oracle(sharded, tmp_path,
             assert [d for d, _ in exact] == [d for d, _ in want], (q, k)
             for (_, a), (_, b) in zip(exact, want):
                 assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
+
+
+def test_cold_wand_decodes_each_term_once(sharded, monkeypatch):
+    """With the shortcut constants set so that every query is past
+    them, one cold ``search_wand`` decodes each blob term of the query
+    exactly once, and the next call, warm, reaches the pruned kernel
+    and decodes nothing."""
+    from sotohp_ray.pipelines import query as qmod
+
+    monkeypatch.setattr(qmod, "_WAND_MIN_POSTINGS", 0)
+    monkeypatch.setattr(qmod, "_WAND_MAX_DF_FRAC", 1.0)
+    decoded = []
+    inner = pcodec.decode_postings
+    monkeypatch.setattr(pcodec, "decode_postings", lambda blob, *a, **kw: (
+        decoded.append(bytes(blob)) or inner(blob, *a, **kw)))
+    idx, _ = sharded
+    s = Searcher(idx)
+    pruned = 0
+    for q in QUERIES:
+        for k in (1, 3, 10):
+            _cold(s)
+            blobs = sorted(
+                bytes(s._record(t)["blob"]) for t, _ in s._query_terms(q)
+                if s._record(t)["blob"] is not None)
+            decoded.clear()
+            cold = s.search_wand(q, k)
+            assert sorted(decoded) == blobs, (q, k)
+            decoded.clear()
+            kernel = []
+            s._interval_top_k = lambda qterms, k_: (
+                kernel.append(k_) or Searcher._interval_top_k(s, qterms, k_))
+            assert s.search_wand(q, k) == cold == s.search_exact(q, k)
+            del s._interval_top_k
+            assert decoded == [], (q, k)
+            pruned += bool(kernel)
+    assert pruned >= 2 * len(QUERIES), pruned

@@ -1,7 +1,8 @@
 """Cached per-term BM25 impacts and the k-th-impact ranking floor of
 ``Searcher._top_k``: the floor never changes an answer, including at
-ties with the k-th score and with qw = 2 terms, and it is off under
-tombstones and under a mask, where the docs it counts on may be gone."""
+ties with the k-th score, with qw = 2 terms and with tombstones (it
+ranks live impacts only), and it is off under a mask, which may hide
+the docs it counts on."""
 
 import shutil
 
@@ -81,8 +82,8 @@ def test_floor_matches_unfloored_and_oracle(planted, query):
     idx, oracle = planted
     s = Searcher(idx)
     for k in (1, 3, 5, 10, 30):
-        # the pruned WAND path too, past search_wand's shortcuts: with
-        # warm impacts its seed can fall short of k above theta0
+        # the pruned WAND path too, past search_wand's shortcuts: at
+        # theta0 = 0 on the first k, at a warm theta0 after
         pruned = s._interval_top_k(s._query_terms(query), k)
         for hits in (s.search_exact(query, k), s.search_wand(query, k),
                      pruned):
@@ -124,24 +125,74 @@ def test_mask_disables_floor(planted):
     assert hits == _unfloored(s, "tieterm", 5, mask)
 
 
-def test_tombstones_disable_floor(planted, tmp_path):
-    """With every doc at or above tieterm's k-th impact deleted, the
-    cached impacts still count them: a floor from them would leave no
-    live doc to rank."""
+def _live_floor(s, qterms, k, dead):
+    """The largest k-th live impact among the qw = 1.0 terms, ranked
+    here from the cached impacts with the ``dead`` docs dropped."""
+    floors = []
+    for t, qw in qterms:
+        d, imp = s._impacts(t)
+        live = np.sort(imp[~np.isin(d, dead)])[::-1]
+        if qw == 1.0 and live.size >= k:
+            floors.append(float(live[k - 1]))
+    return max(floors)
+
+
+def _tombstoned(idx, tmp_path, dead):
     from sotohp_ray.pipelines.delete import delete_docs
 
-    idx, _ = planted
-    idx2 = str(tmp_path / "idx")
+    idx2 = str(tmp_path / f"idx{len(dead)}")
     shutil.copytree(idx, idx2)
-    delete_docs(idx2, engine_doc_ids=TIED)
-    s = Searcher(idx2)
+    delete_docs(idx2, engine_doc_ids=dead)
+    return idx2
+
+
+def test_tombstones_disable_floor(planted, tmp_path):
+    """With every doc at or above tieterm's k-th impact deleted (all of
+    TIED), the cached impacts still hold them: a floor over the dead
+    impacts would leave no live doc to rank. The floor ranks live
+    impacts only, so the dead ones are out of it: the answer is LOWER,
+    cold and warm, and the warm kernel makes one pass at the k-th live
+    impact."""
+    idx, _ = planted
+    s = Searcher(_tombstoned(idx, tmp_path, TIED))
     for _ in range(2):  # cold, then with the impacts cached
         for search in (s.search_exact, s.search_wand):
             hits = search("tieterm", 5)
             assert sorted(d for d, _ in hits) == LOWER
             assert hits == _unfloored(s, "tieterm", 5)
     assert s._dec_cache["tieterm"][2] is not None
-    assert s._impact_floor([("tieterm", 1.0)], 5) == 0.0
+    for k in (5, 1, 3):
+        theta0 = s._impact_floor([("tieterm", 1.0)], k)
+        assert theta0 == _live_floor(s, [("tieterm", 1.0)], k, TIED) > 0.0
+        hits, got = _kernel_top_k(s, "tieterm", k)
+        assert got == theta0, k
+        assert hits == _unfloored(s, "tieterm", k), k
+        assert set(d for d, _ in hits) <= set(LOWER), k
+
+
+def test_cold_and_tombstoned_kernel_seed_first(planted, tmp_path):
+    """A cold searcher has no theta0, so its first ``search_wand``
+    answers through ``search_exact``, which seeds the impact cache.
+    After it, on the index and on a tombstoned copy, theta0 is the
+    k-th largest live impact, the kernel makes one pass at it, and its
+    hits equal the unfloored ranking and hold no deleted doc."""
+    idx, _ = planted
+    dead = TIED[:3]
+    for path, gone in ((idx, []), (_tombstoned(idx, tmp_path, dead), dead)):
+        for query in ("tieterm", "tieterm hotterm", "hotterm padword"):
+            for k in (1, 3, 5, 10):
+                s = Searcher(path)
+                qterms = s._query_terms(query)
+                assert s._impact_floor(qterms, k) == 0.0, (query, k)
+                want = _unfloored(s, query, k)
+                assert s.search_wand(query, k) == want, (query, k)
+                assert not set(gone) & {d for d, _ in want}, (query, k)
+                theta0 = s._impact_floor(qterms, k)
+                assert theta0 == _live_floor(s, qterms, k, gone) > 0.0, \
+                    (query, k)
+                hits, got = _kernel_top_k(s, query, k)
+                assert got == theta0, (query, k)
+                assert hits == s.search_wand(query, k) == want, (query, k)
 
 
 def _drop(s):
@@ -206,50 +257,12 @@ def _corpus_index(tmp_path_factory, name, texts):
     return str(d), idx
 
 
-def test_pruned_wand_takes_theta0_when_seed_falls_short(
+def test_pruned_wand_takes_theta0_across_blocks(
     ray_session, tmp_path_factory
 ):
-    """The pruned pass runs at the impact floor theta0 wherever the
-    seed pass's k-th score falls short of it, and answers exactly.
-
-    Cold: "sparseterm" is in every 10th doc (8-posting blocks of 80
-    doc ids, its one strong doc in the first), "rareterm" in six docs
-    (one block over the whole doc-id space) that each outscore every
-    sparseterm doc. The seed pass keeps only the first interval: it
-    decodes rareterm whole, which caches its impacts, and finds one
-    rareterm doc and eight sparseterm docs there, so its 5th score is
-    a weak sparseterm one, below rareterm's 5th impact. The pruned
-    pass runs at that impact, the floor read after the seed pass.
-
-    Warm: a sparse term whose top-5 impacts sit in five different
-    blocks; with its impacts cached, the one pruned pass runs at
-    theta0."""
-    rare = [5, 85, 165, 245, 325, 395]
-    texts = []
-    for i in range(400):
-        if i == 9:
-            words = ["sparseterm"] * 4
-        elif i % 10 == 9:
-            words = ["sparseterm"] + ["padword"] * (4 + i % 7)
-        elif i in rare:
-            words = ["rareterm"] * 3 + ["padword"] * rare.index(i)
-        else:
-            words = ["padword"] * (1 + i % 5)
-        texts.append(" ".join(words))
-    corpus, idx = _corpus_index(tmp_path_factory, "seed_short", texts)
-    query = "sparseterm rareterm"
-    s = Searcher(idx)
-    floors = []
-    hits, thetas = _kernel_top_k(s, query, 5, floors)
-    fresh = Searcher(idx)
-    seed = fresh._top_k(
-        fresh._interval_postings(fresh._query_terms(query), thetas[0]), 5)
-    assert len(seed) == 5 and floors[0] == 0.0 < seed[-1][1] < floors[1]
-    assert thetas[-1] == floors[1]
-    assert hits == Searcher(idx).search_exact(query, 5)
-    assert hits == BruteForceBM25(corpus).search(query, 5)
-    assert [d_ for d_, _ in hits] == rare[:5]
-
+    """A sparse term whose top-5 impacts sit in five different blocks:
+    with its impacts cached, the one pruned pass runs at theta0 and
+    answers exactly."""
     top = [0, 80, 160, 240, 320]
     texts = []
     for i in range(400):
@@ -267,9 +280,9 @@ def test_pruned_wand_takes_theta0_when_seed_falls_short(
     assert want == BruteForceBM25(corpus).search("sparseterm", 5)
     theta0 = s._impact_floor(s._query_terms("sparseterm"), 5)
     assert theta0 == want[-1][1]
-    hits, thetas = _kernel_top_k(s, "sparseterm", 5)
+    hits, got = _kernel_top_k(s, "sparseterm", 5)
     assert hits == want
-    assert thetas == [theta0]
+    assert got == theta0
 
 
 @pytest.mark.parametrize("query", [
@@ -284,34 +297,6 @@ def test_warm_kernel_makes_one_pass_at_theta0(planted, query):
         want = s.search_exact(query, k)  # caches the impacts
         theta0 = s._impact_floor(s._query_terms(query), k)
         assert theta0 > 0.0, (query, k)
-        hits, thetas = _kernel_top_k(s, query, k)
-        assert thetas == [theta0], (query, k)
+        hits, got = _kernel_top_k(s, query, k)
+        assert got == theta0, (query, k)
         assert hits == want == _unfloored(s, query, k), (query, k)
-
-
-def test_cold_and_tombstoned_kernel_seed_first(planted, tmp_path):
-    """With no cached impacts, or with tombstones (cached impacts then
-    give no floor), the pruned path runs a seed pass at a positive
-    theta before the pruned pass, and answers exactly."""
-    from sotohp_ray.pipelines.delete import delete_docs
-
-    idx, _ = planted
-    idx2 = str(tmp_path / "idx")
-    shutil.copytree(idx, idx2)
-    delete_docs(idx2, engine_doc_ids=TIED[:3])
-    for query in ("tieterm hotterm", "hotterm padword"):
-        for k in (1, 5, 10):
-            cold = Searcher(idx)
-            assert cold._impact_floor(cold._query_terms(query), k) == 0.0
-            hits, thetas = _kernel_top_k(cold, query, k)
-            assert len(thetas) == 2 and thetas[0] > 0.0, (query, k)
-            assert hits == Searcher(idx).search_exact(query, k)
-            dead = Searcher(idx2)
-            want = dead.search_exact(query, k)  # caches the impacts
-            assert all(dead._dec_cache[t][2] is not None
-                       for t, _ in dead._query_terms(query))
-            assert dead._impact_floor(dead._query_terms(query), k) == 0.0
-            hits, thetas = _kernel_top_k(dead, query, k)
-            assert len(thetas) == 2 and thetas[0] > 0.0, (query, k)
-            assert hits == want == _unfloored(dead, query, k), (query, k)
-            assert not set(TIED[:3]) & {d for d, _ in hits}

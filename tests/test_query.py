@@ -212,41 +212,38 @@ def test_query_terms_memo_does_not_leak(small_index):
             Searcher(index_dir).search_exact(q["q"], q["k"]), q
 
 
-def _kernel_top_k(s, query, k, floors=None):
+def _kernel_top_k(s, query, k):
     """search_wand's pruned path run directly, past its shortcuts (no
-    query on the test corpora is big enough to reach it): (hits, the
-    theta of each ``_interval_postings`` call; the last one ranks).
-    A ``floors`` list gets the ``_impact_floor`` read before each
-    call."""
+    query on the test corpora is big enough to reach it), on a searcher
+    warmed by ``search_exact``: (hits, theta0), after checking that the
+    kernel made exactly one ``_interval_postings`` call, at theta0.
+    None when theta0 is 0 even warm (no qw = 1.0 term of the query is
+    in k live docs): ``search_wand`` then answers through
+    ``search_exact``, and there is no pruned pass to check."""
+    s.search_exact(query, k)  # caches the impacts
     theta0 = s._impact_floor(s._query_terms(query), k)
+    if theta0 <= 0.0:
+        return None
     thetas = []
     inner = s._interval_postings
 
-    def spy(qterms, theta=0.0, iv=None):
+    def spy(qterms, theta=0.0):
         thetas.append(theta)
-        if floors is not None:
-            floors.append(s._impact_floor(qterms, k))
-        return inner(qterms, theta, iv)
+        return inner(qterms, theta)
 
     s._interval_postings = spy
     try:
         hits = s._interval_top_k(s._query_terms(query), k)
     finally:
         del s._interval_postings
-    # the kernel ran: with cached impacts, one pruned pass at theta0;
-    # without, a seed pass with a positive threshold, then the pruned
-    # pass
-    if theta0 > 0.0:
-        assert thetas == [theta0], (query, thetas)
-    else:
-        assert len(thetas) == 2 and thetas[0] > 0.0, (query, thetas)
-    return hits, thetas
+    assert thetas == [theta0], (query, k, thetas)
+    return hits, theta0
 
 
 def test_interval_kernel_equals_exact_and_oracle(small_index, small_oracle):
     """The interval kernel is bit-identical to exact TAAT and
     rank-identical to the brute-force oracle on every reference
-    query."""
+    query that gets a theta0."""
     _, index_dir, _, _ = small_index
     s = Searcher(index_dir)
     queries = reference_queries(small_index[0])
@@ -256,7 +253,10 @@ def test_interval_kernel_equals_exact_and_oracle(small_index, small_oracle):
         if not s._query_terms(q["q"]):
             assert s.search_wand(q["q"], q["k"]) == [], q
             continue
-        hits, _ = _kernel_top_k(s, q["q"], q["k"])
+        got = _kernel_top_k(s, q["q"], q["k"])
+        if got is None:
+            continue
+        hits, _ = got
         assert hits == s.search_exact(q["q"], q["k"]), q
         _assert_rank_identical(hits, small_oracle.search(q["q"], q["k"]), q)
         ran += 1
@@ -267,9 +267,9 @@ def test_interval_kernel_ignores_tombstoned_top_docs(
     small_index, tmp_path_factory
 ):
     """theta must come from LIVE scores only. For some queries, every
-    doc scoring at or above the pristine index's theta is deleted: a
-    seed that counted dead docs would land on that theta again and
-    return nothing."""
+    doc scoring at or above the pristine index's theta0 is deleted: a
+    floor that counted dead impacts would land on that theta0 again
+    and return nothing."""
     import shutil
 
     from sotohp_ray.pipelines.delete import delete_docs
@@ -281,24 +281,34 @@ def test_interval_kernel_ignores_tombstoned_top_docs(
         if s0.search_exact(q["q"], q["k"])
     ]
     theta0, victims = {}, set()
-    for q in queries[:4]:
-        _, thetas = _kernel_top_k(s0, q["q"], q["k"])
-        theta0[q["q"]] = thetas[-1]
+    for q in queries:
+        got = _kernel_top_k(s0, q["q"], q["k"])
+        if got is None:
+            continue
+        theta0[q["q"]] = got[1]
         victims |= {
             d for d, sc in s0.search_exact(q["q"], s0.space)
-            if sc >= thetas[-1]
+            if sc >= got[1]
         }
+        if len(theta0) == 4:
+            break
     idx2 = str(tmp_path_factory.mktemp("idx_kernel_del"))
     shutil.rmtree(idx2)
     shutil.copytree(index_dir, idx2)
     delete_docs(idx2, engine_doc_ids=sorted(victims))
     s = Searcher(idx2)
+    ran = 0
     for q in queries:
-        hits, thetas = _kernel_top_k(s, q["q"], q["k"])
+        got = _kernel_top_k(s, q["q"], q["k"])
+        if got is None:
+            continue
+        hits, theta = got
         assert hits == s.search_exact(q["q"], q["k"]), q
         assert not victims & {d for d, _ in hits}, q
         if q["q"] in theta0:
-            assert hits and thetas[-1] < theta0[q["q"]], q
+            assert hits and theta < theta0[q["q"]], q
+            ran += 1
+    assert ran == 4
 
 
 def test_interval_kernel_shard_scope(small_index):
@@ -317,11 +327,16 @@ def test_interval_kernel_shard_scope(small_index):
         g = Searcher(index_dir, shard_range=(lo, hi))
         g._dense_scores = no_dense
         ref = full if hi == S else g
+        ran = 0
         for q in reference_queries(small_index[0]):
             if not g._query_terms(q["q"]):
                 continue
-            hits, _ = _kernel_top_k(g, q["q"], q["k"])
-            assert hits == ref.search_exact(q["q"], q["k"]), (lo, hi, q)
+            got = _kernel_top_k(g, q["q"], q["k"])
+            if got is None:
+                continue
+            assert got[0] == ref.search_exact(q["q"], q["k"]), (lo, hi, q)
+            ran += 1
+        assert ran >= 30, (lo, hi)
 
 
 def test_interval_kernel_prunes_planted_skew(ray_session, tmp_path_factory):
@@ -353,9 +368,9 @@ def test_interval_kernel_prunes_planted_skew(ray_session, tmp_path_factory):
     s = Searcher(idx)
     oracle = BruteForceBM25(str(d))
     for query, k in (("hotterm warmterm", 10), ("warmterm hotterm", 5)):
-        hits, thetas = _kernel_top_k(s, query, k)
+        hits, theta0 = _kernel_top_k(s, query, k)
         _, bound = s._block_intervals(s._query_terms(query))
-        assert (bound < thetas[-1] * (1.0 - 1e-9)).any(), query
+        assert (bound < theta0 * (1.0 - 1e-9)).any(), query
         assert hits == s.search_exact(query, k)
         _assert_rank_identical(hits, oracle.search(query, k), query)
         assert {d_ for d_, _ in hits} <= set(range(300, 312))
@@ -824,18 +839,12 @@ def test_interval_postings_selects_kept_intervals(small_index):
                 got = s._contribs(s._interval_postings(qterms, theta))
                 for a, b in zip(got, want):
                     np.testing.assert_array_equal(a, b, err_msg=q)
-            # a blob term with every block kept is decoded whole, which
-            # fills the cache; a partly kept one decodes only its blocks
-            for _, t, _, _, _ in uncached._interval_postings(qterms, theta):
-                r = uncached._record(t)
-                nb = r["block_last"].size
-                touched = np.unique(
-                    np.searchsorted(r["block_last"], hi[keep_iv])
-                )
-                whole = (touched < nb).sum() == nb
-                assert (t in uncached._dec_cache) == (
-                    whole and r.get("docs") is None
-                ), (q, t)
+            # every present blob term, kept or not, is decoded whole,
+            # which fills the cache
+            for t, _ in qterms:
+                if t in uncached._row:
+                    assert (t in uncached._dec_cache) == (
+                        uncached._record(t).get("docs") is None), (q, t)
             # survivor selection: every doc whose local score clears
             # theta is fully present, with bit-identical sums
             d3, q3, c3 = cached.survivor_contribs(q, theta)

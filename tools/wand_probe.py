@@ -14,14 +14,13 @@ scripts with this checkout.
 One ``Searcher`` is warmed with a pass of ``search_wand`` and
 ``search_exact`` over every distinct query of every seed, in order, as
 the benchmark warms its searchers. For every distinct query whose
-``search_wand`` reached ``Searcher._interval_top_k`` in that pass, it
-prints:
+``search_wand`` made a pruned pass during that warm-up (a
+``Searcher._interval_postings`` call at a theta above 0), it prints:
 
 - the warm ``search_wand`` and ``search_exact`` medians over
   ``REPEAT`` alternating calls, and their ratio;
 - the share of the query terms' postings that the kept intervals hold
-  at the kernel's final theta (the theta of its last
-  ``_interval_postings`` call);
+  at the pruned pass's theta;
 - whether ``search_wand``'s answer is identical to ``search_exact``'s.
 
 After the warm rows, each kernel query is timed cold too: the median
@@ -72,21 +71,11 @@ def wall_ms(fn, *args) -> float:
 def probe(s, q: dict) -> dict:
     """One kernel query's medians, kept-postings share and identity."""
     query, k = q["q"], q["k"]
-    thetas = []
-    inner = s._interval_postings
-
-    def spy(qterms, theta=0.0, iv=None):
-        thetas.append(theta)
-        return inner(qterms, theta, iv)
-
-    s._interval_postings = spy
-    try:
-        wand = s.search_wand(query, k)
-    finally:
-        del s._interval_postings
+    wand = s.search_wand(query, k)
     qterms = s._query_terms(query)
+    theta = s._impact_floor(qterms, k)
     total = sum(r[3].size for r in s._interval_postings(qterms))
-    kept = sum(r[3].size for r in s._interval_postings(qterms, thetas[-1]))
+    kept = sum(r[3].size for r in s._interval_postings(qterms, theta))
     walls = {"wand": [], "exact": []}
     for _ in range(REPEAT):
         walls["wand"].append(wall_ms(s.search_wand, query, k))
@@ -94,7 +83,7 @@ def probe(s, q: dict) -> dict:
     wand_ms = float(np.median(walls["wand"]))
     exact_ms = float(np.median(walls["exact"]))
     return {
-        "q": query, "k": k, "passes": len(thetas),
+        "q": query, "k": k,
         "wand_ms": wand_ms, "exact_ms": exact_ms,
         "ratio": wand_ms / exact_ms,
         "kept_frac": kept / total if total else 1.0,
@@ -142,22 +131,22 @@ def main() -> int:
     queries = distinct_queries(seeds, corpus)
 
     s = Searcher(index)
-    reached = []
-    inner = s._interval_top_k
+    pruned = []
+    inner = s._interval_postings
 
-    def spy(qterms, k):
-        reached.append(True)
-        return inner(qterms, k)
+    def spy(qterms, theta=0.0):
+        pruned.append(theta > 0.0)
+        return inner(qterms, theta)
 
-    s._interval_top_k = spy
+    s._interval_postings = spy
     kernel = []
     for q in queries:
-        n = len(reached)
+        n = len(pruned)
         s.search_wand(q["q"], q["k"])
-        s.search_exact(q["q"], q["k"])
-        if len(reached) > n:
+        if any(pruned[n:]):
             kernel.append(q)
-    del s._interval_top_k
+        s.search_exact(q["q"], q["k"])
+    del s._interval_postings
 
     rows = [probe(s, q) for q in kernel]
     for r in rows:
@@ -165,10 +154,10 @@ def main() -> int:
     print(f"index {index}  seeds {seeds}  distinct queries {len(queries)}"
           f"  kernel queries {len(rows)}")
     print(f"{'wand_ms':>8} {'exact_ms':>8} {'ratio':>6} {'kept':>7} "
-          f"{'passes':>6} {'cold_ms':>8} {'same':>5}  k  query")
+          f"{'cold_ms':>8} {'same':>5}  k  query")
     for r in rows:
         print(f"{r['wand_ms']:8.3f} {r['exact_ms']:8.3f} {r['ratio']:6.2f} "
-              f"{r['kept_frac']:7.2%} {r['passes']:6d} {r['cold_ms']:8.3f} "
+              f"{r['kept_frac']:7.2%} {r['cold_ms']:8.3f} "
               f"{'yes' if r['identical'] else 'NO':>5} {r['k']:>3}  {r['q']}")
     bad = [r for r in rows if not r["identical"]]
     if rows:
