@@ -42,9 +42,11 @@ Phase 2 (the merge — a bucketed shuffle with NO exchange): because the
   small data, and at cluster scale it is the classic bucketed shuffle
   write whose reduce side scales linearly with shards. Hot-term
   postings volume per shuffled row stays bounded via salt chunking
-  (stages/spimi.py). Marked done by ``_MERGE_DONE.json`` containing the
-  config + lineage fingerprints, so a resumed build redoes the merge
-  iff phase-1 output changed.
+  (stages/spimi.py). Docmeta is each partition's live-docs set: a
+  compaction filters only docmeta, and the merge drops the postings
+  of the ids missing from it (``_dead_ids``). Marked done by
+  ``_MERGE_DONE.json`` containing the config + lineage fingerprints,
+  so a resumed build redoes the merge iff phase-1 output changed.
 
 ``commit_lineage`` is the one step between the two phases, and the
 only caller of the merge: it aggregates the global stats (N, total
@@ -70,6 +72,7 @@ import time
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 from sotohp_ray.config import IndexConfig
@@ -308,6 +311,9 @@ def commit_lineage(
     ``stats.json`` and the marker written (in that order). A merge
     that fails leaves the previous dictionary, stats and marker, so the
     index keeps answering as before and the next commit merges again.
+    ``total_postings`` is the merge's own count of the postings it
+    wrote (``merge_metrics.json``): a compacted partition's partials
+    still hold its deleted docs' postings, which the merge drops.
     Idempotent. Returns (stats, the merge's task count, or None when
     the dictionary already reflected this lineage)."""
     lin.restore_dir(os.path.join(index_dir, "dictionary"))
@@ -318,21 +324,31 @@ def commit_lineage(
         **fields,
         "n_docs": n_docs,
         "total_tokens": total_tokens,
-        "total_postings": sum(r["posting_count"] for r in records),
         "avgdl": (total_tokens / n_docs) if n_docs else 0.0,
     }
     want = {"config": _config_fingerprint(config),
             "lineage": lin.lineage_fingerprint(records)}
     marker = _merge_marker(index_dir)
-    if os.path.exists(marker):
-        with open(marker) as f:
-            if json.load(f) == want:  # dictionary reflects this lineage
-                lin.write_stats(index_dir, stats)
-                return stats, None
-    merge_tasks = merge_phase(index_dir, config, n_docs, stats["avgdl"])
+    merge_tasks = None
+    if _read_json(marker) != want:  # dictionary reflects another lineage
+        merge_tasks = merge_phase(index_dir, config, n_docs, stats["avgdl"])
+    # (merge metrics written before they counted postings: the
+    # partials of that merge held exactly the dictionary's postings)
+    stats["total_postings"] = _read_json(
+        os.path.join(index_dir, "merge_metrics.json")
+    ).get("total_postings", sum(r["posting_count"] for r in records))
     lin.write_stats(index_dir, stats)
-    lin.write_json(marker, want)
+    if merge_tasks is not None:
+        lin.write_json(marker, want)
     return stats, merge_tasks
+
+
+def _read_json(path: str) -> dict:
+    """The parsed JSON file at ``path``; ``{}`` when there is none."""
+    if not os.path.exists(path):
+        return {}
+    with open(path) as f:
+        return json.load(f)
 
 
 def merge_phase(
@@ -345,7 +361,12 @@ def merge_phase(
     merge of all partials into dictionary shards, written to
     ``dictionary.merging`` and swapped in for ``dictionary``
     (``lin.replace_dir``) once every shard is written, then the merge
-    metrics. Returns the number of merge tasks."""
+    metrics. Docmeta is each partition's live-docs set: the ids a
+    compaction took out of it (``compacted_out`` > 0 in its lineage
+    record) are dead, and the merge drops their postings, which the
+    partials keep until the partition is indexed again. A fresh build
+    has no dead ids and reads no docmeta here. Returns the number of
+    merge tasks."""
     from sotohp_ray.stages.merge import merge_shard
 
     partials_dir = os.path.join(index_dir, "partials")
@@ -368,6 +389,8 @@ def merge_phase(
         "pos0", "pos_blob", "cf_partial",
     ]
     config_json = config.to_json()
+    dead_ids = _dead_ids(index_dir)
+    keys = ("term_shard", "n_terms", "postings", "dead", "seconds")
 
     part_dirs = sorted(
         os.path.join(partials_dir, d)
@@ -393,7 +416,7 @@ def merge_phase(
             parts.append(
                 (pq.ParquetFile(os.path.join(pdir, "data.parquet")), rgs)
             )
-        out = {"term_shard": [], "n_terms": [], "seconds": []}
+        out = {k: [] for k in keys}
         for s in batch["term_shard"].tolist():
             t0 = time.perf_counter()
             pieces = [
@@ -402,7 +425,9 @@ def merge_phase(
             ]
             if not pieces:
                 continue
-            merged = merge_shard(pa.concat_tables(pieces), n_docs, avgdl, cfg)
+            group = pa.concat_tables(pieces)
+            merged = merge_shard(group, n_docs, avgdl, cfg, dead_ids)
+            postings = int(pc.sum(merged["df"]).as_py() or 0)
             if merged.num_rows:
                 lin.atomic_write_table(
                     merged, os.path.join(staging, f"shard-{s:05d}.parquet"),
@@ -410,12 +435,12 @@ def merge_phase(
                 )
             out["term_shard"].append(s)
             out["n_terms"].append(merged.num_rows)
+            out["postings"].append(postings)
+            out["dead"].append(
+                int(pc.sum(group["count"]).as_py()) - postings)
             out["seconds"].append(time.perf_counter() - t0)
-        return {
-            "term_shard": np.asarray(out["term_shard"], dtype=np.int64),
-            "n_terms": np.asarray(out["n_terms"], dtype=np.int64),
-            "seconds": np.asarray(out["seconds"], dtype=np.float64),
-        }
+        return {k: np.asarray(v, dtype=np.float64 if k == "seconds"
+                              else np.int64) for k, v in out.items()}
 
     try:
         metrics, n_tasks = map_items(
@@ -427,27 +452,55 @@ def merge_phase(
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
-    # per-stage metrics alongside the per-partition lineage: term count
-    # and merge seconds per dictionary shard (skew observability for
-    # the salting knobs); an empty corpus is still a valid empty index
-    rows = sorted(zip(
-        metrics["term_shard"], metrics["n_terms"], metrics["seconds"]
-    )) if len(metrics) else []
-    n_terms = [int(n) for _, n, _ in rows]
+    # per-stage metrics alongside the per-partition lineage, per
+    # dictionary shard: terms, postings written, dead postings dropped
+    # (what compacted partitions' partials still carry) and merge
+    # seconds (skew observability for the salting knobs); an empty
+    # corpus is still a valid empty index
+    rows = sorted(zip(*(metrics[k] for k in keys))) if len(metrics) else []
+
+    def per_shard(i: int, cast=int) -> dict:
+        return {str(int(r[0])): cast(r[i]) for r in rows}
+
+    terms, written, dropped = per_shard(1), per_shard(2), per_shard(3)
     lin.write_json(
         os.path.join(index_dir, "merge_metrics.json"),
         {
             "n_shards": len(rows),
-            "total_terms": sum(n_terms),
-            "max_shard_terms": max(n_terms, default=0),
-            "min_shard_terms": min(n_terms, default=0),
-            "terms_per_shard": {str(int(s)): int(n) for s, n, _ in rows},
-            "seconds_per_shard": {
-                str(int(s)): round(float(t), 4) for s, _, t in rows
-            },
+            "total_terms": sum(terms.values()),
+            "max_shard_terms": max(terms.values(), default=0),
+            "min_shard_terms": min(terms.values(), default=0),
+            "total_postings": sum(written.values()),
+            "dead_postings": sum(dropped.values()),
+            "terms_per_shard": terms,
+            "postings_per_shard": written,
+            "dead_postings_per_shard": dropped,
+            "seconds_per_shard": per_shard(4, lambda t: round(float(t), 4)),
         },
     )
     return n_tasks
+
+
+def _dead_ids(index_dir: str) -> np.ndarray:
+    """Sorted engine ids that a compaction took out of their partition's
+    docmeta: for each done record with ``compacted_out`` > 0, the ids of
+    its range ``[base_doc_id, base_doc_id + doc_count + compacted_out)``
+    that its docmeta no longer holds."""
+    dead = [np.zeros(0, dtype=np.uint64)]
+    for r in lin.done_records(index_dir):
+        if int(r.get("compacted_out", 0)) == 0:
+            continue
+        lo = int(r["base_doc_id"])
+        hi = lo + int(r["doc_count"]) + int(r["compacted_out"])
+        live = pq.read_table(
+            os.path.join(index_dir, "docmeta",
+                         f"partition-{r['partition_id']:05d}", "data.parquet"),
+            columns=["doc_id"],
+        )["doc_id"].to_numpy(zero_copy_only=False)
+        dead.append(np.setdiff1d(
+            np.arange(lo, hi, dtype=np.uint64), live.astype(np.uint64),
+            assume_unique=True))
+    return np.sort(np.concatenate(dead))
 
 
 def _main() -> None:

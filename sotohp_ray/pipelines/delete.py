@@ -10,18 +10,22 @@ two-phase form every LSM-ish store uses):
   of surviving docs keep using the pre-delete collection stats until
   compaction (documented stale-stats window, exactly like a deleted-
   but-not-merged segment in Lucene).
-- ``compact_index``: physical rewrite. One Ray Data task per CPU slot
-  (``utils.map_items``), each over a contiguous run of partitions,
-  drops tombstoned postings from partials and rows from docmeta
-  (decode -> filter -> re-encode, vectorized per blob, one partition
-  at a time; partitions without a deleted doc are decided from
-  docmeta alone), lineage metrics are
-  updated, and the merge phase reruns so df / N / avgdl and every
+- ``compact_index``: Lucene-style deletes. A partition's docmeta is
+  its live-docs set: one Ray Data task per CPU slot
+  (``utils.map_items``), each over a contiguous run of the partitions
+  whose id range holds a tombstone, drops the deleted rows from their
+  docmeta and never opens their partials. The lineage records take
+  the live doc and token counts from docmeta, and the merge phase
+  reruns; it drops the postings of every id a compaction took out of
+  docmeta (``build_index.merge_phase``), so df / N / avgdl and every
   block-max are exact for the surviving corpus — after compaction,
   search results are identical to an index freshly built without the
-  deleted docs (pytest-verified). Doc ids stay sparse (no renumbering:
-  a renumber would cascade base shifts through every partition);
-  ``stats.doc_id_space`` records the dense-array size for searchers.
+  deleted docs (pytest-verified). The partials keep the dead postings
+  until their partition is indexed again (a changed input file, or an
+  increment consolidation); ``merge_metrics.json`` counts them. Doc
+  ids stay sparse (no renumbering: a renumber would cascade base
+  shifts through every partition); ``stats.doc_id_space`` records the
+  dense-array size for searchers.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from sotohp_ray.config import IndexConfig
-from sotohp_ray.functions import codec as pcodec
 from sotohp_ray.state import lineage as lin
 from sotohp_ray.utils import map_items
 
@@ -119,185 +122,85 @@ def delete_docs(
     return int(new.size)
 
 
-def _compact_partition(
-    index_dir: str, pid: int, deleted: np.ndarray, config_json: str
-) -> dict:
-    """Rewrite one partition's docmeta + partials without the deleted
-    docs. Returns the updated lineage metrics."""
-    from sotohp_ray.pipelines.build_index import write_partials
-
-    cfg = IndexConfig.from_json(config_json)
-    enc, dec = pcodec.varint_encode, pcodec.varint_decode
-
+def _compact_partition(index_dir: str, pid: int, deleted: np.ndarray) -> dict:
+    """Drop the deleted docs from one partition's docmeta (an atomic
+    rewrite, only when it holds one). The partials are not opened:
+    docmeta is the partition's live-docs set, and the merge drops the
+    postings of every doc missing from it. Returns the partition's
+    live doc and token counts, read from its docmeta as it now stands,
+    so a retry after a half-finished compaction computes the same."""
     dm_path = os.path.join(
         index_dir, "docmeta", f"partition-{pid:05d}", "data.parquet"
     )
     dm = pq.read_table(dm_path)
-    dm_ids = dm["doc_id"].to_numpy(zero_copy_only=False)
-    keep_doc = ~np.isin(dm_ids, deleted, kind="sort")
-    removed_docs = int((~keep_doc).sum())
-    removed_tokens = int(
-        dm["doc_len"].to_numpy(zero_copy_only=False)[~keep_doc].sum()
+    keep = ~np.isin(
+        dm["doc_id"].to_numpy(zero_copy_only=False), deleted, kind="sort"
     )
-    if removed_docs == 0:
-        # untouched partition: decide from docmeta alone, never read
-        # the (much larger) partials file
-        return {
-            "partition_id": pid, "removed_docs": 0,
-            "removed_tokens": 0, "removed_postings": 0,
-        }
-    lin.atomic_write_table(
-        dm.filter(pa.array(keep_doc)), dm_path, use_dictionary=False
-    )
-
-    pdir = os.path.join(index_dir, "partials", f"partition-{pid:05d}")
-    t = pq.read_table(os.path.join(pdir, "data.parquet"))
-    removed_postings = 0
-
-    counts = t["count"].to_numpy(zero_copy_only=False).astype(np.int64)
-    doc_blob = t["doc_blob"].combine_chunks()
-    import pyarrow.compute as pc
-
-    inline = pc.is_null(doc_blob).to_numpy(zero_copy_only=False)
-    doc0 = t["doc0"].to_numpy(zero_copy_only=False)
-    # vectorized fate of inline (single-posting) rows
-    keep_row = np.ones(t.num_rows, dtype=bool)
-    inline_idx = np.flatnonzero(inline)
-    drop_inline = np.isin(doc0[inline_idx], deleted, kind="sort")
-    keep_row[inline_idx[drop_inline]] = False
-    removed_postings += int(drop_inline.sum())
-
-    # multi-posting rows: decode, filter, re-encode (only rows that
-    # actually contain a deleted doc are rewritten); occurrence
-    # positions are filtered segment-wise with their postings
-    tf_blob = t["tf_blob"].combine_chunks()
-    dl_blob = t["dl_blob"].combine_chunks()
-    pos_blob = t["pos_blob"].combine_chunks()
-    cf_part = t["cf_partial"].to_numpy(zero_copy_only=False).astype(np.int64)
-    new_cols: dict[int, dict] = {}
-    for i in np.flatnonzero(~inline):
-        c = int(counts[i])
-        gaps = dec(doc_blob[i].as_buffer(), c)
-        docs = np.cumsum(gaps, dtype=np.uint64)
-        m = ~np.isin(docs, deleted, kind="sort")
-        kept = int(m.sum())
-        if kept == c:
-            continue
-        removed_postings += c - kept
-        if kept == 0:
-            keep_row[i] = False
-            continue
-        tfs_all = dec(tf_blob[i].as_buffer(), c)
-        tfs = tfs_all[m]
-        dls = dec(dl_blob[i].as_buffer(), c)[m]
-        d = docs[m]
-        g = np.empty(kept, dtype=np.uint64)
-        g[0] = d[0]
-        np.subtract(d[1:], d[:-1], out=g[1:])
-        # positions: decode to absolute, keep surviving postings'
-        # occurrence segments, re-delta with reset at new starts
-        # (positions are always varint, independent of partials codec)
-        oc = int(cf_part[i])
-        pg = pcodec.varint_decode(pos_blob[i].as_buffer(), oc)
-        cum = np.cumsum(pg, dtype=np.uint64)
-        lens = tfs_all.astype(np.int64)
-        p_starts = np.zeros(c, dtype=np.int64)
-        np.cumsum(lens[:-1], out=p_starts[1:])
-        base = np.zeros(c, dtype=np.uint64)
-        base[1:] = cum[p_starts[1:] - 1]
-        occ_abs = cum - np.repeat(base, lens)
-        occ_keep = occ_abs[np.repeat(m, lens)]
-        new_lens = tfs.astype(np.int64)
-        np_starts = np.zeros(kept, dtype=np.int64)
-        np.cumsum(new_lens[:-1], out=np_starts[1:])
-        npg = occ_keep.copy()
-        if npg.size:
-            npg[1:] -= occ_keep[:-1]
-            npg[np_starts] = occ_keep[np_starts]
-        new_cols[i] = {
-            "count": kept,
-            "doc_blob": enc(g), "tf_blob": enc(tfs), "dl_blob": enc(dls),
-            "pos_blob": pcodec.varint_encode(npg),
-            "cf_partial": int(tfs.sum()), "max_tf": int(tfs.max()),
-        }
-
-    if new_cols or not keep_row.all():
-        cols = {name: t[name].to_pylist() for name in
-                ("count", "doc_blob", "tf_blob", "dl_blob", "pos_blob",
-                 "cf_partial", "max_tf")}
-        for i, upd in new_cols.items():
-            for k, v in upd.items():
-                cols[k][i] = v
-        for name, vals in cols.items():
-            fi = t.schema.get_field_index(name)
-            t = t.set_column(
-                fi, name, pa.array(vals, type=t.schema.field(name).type)
-            )
-        write_partials(t.filter(pa.array(keep_row)), pdir)
+    if not keep.all():
+        dm = dm.filter(pa.array(keep))
+        lin.atomic_write_table(dm, dm_path, use_dictionary=False)
     return {
         "partition_id": pid,
-        "removed_docs": removed_docs,
-        "removed_tokens": removed_tokens,
-        "removed_postings": removed_postings,
+        "doc_count": dm.num_rows,
+        "token_count": int(
+            dm["doc_len"].to_numpy(zero_copy_only=False).sum()
+        ),
     }
 
 
 def compact_index(index_dir: str) -> dict:
-    """Apply all tombstones physically and rebuild the dictionary with
-    exact post-delete statistics. Returns the updated stats dict."""
+    """Apply all tombstones to docmeta and rebuild the dictionary with
+    exact post-delete statistics. Returns the updated stats dict, with
+    ``partitions_compacted``: how many partitions held a tombstone."""
     import shutil
 
     import ray
 
-    from sotohp_ray.pipelines.build_index import (
-        _merge_marker,
-        commit_lineage,
-    )
+    from sotohp_ray.pipelines.build_index import commit_lineage
 
     deleted = load_tombstones(index_dir)
     with open(os.path.join(index_dir, "config.json")) as f:
         config = IndexConfig.from_json(f.read())
     old_stats = lin.read_stats(index_dir)
     if deleted.size == 0:
-        return old_stats
+        return {**old_stats, "partitions_compacted": 0}
 
+    # a partition's ids are [base, base + the rows it indexed), the
+    # rows now live plus the ones compacted out before; only those
+    # that hold a tombstone are read
     records = {r["partition_id"]: r for r in lin.done_records(index_dir)}
-    cfg_json = config.to_json()
-    items = [{"partition_id": p} for p in sorted(records)]
+    items = []
+    for pid, r in sorted(records.items()):
+        lo = int(r["base_doc_id"])
+        hi = lo + int(r["doc_count"]) + int(r.get("compacted_out", 0))
+        if np.searchsorted(deleted, lo) < np.searchsorted(deleted, hi):
+            items.append({"partition_id": pid})
     dref = ray.put(deleted)
 
     def _one(batch: dict) -> dict:
         dels = ray.get(dref)
-        out = {k: [] for k in (
-            "partition_id", "removed_docs", "removed_tokens",
-            "removed_postings")}
+        out = {k: [] for k in ("partition_id", "doc_count", "token_count")}
         for pid in batch["partition_id"]:
-            m = _compact_partition(index_dir, int(pid), dels, cfg_json)
+            m = _compact_partition(index_dir, int(pid), dels)
             for k in out:
                 out[k].append(m[k])
         return {k: np.asarray(v, dtype=np.int64) for k, v in out.items()}
 
     res, _ = map_items(_one, items)
 
-    # fold removals into lineage (so stats recompute consistently and a
-    # resumed build keeps the post-delete state for unchanged inputs)
+    # counts are set, not decremented: a retry after a run that failed
+    # partway finds some docmeta already filtered and must still end
+    # with the same lineage (and stats) as one run that never failed
     for _, row in res.iterrows():
-        pid = int(row["partition_id"])
-        r = records[pid]
-        r["doc_count"] = int(r["doc_count"]) - int(row["removed_docs"])
-        r["token_count"] = int(r["token_count"]) - int(row["removed_tokens"])
-        r["posting_count"] = (
-            int(r["posting_count"]) - int(row["removed_postings"])
-        )
-        r["compacted_out"] = int(r.get("compacted_out", 0)) + int(
-            row["removed_docs"]
-        )
+        r = records[int(row["partition_id"])]
+        indexed = int(r["doc_count"]) + int(r.get("compacted_out", 0))
+        r["doc_count"] = int(row["doc_count"])
+        r["token_count"] = int(row["token_count"])
+        r["compacted_out"] = indexed - r["doc_count"]
         lin.write_record(index_dir, r)
 
-    # always re-merge: df and every block-max change with the postings
-    marker = _merge_marker(index_dir)
-    if os.path.exists(marker):
-        os.remove(marker)
+    # compacted_out is in the lineage fingerprint, so the merge reruns
+    # whenever a partition lost a doc: df and every block-max change
     stats, _ = commit_lineage(
         index_dir, config,
         {
@@ -307,9 +210,6 @@ def compact_index(index_dir: str) -> dict:
             "doc_id_space": int(
                 old_stats.get("doc_id_space", old_stats["n_docs"])
             ),
-            # from lineage, not old stats plus this run's removals: a
-            # retry after a failed merge removes nothing more, but the
-            # records still hold the first attempt's counts
             "compacted_docs_total": sum(
                 int(r.get("compacted_out", 0)) for r in records.values()
             ),
@@ -319,4 +219,5 @@ def compact_index(index_dir: str) -> dict:
     # tombstones are applied — clear them
     shutil.rmtree(tombstones_dir(index_dir), ignore_errors=True)
     stats["merged"] = True
+    stats["partitions_compacted"] = len(items)
     return stats

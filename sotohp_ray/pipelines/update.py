@@ -25,10 +25,11 @@ only what actually changed:
    persisted under ``index_dir/increments/`` plus an INTENT sidecar
    ``partition-N.json`` recording (pid, base, rows) BEFORE any index
    state changes — the crash-recovery record.
-3. **Commit** — compaction applies the tombstones, then
-   ``build_index.commit_lineage`` (the one lineage-to-index step that
-   build, sync, crash repair and compaction share) recomputes stats
-   from the done lineage records and reruns the bucketed merge with
+3. **Commit** — compaction applies the tombstones to docmeta (the
+   live-docs set), then ``build_index.commit_lineage`` (the one
+   lineage-to-index step that build, sync, crash repair and compaction
+   share) recomputes stats from the done lineage records and reruns the
+   bucketed merge, which drops the postings of compacted docs, with
    exact post-update df/N/avgdl, so search results equal an index
    freshly built over the updated corpus (the compaction==fresh-build
    contract, pytest-verified for deletes).
@@ -54,10 +55,12 @@ retires every increment (lineage, partitions, persisted input and
 intent, under any config), so no later sync replays one. One
 divergence remains: compaction is recorded in the base partitions'
 lineage, and a rebuild keeps the compacted state of unchanged input
-files (that is how deletes survive a rebuild). So old versions of
-docs a compacting sync replaced stay out of a rebuilt index until
-their input files change, and tombstones still pending at the
-rebuild keep hiding them.
+files (that is how deletes survive a rebuild: their docmeta stays
+filtered, and the merge drops the ids missing from it). So old
+versions of docs a compacting sync replaced stay out of a rebuilt
+index until their input files change — then the partition is indexed
+afresh and its ids are live again — and tombstones still pending at
+the rebuild keep hiding them.
 """
 
 from __future__ import annotations

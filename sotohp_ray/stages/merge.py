@@ -6,7 +6,8 @@ Called once per dictionary shard by the merge tasks of
 shuffle (SURVEY.md §7.4), whose map side wrote each shard's partials
 to its own row groups. One call = one dictionary shard; inside it
 everything is vectorized numpy (decode all partial blobs, lexsort by
-(term, doc), segment, block-encode).
+(term, doc), drop the postings of compacted docs, segment,
+block-encode).
 
 Because df, N and avgdl are all known at merge time, exact per-posting
 BM25 scores are computed here and the per-block MAX (rounded up to
@@ -59,6 +60,9 @@ DICT_SCHEMA = pa.schema(
         ("pos_blob", pa.large_binary()),
     ]
 )
+
+
+_NO_DOCS = np.zeros(0, dtype=np.uint64)
 
 
 def _blob_bytes(col: pa.Array, rows: np.ndarray) -> tuple:
@@ -149,10 +153,13 @@ def decode_postings(
 
 
 def merge_shard(
-    group: pa.Table, n_docs: int, avgdl: float, config: IndexConfig
+    group: pa.Table, n_docs: int, avgdl: float, config: IndexConfig,
+    dead: np.ndarray = _NO_DOCS,
 ) -> pa.Table:
     """All partial rows of one term_shard -> final dictionary rows,
-    sorted by term."""
+    sorted by term. Postings of the ``dead`` doc ids (docs a compaction
+    took out of docmeta, whose partials still hold them) are dropped;
+    a term left with none is not written."""
     k1, b = config.bm25.k1, config.bm25.b
     nrows = group.num_rows
     if nrows == 0:
@@ -231,6 +238,12 @@ def merge_shard(
     post_codes = np.repeat(row_codes, counts)
 
     order = np.lexsort((docs, post_codes))
+    if dead.size:
+        # a dropped posting's position bytes are skipped by the gather
+        # below, never decoded
+        order = order[~np.isin(docs[order], dead)]
+        if not order.size:
+            return DICT_SCHEMA.empty_table()
     codes_s = post_codes[order]
     docs_s = docs[order]
     tfs_s = tfs[order]

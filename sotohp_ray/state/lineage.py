@@ -77,8 +77,9 @@ def done_records(index_dir: str) -> list[dict]:
 
 def lineage_fingerprint(records: list[dict]) -> str:
     """Fingerprint of the done records the merge was built from.
-    ``compacted_out`` is part of it: compaction rewrites partitions in
-    place without changing their input, so a crash between its lineage
+    ``compacted_out`` is part of it: compaction filters a partition's
+    docmeta in place without changing its input, and the merge derives
+    the dead ids it drops from it, so a crash between its lineage
     writes and its merge must still leave the merge marker stale."""
     return hashlib.sha256(
         json.dumps(

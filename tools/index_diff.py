@@ -2,7 +2,7 @@
 
 Usage:
     python tools/index_diff.py CHECKOUT_A CHECKOUT_B [CORPUS] \\
-        [--work DIR] [--cpus 2]
+        [--work DIR] [--cpus 2] [--sync SEED]
 
 CHECKOUT_A and CHECKOUT_B are directories that hold a checkout of this
 repository (a ``git archive`` export, a clone, or the working tree).
@@ -15,6 +15,14 @@ CORPUS defaults to the benchmark's build corpus (``DOCS`` docs in
 ``PARTITIONS`` partitions, generator seed ``CORPUS_SEED``, preset
 ``bench``), generated with checkout A's generator into the work
 directory.
+
+With ``--sync SEED`` each side instead builds the benchmark's update
+corpus (``UPDATE_DOCS`` docs in ``UPDATE_PARTITIONS`` partitions, as
+many term shards) and then applies the update batch
+``make_update_batch(SEED, 0, ...)`` through ``sync_changed_docs``, whose
+default compaction rewrites the partitions that held an old version;
+the indexes are compared after that sync. CORPUS, when given, replaces
+the update corpus.
 
 The indexes are compared by Arrow table equality, not by file bytes, so
 a change of parquet encoding alone reads as equal:
@@ -35,12 +43,16 @@ import subprocess
 import sys
 import tempfile
 
+# argv[2] is the prefix of the workload constants: "" for the build
+# corpus, "UPDATE_" for the update corpus
 GENERATE = """
 import sys
 from perfbench import workload as wl
 from sotohp_ray.sources.corpus import generate_corpus
-generate_corpus(sys.argv[1], preset="bench", rows=wl.DOCS,
-                partitions=wl.PARTITIONS, seed=wl.CORPUS_SEED)
+pre = sys.argv[2]
+generate_corpus(sys.argv[1], preset="bench", rows=getattr(wl, pre + "DOCS"),
+                partitions=getattr(wl, pre + "PARTITIONS"),
+                seed=wl.CORPUS_SEED)
 """
 
 BUILD = """
@@ -56,6 +68,31 @@ ray.data.DataContext.get_current().enable_progress_bars = False
 logging.getLogger("ray.data").setLevel(logging.ERROR)
 build_index(sys.argv[1], sys.argv[2],
             IndexConfig(num_term_shards=wl.TERM_SHARDS))
+ray.shutdown()
+"""
+
+SYNC = """
+import logging
+import sys
+import pyarrow as pa
+import pyarrow.parquet as pq
+import ray
+from perfbench import workload as wl
+from sotohp_ray.config import IndexConfig
+from sotohp_ray.pipelines.build_index import build_index
+from sotohp_ray.pipelines.update import sync_changed_docs
+from sotohp_ray.sources.corpus import corpus_files
+ray.init(num_cpus=int(sys.argv[3]), include_dashboard=False,
+         logging_level="ERROR")
+ray.data.DataContext.get_current().enable_progress_bars = False
+logging.getLogger("ray.data").setLevel(logging.ERROR)
+build_index(sys.argv[1], sys.argv[2],
+            IndexConfig(num_term_shards=wl.UPDATE_PARTITIONS))
+table = pa.concat_tables(pq.read_table(f) for f in corpus_files(sys.argv[1]))
+batch = wl.make_update_batch(int(sys.argv[4]), 0, table, set())
+out = sync_changed_docs(sys.argv[2], batch["incoming"])
+print(f"sync: {out['changed']} changed, {out['new']} new, "
+      f"{out['tombstoned']} tombstoned")
 ray.shutdown()
 """
 
@@ -102,15 +139,19 @@ def main() -> int:
                    "(a fresh temporary directory by default)")
     p.add_argument("--cpus", type=int, default=2,
                    help="CPUs of each build's Ray session")
+    p.add_argument("--sync", type=int, metavar="SEED",
+                   help="compare the update corpus's indexes after the "
+                   "seeded update batch is synced into them")
     args = p.parse_args()
+    sync = args.sync is not None
     a, b = (os.path.abspath(c) for c in (args.checkout_a, args.checkout_b))
     work = args.work or tempfile.mkdtemp(prefix="index_diff-")
     os.makedirs(work, exist_ok=True)
     corpus = args.corpus and os.path.abspath(args.corpus)
     if corpus is None:
-        corpus = os.path.join(work, "corpus")
+        corpus = os.path.join(work, "upd_corpus" if sync else "corpus")
         if not os.path.isdir(corpus):
-            run_in(a, GENERATE, corpus)
+            run_in(a, GENERATE, corpus, "UPDATE_" if sync else "")
     indexes = []
     for side, checkout in (("a", a), ("b", b)):
         index = os.path.join(work, f"index-{side}")
@@ -118,7 +159,11 @@ def main() -> int:
             import shutil
 
             shutil.rmtree(index)
-        run_in(checkout, BUILD, corpus, index, str(args.cpus))
+        if sync:
+            run_in(checkout, SYNC, corpus, index, str(args.cpus),
+                   str(args.sync))
+        else:
+            run_in(checkout, BUILD, corpus, index, str(args.cpus))
         indexes.append(index)
 
     verdicts = {

@@ -121,7 +121,7 @@ def main() -> int:
     os.makedirs(work, exist_ok=True)
     corpus = os.path.join(work, "corpus")
     if not os.path.isdir(corpus):
-        run_in(REPO, GENERATE, corpus)
+        run_in(REPO, GENERATE, corpus, "")
     index = args.index
     if index is None:
         index = os.path.join(work, "index")
