@@ -81,13 +81,23 @@ def _one_chunk(col: pa.ChunkedArray) -> pa.Array:
     return col.chunk(0) if col.num_chunks == 1 else col.combine_chunks()
 
 
+def _check_k(k: int) -> None:
+    """Reject a negative k, as Elasticsearch rejects a negative
+    ``size``: a slice ``[:k]`` would silently return all but the last
+    -k results."""
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+
+
 def _top_order(ids: np.ndarray, scores: np.ndarray, k: int) -> np.ndarray:
     """Positions of the top-k by (score desc, id asc) — the ranking
     contract of every scored retrieval path; equal to
     ``np.lexsort((ids, -scores))[:k]``. With more than k inputs, a
     linear-time partition finds the k-th largest score first and only
     the docs scoring at or above it (ties kept) are sorted: every
-    top-k doc is among them, so the order is the full sort's."""
+    top-k doc is among them, so the order is the full sort's. A
+    negative k raises ``ValueError``."""
+    _check_k(k)
     if ids.size > k > 0:
         kth = np.partition(scores, ids.size - k)[ids.size - k]
         cand = np.flatnonzero(scores >= kth)
@@ -99,16 +109,18 @@ def _charge(entry: list) -> int:
     """A ``Searcher._dec_cache`` entry's charge against its budget, in
     postings of 16 bytes: its postings, twice over once it holds
     impacts (impacts and their top prefix add at most 16 bytes a
-    posting)."""
-    return entry[0].size * (1 if entry[2] is None else 2)
+    posting), plus half the length of its dense row (8 bytes a doc of
+    the doc-id space)."""
+    n = entry[0].size * (1 if entry[2] is None else 2)
+    return n if entry[4] is None else n + entry[4].size // 2
 
 
 def _rank(
     ids: np.ndarray, scores: np.ndarray, k: int
 ) -> list[tuple[int, float]]:
     """Top-k (id, score) pairs in ``_top_order``."""
-    return [(int(ids[i]), float(scores[i]))
-            for i in _top_order(ids, scores, k)]
+    o = _top_order(ids, scores, k)
+    return list(zip(ids[o].tolist(), scores[o].tolist()))
 
 
 def _slice_runs(
@@ -801,13 +813,16 @@ class Searcher(_Operators):
         self._rec_cache: dict[str, dict] = {}
         # decoded-postings cache (the serving-side block cache every
         # production engine keeps): term -> [doc_ids, tfs, impacts,
-        # top], filled by ``_decode_full`` with impacts and top None.
-        # ``_impacts`` sets impacts, the term's BM25 contributions at
-        # qw = 1.0 (float64, one per posting); ``_kth_impact`` sets top,
-        # the largest impacts in descending order, as many as the
-        # largest k asked. Bounded by ``dec_cache_budget`` postings of
-        # 16 bytes (a doc id and a tf; ``_charge``); insertion-order
-        # eviction.
+        # top, row], filled by ``_decode_full`` with the last three
+        # None. ``_impacts`` sets impacts, the term's BM25
+        # contributions at qw = 1.0 (float64, one per posting), and,
+        # for a term in at least a quarter of the doc-id space, row:
+        # the impacts scattered over the doc-id space (float64, 0.0 off
+        # the term's docs); ``_kth_impact`` sets top, the largest
+        # impacts in descending order, as many as the largest k asked.
+        # Bounded by ``dec_cache_budget`` postings of 16 bytes (a doc
+        # id and a tf; ``_charge``); insertion-order eviction, which
+        # drops a row with its entry.
         self._dec_cache: dict[str, list] = {}
         # decoded-positions cache (phrase/proximity serving): bounded
         # by entry count; positions are ~1 value per occurrence
@@ -987,7 +1002,7 @@ class Searcher(_Operators):
             gap_offs=r["block_gap_offs"], tf_offs=r["block_tf_offs"],
             codec=self.config.codec,
         )
-        self._dec_cache_put(term, [out[0], out[1], None, None])
+        self._dec_cache_put(term, [out[0], out[1], None, None, None])
         return out
 
     def _dec_cache_put(self, term: str, entry: list) -> None:
@@ -1011,7 +1026,13 @@ class Searcher(_Operators):
         its BM25 contributions at qw = 1.0, kept in its decode-cache
         entry. They come from the one ``_contrib`` expression, and
         ``1.0 * idf`` is ``idf`` exactly, so they are bit-identical to
-        contributions computed per query."""
+        contributions computed per query.
+
+        The full searcher also keeps the dense row of a term in at
+        least a quarter of the doc-id space (``_dense_scores`` adds it
+        in one contiguous pass), when the entry still fits the budget
+        with it. The row is charged space / 2 postings, which is then
+        at most the 2 * df the entry is already charged."""
         d, f = self._decode_full(term)
         e = self._dec_cache.get(term)
         if e is not None and e[2] is not None:
@@ -1021,6 +1042,13 @@ class Searcher(_Operators):
             # re-charged with its impacts, as the newest entry
             self._dec_cache_postings -= _charge(self._dec_cache.pop(term))
             e[2] = c
+            if (
+                self.shard_range is None
+                and 4 * d.size >= self.space
+                and _charge(e) + self.space // 2 <= self.dec_cache_budget
+            ):
+                e[4] = np.zeros(self.space, dtype=np.float64)
+                e[4][d.view(np.intp)] = c
             self._dec_cache_put(term, e)
         return d, c
 
@@ -1136,13 +1164,36 @@ class Searcher(_Operators):
         self, postings: list, mask: np.ndarray | None = None
     ) -> np.ndarray:
         """Term-at-a-time accumulation of ``_interval_postings`` rows
-        into a score array over the doc-id space, one term after the
-        other in qi order (tombstoned and ``mask``-excluded docs
-        zeroed)."""
-        scores = np.zeros(self.space, dtype=np.float64)
-        for _, _, _, d, c in postings:
-            # an intp view: a uint64 index is converted on every use
-            scores[d.view(np.intp)] += c
+        into a fresh score array over the doc-id space, one term after
+        the other in qi order (tombstoned and ``mask``-excluded docs
+        zeroed).
+
+        A qw = 1.0 term whose decode-cache entry holds a dense row
+        (``_impacts``) is added as that whole row: one contiguous add
+        in place of a gather and a scatter per posting (Turtle &
+        Flood's dense accumulator). The row adds the same impact at
+        the term's docs and 0.0 elsewhere, and ``s + 0.0 == s``, so the
+        sums are bit-identical to the scatter's. Rows pruned to the
+        kept intervals (theta > 0) are added whole too: a doc in a
+        dropped interval then holds a partial sum, which is at most
+        its full score (adding a non-negative float is monotone) and
+        so below the theta that dropped it; ``_top_k`` never ranks
+        it."""
+        scores = None
+        for _, t, qw, d, c in postings:
+            e = self._dec_cache.get(t) if qw == 1.0 else None
+            row = None if e is None else e[4]
+            if row is None:
+                if scores is None:
+                    scores = np.zeros(self.space, dtype=np.float64)
+                # an intp view: a uint64 index is converted on every use
+                scores[d.view(np.intp)] += c
+            elif scores is None:
+                scores = row.copy()
+            else:
+                scores += row
+        if scores is None:
+            scores = np.zeros(self.space, dtype=np.float64)
         if self._tomb is not None:
             scores[self._tomb] = 0.0
         if mask is not None:
@@ -1156,33 +1207,40 @@ class Searcher(_Operators):
         """Top-k live docs by the BM25 sums of ``_interval_postings``
         rows, ranking only positive sums >= ``theta`` (a caller passes
         a theta that at least k live, unmasked docs reach, such as the
-        rows' ``_impact_floor``). The full searcher accumulates into a
-        dense array; a shard group must never allocate a
-        doc-id-SPACE-sized one (8 B/doc = ~8 GB per actor at 10^9
-        docs), so it sums sparse contributions with the fan-out merge
-        kernel instead. Both add in qi order, so the scores are
-        bit-identical. The full searcher keeps the dense array because
-        it is the faster of the two there (in the A/B that chose it,
-        on the 24k-doc benchmark index, the median ``_top_k`` over one
-        query mix took 0.97-1.20 ms dense against 2.64-3.03 ms with the
-        sparse sums, one CPU of a shared VM). Without a theta a warm
-        query ranked every doc with a nonzero score there, ~20k of
-        24k; with the impact floor, the docs at or above a term's k-th
-        impact."""
+        rows' ``_impact_floor``). Three ways to the sums, all adding
+        in qi order, so the scores are bit-identical:
+
+        - one term: its contributions are the sums (``0.0 + c == c``),
+          ranked directly with no array over the doc-id space;
+        - a shard group must never allocate a doc-id-SPACE-sized array
+          (8 B/doc = ~8 GB per actor at 10^9 docs), so it sums sparse
+          contributions with the fan-out merge kernel;
+        - the full searcher accumulates into a dense array
+          (``_dense_scores``, which adds the rows of its dense terms
+          whole), the faster of the two there: on the 24k-doc
+          benchmark index, over the 245 warm multi-term queries of
+          ``make_queries`` seeds 711 and 1801 at their ``_impact_floor``,
+          the mean ``_top_k`` took 0.14-0.23 ms dense against
+          2.9-5.1 ms with the sparse sums (7 interleaved passes, one
+          CPU of a shared VM)."""
         if not postings:
             return []
-        if self.shard_range is not None:
-            got = self._merge_contribs(*self._contribs(postings))
-            if got is None:
-                return []
-            udocs, sums, _ = got
-            keep = sums >= theta
-            if mask is not None:
-                keep &= mask[udocs]
-            return _rank(udocs[keep], sums[keep], k)
-        scores = self._dense_scores(postings, mask)
-        nz = np.flatnonzero(scores >= theta if theta > 0.0 else scores > 0.0)
-        return _rank(nz, scores[nz], k)
+        if len(postings) == 1:
+            _, _, _, d, sums = postings[0]
+            ids = d.view(np.int64)
+        elif self.shard_range is not None:
+            ids, sums, _ = _layered_sums(*self._contribs(postings))
+        else:
+            scores = self._dense_scores(postings, mask)
+            nz = np.flatnonzero(
+                scores >= theta if theta > 0.0 else scores > 0.0)
+            return _rank(nz, scores[nz], k)
+        sel = np.flatnonzero(sums >= theta if theta > 0.0 else sums > 0.0)
+        ids, sums = ids[sel], sums[sel]
+        keep = self._live_mask(ids)
+        if mask is not None:
+            keep &= mask[ids]
+        return _rank(ids[keep], sums[keep], k)
 
     def search_exact(
         self, query: str, k: int = 10, mask: np.ndarray | None = None
@@ -1439,10 +1497,11 @@ class Searcher(_Operators):
         the decode cache (more than ``dec_cache_budget`` / 2 postings
         once impacts are cached), never gets a theta0 and always
         answers through exact TAAT. On the 24k-doc benchmark index a
-        warm pruned query costs 1.3-2.1x ``search_exact`` on one CPU
-        of a shared VM (``tools/wand_probe.py``): its kept intervals
-        hold nearly every posting there, so pruning saves little and
-        the bound work is the extra.
+        warm pruned query costs 1.5-3.4x ``search_exact`` (median
+        2.5x, seeds 711 and 1801) on one CPU of a shared VM
+        (``tools/wand_probe.py``): its kept intervals hold nearly
+        every posting there, so pruning saves little, and the bound
+        and slicing work is the extra over exact TAAT's dense rows.
         """
         qterms = self._query_terms(query)
         if not qterms:
@@ -1805,6 +1864,7 @@ class FanoutSearcher(_Operators):
         exactly-scored docs sit at or above it."""
         import ray
 
+        _check_k(k)
         gids_per = [
             self._groups_for(self.tok.tokens_of(q)) for q in queries
         ]

@@ -204,11 +204,13 @@ def _drop(s):
 def _charge(s):
     """The decode cache's charge, recounted from its entries, after
     checking that its arrays hold at most 16 bytes a charged posting
-    (a doc id and a tf, or an impact and at most one top value)."""
+    (a doc id and a tf, or an impact and at most one top value, and
+    half a dense row's 8-byte slots)."""
     nbytes = sum(a.nbytes for e in s._dec_cache.values()
                  for a in e if a is not None)
     assert nbytes <= 16 * s._dec_cache_postings
     return sum(e[0].size * (1 if e[2] is None else 2)
+               + (0 if e[4] is None else s.space // 2)
                for e in s._dec_cache.values())
 
 
